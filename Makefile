@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke service-race serve-smoke fleet-chaos bench bench-smoke clean
+.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke bench-module service-race serve-smoke fleet-chaos bench bench-smoke clean
 
 all: build
 
@@ -47,23 +47,46 @@ snippets-smoke:
 	cmp .snippets-smoke/serial.out .snippets-smoke/snippets.out
 	rm -rf .snippets-smoke
 
-# xlate-smoke is the cross-ISA translation gate on the real harness,
-# run under the race detector: characterize the seeded workloads
-# natively (GEN end to end), then again with every program retargeted
-# to the GENX dialect at CreateProgram and every compiled binary
-# translated back to GEN below the instrumentation layer, and require
-# byte-identical reports — per-kernel profiles, instruction mixes, and
-# SPI-derived figures included. The seeded workloads contain no W2, so
-# the translation is a pure cross-dialect re-encode and any divergence
-# is a translator or dialect-plumbing bug, never a legalization
-# artifact.
+# xlate-smoke is the per-unit ISA configuration gate on the real harness,
+# built with the race detector: subsets -fig 6 reports selection error
+# from per-kernel timings, which depend on the dialect's issue costs, so
+# -dialect genx must change it (the first leg proves the gate can see the
+# flag at all). Then, byte-identical stdout on every leg:
+#   - GENX translated back to GEN below the instrumentation layer equals
+#     native (the seeded workloads contain no W2, so the translation is a
+#     pure cross-dialect re-encode);
+#   - a -fleet of worker processes equals the in-process pool under GENX,
+#     so the dialect travels in the unit descriptor;
+#   - -resume -dialect genx over a natively journaled state dir re-runs
+#     every unit (no "resumed" line) and equals a fresh GENX run, so the
+#     dialect is part of the journal key;
+#   - GENX subset simulation, serial on one worker and as snippets on
+#     four, so the recording carries the GENX code detsim compiles.
 xlate-smoke:
 	rm -rf .xlate-smoke
 	mkdir -p .xlate-smoke
-	$(GO) run -race ./cmd/characterize -scale tiny -fig all > .xlate-smoke/native.out 2> .xlate-smoke/native.err
-	$(GO) run -race ./cmd/characterize -scale tiny -fig all -dialect genx -translate gen > .xlate-smoke/xlate.out 2> .xlate-smoke/xlate.err
+	$(GO) build -race -o .xlate-smoke/subsets ./cmd/subsets
+	cd .xlate-smoke && ./subsets -scale tiny -fig 6 -state-dir native-state > native.out 2> native.err
+	cd .xlate-smoke && ./subsets -scale tiny -fig 6 -workers 2 -dialect genx > genx.out 2> genx.err
+	! cmp -s .xlate-smoke/native.out .xlate-smoke/genx.out
+	cd .xlate-smoke && ./subsets -scale tiny -fig 6 -dialect genx -translate gen > xlate.out 2> xlate.err
 	cmp .xlate-smoke/native.out .xlate-smoke/xlate.out
+	cd .xlate-smoke && ./subsets -scale tiny -fig 6 -fleet 2 -dialect genx > fleet.out 2> fleet.err
+	cmp .xlate-smoke/genx.out .xlate-smoke/fleet.out
+	cd .xlate-smoke && ./subsets -scale tiny -fig 6 -state-dir native-state -resume -dialect genx > resume.out 2> resume.err
+	cmp .xlate-smoke/genx.out .xlate-smoke/resume.out
+	! grep -q '^resumed' .xlate-smoke/resume.err
+	cd .xlate-smoke && ./subsets -scale tiny -fig table3 -simulate -sim-mode serial -workers 1 -sim-apps cb-physics-ocean-surf -dialect genx > sim-serial.out 2> sim-serial.err
+	cd .xlate-smoke && ./subsets -scale tiny -fig table3 -simulate -sim-mode snippets -workers 4 -sim-apps cb-physics-ocean-surf -dialect genx > sim-snippets.out 2> sim-snippets.err
+	cmp .xlate-smoke/sim-serial.out .xlate-smoke/sim-snippets.out
 	rm -rf .xlate-smoke
+
+# bench-module vets and tests the benchmark program. It is its own Go
+# module (benchmark/go.mod), so the root `go test ./...` never compiles
+# it, and a change to an internal API it calls would otherwise break it
+# without any other check failing.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # service-race runs the profiling-service suite — queue/shed, retry and
 # breaker chaos, drain ordering, and the SIGKILL crash-resume e2e — under
@@ -97,9 +120,10 @@ fleet-chaos:
 # check is the CI gate: static analysis, a full build, the service suite
 # then the full test suite under the race detector (the chaos and
 # crash-recovery suites must never panic or deadlock under -race), the
-# distributed-fleet chaos matrix, the resume smoke test, and the daemon
-# smoke test.
-check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke
+# distributed-fleet chaos matrix, the resume smoke test, the ISA
+# configuration gate, the daemon smoke test, and the nested benchmark
+# module's vet and tests.
+check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke bench-module
 
 # bench runs the Go benchmark suites (instrumentation rewrite,
 # interpreters, end-to-end sweep) and then the benchmark-regression

@@ -37,10 +37,10 @@ import (
 	"gtpin/internal/detsim"
 	"gtpin/internal/device"
 	"gtpin/internal/gtpin"
+	"gtpin/internal/harness"
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
 	"gtpin/internal/obs"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/runstate"
 	"gtpin/internal/testgen"
 	"gtpin/internal/workloads"
@@ -105,18 +105,6 @@ func median(ds []time.Duration) time.Duration {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 // buildUnits lays out the benchmark sweep: every workload at the given
@@ -280,49 +268,33 @@ func priorDetsimMIPS(path string) (float64, error) {
 	return prior.DetsimMIPS, nil
 }
 
-func run() (retErr error) {
-	scale := flag.String("scale", "tiny", "workload scale: full, small, or tiny")
-	workers := flag.Int("workers", 0, "shard count for the optimized run (0 = GOMAXPROCS)")
-	trials := flag.Int("trials", 3, "trial seeds per workload (re-instrumentation pressure)")
-	out := flag.String("out", "BENCH_sweep.json", "report path (written atomically)")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail unless optimized/baseline speedup reaches this factor")
-	maxObsOverhead := flag.Float64("max-obs-overhead", 0, "fail if the traced run exceeds this multiple of the optimized wall time (0 = report only)")
-	obsOverheadWarn := flag.Bool("obs-overhead-warn", false, "downgrade a -max-obs-overhead breach from a failure to a warning (for noisy shared machines)")
-	overheadReps := flag.Int("overhead-reps", 3, "repetitions of the optimized and observed sweeps; the overhead gate compares median wall times")
-	minDetsimRatio := flag.Float64("min-detsim-ratio", 0, "fail if detailed-interpreter MI/s falls below this fraction of the previous report's (0 = report only)")
-	requireDetsimPrior := flag.Bool("require-detsim-prior", false, "fail if -min-detsim-ratio is set but no prior report exists to gate against (CI arms this so the gate can never be silently vacuous)")
-	detsimReps := flag.Int("detsim-reps", 3, "timed repetitions of the detailed-interpreter benchmark (best is kept)")
-	timeout := flag.Duration("timeout", 0, "overall benchmark deadline (0 = none); sweeps still running at the deadline are abandoned and their units classified as unit-timeout faults")
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
+var (
+	workers            = flag.Int("workers", 0, "shard count for the optimized run (0 = GOMAXPROCS)")
+	trials             = flag.Int("trials", 3, "trial seeds per workload (re-instrumentation pressure)")
+	out                = flag.String("out", "BENCH_sweep.json", "report path (written atomically)")
+	minSpeedup         = flag.Float64("min-speedup", 0, "fail unless optimized/baseline speedup reaches this factor")
+	maxObsOverhead     = flag.Float64("max-obs-overhead", 0, "fail if the traced run exceeds this multiple of the optimized wall time (0 = report only)")
+	obsOverheadWarn    = flag.Bool("obs-overhead-warn", false, "downgrade a -max-obs-overhead breach from a failure to a warning (for noisy shared machines)")
+	overheadReps       = flag.Int("overhead-reps", 3, "repetitions of the optimized and observed sweeps; the overhead gate compares median wall times")
+	minDetsimRatio     = flag.Float64("min-detsim-ratio", 0, "fail if detailed-interpreter MI/s falls below this fraction of the previous report's (0 = report only)")
+	requireDetsimPrior = flag.Bool("require-detsim-prior", false, "fail if -min-detsim-ratio is set but no prior report exists to gate against (CI arms this so the gate can never be silently vacuous)")
+	detsimReps         = flag.Int("detsim-reps", 3, "timed repetitions of the detailed-interpreter benchmark (best is kept)")
+)
 
-	sc, err := parseScale(*scale)
-	if err != nil {
-		return err
-	}
+func main() {
+	harness.Main(harness.Config{Name: "bench", Scale: "tiny"}, run)
+}
+
+func run(h *harness.Session) error {
 	if *overheadReps < 1 {
 		return fmt.Errorf("-overhead-reps %d: need at least one repetition", *overheadReps)
 	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
+	sc, ctx := h.Scale, h.Ctx
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	units := buildUnits(sc, *trials)
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	// Warm-up pass: populates the page cache and steadies the Go runtime
 	// so neither timed run pays one-time costs. Not timed.
@@ -494,11 +466,4 @@ func run() (retErr error) {
 		}
 	}
 	return nil
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
 }

@@ -19,69 +19,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/cofluent"
 	"gtpin/internal/device"
 	"gtpin/internal/export"
-	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
+	"gtpin/internal/harness"
 	"gtpin/internal/isa"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
 )
 
-// main delegates to run so error exits unwind through deferred cleanup
-// (observability export) instead of os.Exit skipping it.
+var (
+	appFlag    = flag.String("app", "", "benchmark to profile (required; see -list)")
+	listFlag   = flag.Bool("list", false, "list available benchmarks")
+	toolsFlag  = flag.String("tools", "basic", "instrumentation tools: basic, mem, latency, or all")
+	perKernel  = flag.Bool("per-kernel", false, "print per-kernel summaries")
+	perInv     = flag.Int("per-invocation", 0, "print the first N per-invocation records")
+	jsonOut    = flag.String("json", "", "write the whole-program profile summary as JSON to this file")
+	hotBlocks  = flag.Int("hot-blocks", 0, "print the N most executed basic blocks")
+	recordPath = flag.String("record", "", "save a CoFluent recording of the run to this file")
+	replayPath = flag.String("replay", "", "profile a saved recording instead of running a benchmark")
+	noCache    = flag.Bool("no-cache", false, "disable the rewrite cache: instrument every binary from scratch")
+)
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "gtpin:", err)
-		os.Exit(1)
-	}
+	harness.Main(harness.Config{Name: "gtpin", Scale: "small"}, run)
 }
 
-func run() (retErr error) {
-	appFlag := flag.String("app", "", "benchmark to profile (required; see -list)")
-	listFlag := flag.Bool("list", false, "list available benchmarks")
-	scaleFlag := flag.String("scale", "small", "workload scale: full, small, or tiny")
-	toolsFlag := flag.String("tools", "basic", "instrumentation tools: basic, mem, latency, or all")
-	perKernel := flag.Bool("per-kernel", false, "print per-kernel summaries")
-	perInv := flag.Int("per-invocation", 0, "print the first N per-invocation records")
-	jsonOut := flag.String("json", "", "write the whole-program profile summary as JSON to this file")
-	hotBlocks := flag.Int("hot-blocks", 0, "print the N most executed basic blocks")
-	recordPath := flag.String("record", "", "save a CoFluent recording of the run to this file")
-	replayPath := flag.String("replay", "", "profile a saved recording instead of running a benchmark")
-	noCache := flag.Bool("no-cache", false, "disable the rewrite cache: instrument every binary from scratch")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); a run still going at the deadline is abandoned and classified as a unit-timeout fault")
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
-
+func run(h *harness.Session) error {
 	if *listFlag {
 		for _, s := range workloads.All() {
 			fmt.Printf("%-28s %s\n", s.Name, s.Suite)
 		}
 		return nil
 	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
 	if *appFlag == "" && *replayPath == "" {
 		return fmt.Errorf("-app or -replay is required (use -list to see benchmarks)")
 	}
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
+	sc := h.Scale
 	var opts gtpin.Options
 	opts.DisableCache = *noCache
 	switch *toolsFlag {
@@ -97,9 +76,9 @@ func run() (retErr error) {
 		return fmt.Errorf("unknown tools %q", *toolsFlag)
 	}
 
-	// The whole profiling run races a watchdog when -timeout is set:
-	// a wedged run is abandoned (the goroutine cannot be killed, but
-	// the process exits) and classified as a unit-timeout fault, the
+	// The whole profiling run races the session context: at the -timeout
+	// deadline a wedged run is abandoned (the goroutine cannot be killed,
+	// but the process exits) and classified as a unit-timeout fault, the
 	// same taxonomy kind the sweep harnesses report for hung units.
 	work := func() error {
 		dev, err := device.New(device.IvyBridgeHD4000())
@@ -278,29 +257,12 @@ func run() (retErr error) {
 		}
 		return nil
 	}
-	if *timeout <= 0 {
-		return work()
-	}
 	done := make(chan error, 1)
 	go func() { done <- work() }()
-	tm := time.NewTimer(*timeout)
-	defer tm.Stop()
 	select {
 	case err := <-done:
 		return err
-	case <-tm.C:
-		return fmt.Errorf("%w after %v (profiling run abandoned)", faults.ErrUnitTimeout, *timeout)
+	case <-h.Ctx.Done():
+		return fmt.Errorf("profiling run abandoned: %w", h.Err())
 	}
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }

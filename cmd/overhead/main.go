@@ -27,99 +27,48 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/cofluent"
 	"gtpin/internal/detsim"
 	"gtpin/internal/device"
-	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
-	"gtpin/internal/obs/obsflag"
+	"gtpin/internal/harness"
 	"gtpin/internal/report"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
 )
 
-// main delegates to run so error exits unwind through deferred cleanup
-// (observability export) instead of os.Exit skipping it.
+var (
+	appsFlag     = flag.Int("apps", 6, "number of applications to measure (0 = all 25)")
+	detailedFlag = flag.Bool("detailed", true, "also run full detailed simulation")
+	noCache      = flag.Bool("no-cache", false, "disable the rewrite cache so every phase pays full instrumentation cost")
+)
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "overhead:", err)
-		os.Exit(1)
-	}
+	harness.Main(harness.Config{Name: "overhead", Scale: "small", Faults: true}, run)
 }
 
-func run() (retErr error) {
-	runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	scaleFlag := flag.String("scale", "small", "workload scale: full, small, or tiny")
-	appsFlag := flag.Int("apps", 6, "number of applications to measure (0 = all 25)")
-	detailedFlag := flag.Bool("detailed", true, "also run full detailed simulation")
-	faultRate := flag.Float64("fault-rate", 0, "chaos mode: per-site fault-injection rate in [0,1]")
-	faultSeed := flag.Int64("fault-seed", 1, "chaos mode: fault-injection seed")
-	watchdog := flag.Uint64("watchdog", 0, "per-enqueue kernel watchdog budget in instructions (0 = off)")
-	noCache := flag.Bool("no-cache", false, "disable the rewrite cache so every phase pays full instrumentation cost")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none), checked between measurement phases and classified as a unit-timeout fault")
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
-	}
+func run(h *harness.Session) error {
 	// The measurement phases run inline (they are the thing being
 	// timed, so there is no supervised pool to thread a deadline
 	// through); instead the deadline is checked at every phase
 	// boundary, classified with the same taxonomy a pool abandonment
 	// would use.
 	checkDeadline := func(app, phase string) error {
-		err := runCtx.Err()
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, context.DeadlineExceeded):
-			return fmt.Errorf("before %s of %s: %w: %v", phase, app, faults.ErrUnitTimeout, err)
-		default:
+		if err := h.Err(); err != nil {
 			return fmt.Errorf("before %s of %s: %w", phase, app, err)
 		}
+		return nil
 	}
 	if *noCache {
 		gtpin.SetDefaultRewriteCache(nil)
 	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
-	}
-	var fo *workloads.FaultOptions
-	if *faultRate > 0 || *watchdog > 0 {
-		fo = &workloads.FaultOptions{
-			Rates:    faults.Uniform(*faultRate),
-			Seed:     *faultSeed,
-			Watchdog: *watchdog,
-		}
-	}
+	sc, fo := h.Scale, h.Faults
 	specs := workloads.All()
 	if *appsFlag > 0 && *appsFlag < len(specs) {
 		specs = specs[:*appsFlag]
@@ -265,15 +214,3 @@ func deviceInstrs(tr *cofluent.Tracer) uint64 {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
-}

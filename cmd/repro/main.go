@@ -20,20 +20,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
 
 	"gtpin/internal/cofluent"
 	"gtpin/internal/device"
-	"gtpin/internal/fleet"
+	"gtpin/internal/harness"
 	"gtpin/internal/intervals"
 	"gtpin/internal/isa"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/par"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
@@ -50,63 +45,15 @@ type check struct {
 	ok       bool
 }
 
-// main delegates to run so error exits unwind through deferred cleanup
-// (journal close, signal handler release, observability export) instead
-// of os.Exit skipping it.
+var skipValidate = flag.Bool("skip-validate", false, "skip the Figure 8 validations (the slowest step)")
+
 func main() {
-	fleet.MaybeWorker()
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	harness.Main(harness.Config{Name: "repro", Scale: "small", State: true, Workers: true, Fleet: true}, run)
 }
 
-func run() (retErr error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	scaleFlag := flag.String("scale", "small", "workload scale: full, small, or tiny")
-	skipValidate := flag.Bool("skip-validate", false, "skip the Figure 8 validations (the slowest step)")
-	stateDir := flag.String("state-dir", "", "checkpoint directory: journal each application and persist profiles and recordings atomically")
-	resume := flag.Bool("resume", false, "continue a journaled run from -state-dir: skip completed applications, re-run in-flight ones")
-	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	fleetN := flag.Int("fleet", 0, "distribute the profiling sweep across N worker processes with lease-based fault tolerance (0 = in-process pool); requires -state-dir so recordings survive the handoff")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); units still running at the deadline are abandoned and classified as unit-timeout faults")
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
-	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
+func run(h *harness.Session) error {
+	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(h.Scale), Seed: 42}
 	base := device.IvyBridgeHD4000()
-
-	state, err := runstate.OpenSweep(*stateDir, *resume, "repro", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if state != nil {
-		defer state.Close()
-	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *stateDir != "" {
-		obsSess.SetDefaultMetricsPath(filepath.Join(*stateDir, "metrics.json"))
-	}
 
 	var checks []check
 	add := func(name, paper, measured string, ok bool) {
@@ -126,54 +73,12 @@ func run() (retErr error) {
 		evals     []*selection.Evaluation
 	}
 	specs := workloads.All()
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: base, TrialSeed: 1}
-	}
-	progress := func(o workloads.Outcome) {
-		switch {
-		case o.Err != nil:
-			fmt.Fprintf(os.Stderr, "FAILED   %-28s %v\n", o.Unit.Spec.Name, o.Err)
-		case o.Resumed:
-			fmt.Fprintf(os.Stderr, "resumed  %-28s\n", o.Unit.Spec.Name)
-		default:
-			fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
-		}
-	}
-	var outs []workloads.Outcome
-	var perr error
-	if *fleetN > 0 {
-		// The replay validations need each unit's recording, and a fleet
-		// worker's in-memory recording dies with the worker — the persisted
-		// blob in the state dir is the only handoff that survives.
-		if state == nil {
-			return fmt.Errorf("-fleet requires -state-dir (recordings must be persisted for replay validation)")
-		}
-		outs, perr = fleet.Run(ctx, units, fleet.Options{
-			Dir:            filepath.Join(*stateDir, "fleet"),
-			State:          state,
-			Resume:         *resume,
-			Workers:        *fleetN,
-			SaveRecordings: true,
-			OnOutcome:      progress,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	} else {
-		outs, perr = workloads.RunPool(ctx, units, workloads.PoolOptions{
-			State:          state,
-			Resume:         *resume,
-			SaveRecordings: state != nil,
-			Workers:        *workers,
-			OnOutcome:      progress,
-		})
-	}
-	if perr != nil {
-		if state != nil {
-			fmt.Fprintf(os.Stderr, "repro: interrupted; progress journaled in %s — continue with -resume\n", *stateDir)
-		}
-		return perr
+	// The replay validations need each unit's recording; with a state dir
+	// it is persisted next to the artifact, so resumed units and fleet
+	// workers hand it over too.
+	outs, err := h.Sweep(h.Units(specs, base), true, harness.Progress)
+	if err != nil {
+		return err
 	}
 	apps := make([]appRun, len(specs))
 	for i, o := range outs {
@@ -190,7 +95,7 @@ func run() (retErr error) {
 		if err != nil {
 			return err
 		}
-		apps[i] = appRun{spec: specs[i], art: o.Artifact, prof: prof, evals: evals, recording: recordingSource(o, state)}
+		apps[i] = appRun{spec: specs[i], art: o.Artifact, prof: prof, evals: evals, recording: recordingSource(o, h.State)}
 	}
 	add("Table I: benchmark roster", "25 apps in 4 suites",
 		fmt.Sprintf("%d apps", len(apps)), len(apps) == 25)
@@ -302,7 +207,7 @@ func run() (retErr error) {
 	if !*skipValidate {
 		crossErrs := func(cfg device.Config, seed int64) ([]float64, error) {
 			out := make([]float64, len(apps))
-			if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+			if err := par.ForEachN(h.Ctx, len(apps), h.Workers, func(i int) error {
 				best := selection.MinError(apps[i].evals)
 				rec, err := apps[i].recording()
 				if err != nil {
@@ -358,11 +263,11 @@ func run() (retErr error) {
 		}
 		add("Fig 8: Haswell errors below 3%", "most (worst ~11%)", fmt.Sprintf("%d/25", under3), under3 >= 18)
 
-		ivb, err := workloads.LuxMarkScore(base)
+		ivb, err := workloads.LuxMarkScore(h.Unit(nil, base))
 		if err != nil {
 			return err
 		}
-		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600())
+		hswScore, err := workloads.LuxMarkScore(h.Unit(nil, device.HaswellHD4600()))
 		if err != nil {
 			return err
 		}
@@ -372,7 +277,7 @@ func run() (retErr error) {
 	}
 
 	// ---- Verdict. ----
-	t := report.NewTable(fmt.Sprintf("Reproduction summary (scale=%s)", sc.Name),
+	t := report.NewTable(fmt.Sprintf("Reproduction summary (scale=%s)", h.Scale.Name),
 		"Check", "Paper", "Measured", "Verdict")
 	passed := 0
 	for _, c := range checks {
@@ -417,16 +322,4 @@ func boolWord(b bool) string {
 		return "monotone"
 	}
 	return "NOT monotone"
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }

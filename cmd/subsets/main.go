@@ -9,108 +9,73 @@
 // Usage:
 //
 //	subsets [-scale full|small|tiny] [-fig table2|table3|5|6|7|bestavg|all]
-//	        [-csv DIR] [-state-dir DIR] [-resume] [-timeout D] [-fleet N]
+//	        [-csv DIR] [-state-dir DIR] [-resume] [-timeout D] [-workers N] [-fleet N]
+//	        [-dialect gen|genx] [-translate gen|genx]
+//	        [-simulate [-sim-mode snippets|serial] [-sim-apps A,B] [-sim-warmup N]]
 //
 // With -state-dir the profiling sweep (the expensive step) is journaled
 // and each profile persisted atomically, so a killed run continued with
 // -resume skips journaled-complete applications and produces the same
 // tables. CSV exports are written atomically (temp file + rename) in
 // all modes. See docs/checkpointing.md.
+//
+// -simulate refuses -translate up front (faults.ErrBadConfig): the
+// detailed simulator compiles the recorded IR and has no
+// binary-translation stage.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
 	"gtpin/internal/device"
 	"gtpin/internal/export"
 	"gtpin/internal/features"
-	"gtpin/internal/fleet"
+	"gtpin/internal/harness"
 	"gtpin/internal/intervals"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/par"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
-	"gtpin/internal/runstate"
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
-	"gtpin/internal/xlate"
 )
 
 // fig5Apps are the three sample applications shown in Figure 5.
 var fig5Apps = []string{"cb-physics-ocean-surf", "sandra-crypt-aes128", "sonyvegas-proj-r3"}
 
-// main delegates to run so error exits unwind through deferred cleanup
-// (journal close, signal handler release, observability export) instead
-// of os.Exit skipping it.
+var (
+	figFlag   = flag.String("fig", "all", "output: table2, table3, 5, 6, 7, bestavg, or all")
+	csvDir    = flag.String("csv", "", "directory to write per-app evaluation CSVs and selection work lists (atomic writes)")
+	simFlag   = flag.Bool("simulate", false, "after selection, simulate each application's error-minimizing subset in detail")
+	simMode   = flag.String("sim-mode", "snippets", "subset simulation mode: snippets (parallel interval replay) or serial (per-interval fast-forwarding); stdout is byte-identical across modes")
+	simApps   = flag.String("sim-apps", "", "comma-separated applications to simulate (default: the Figure 5 sample apps)")
+	simWarmup = flag.Int("sim-warmup", 2, "cache-warming invocations preceding each simulated interval")
+)
+
 func main() {
-	fleet.MaybeWorker()
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "subsets:", err)
-		os.Exit(1)
-	}
+	harness.Main(harness.Config{Name: "subsets", Scale: "full",
+		State: true, Workers: true, Fleet: true, Dialect: true}, run)
 }
 
-func run() (retErr error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	scaleFlag := flag.String("scale", "full", "workload scale: full, small, or tiny")
-	figFlag := flag.String("fig", "all", "output: table2, table3, 5, 6, 7, bestavg, or all")
-	csvDir := flag.String("csv", "", "directory to write per-app evaluation CSVs and selection work lists (atomic writes)")
-	stateDir := flag.String("state-dir", "", "checkpoint directory: journal each application and persist profiles atomically")
-	resume := flag.Bool("resume", false, "continue a journaled run from -state-dir: skip completed applications, re-run in-flight ones")
-	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	simFlag := flag.Bool("simulate", false, "after selection, simulate each application's error-minimizing subset in detail")
-	simMode := flag.String("sim-mode", "snippets", "subset simulation mode: snippets (parallel interval replay) or serial (per-interval fast-forwarding); stdout is byte-identical across modes")
-	simApps := flag.String("sim-apps", "", "comma-separated applications to simulate (default: the Figure 5 sample apps)")
-	simWarmup := flag.Int("sim-warmup", 2, "cache-warming invocations preceding each simulated interval")
-	fleetN := flag.Int("fleet", 0, "distribute the profiling sweep across N worker processes with lease-based fault tolerance (0 = in-process pool); reports are identical either way")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); units still running at the deadline are abandoned and classified as unit-timeout faults")
-	xlFlags := xlate.RegisterFlags(flag.CommandLine)
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
-	if err := xlFlags.Install(); err != nil {
-		return err
+func run(h *harness.Session) error {
+	cfg := device.IvyBridgeHD4000()
+	sim := simOptions{
+		Apps:     parseApps(*simApps),
+		Mode:     *simMode,
+		Warmup:   *simWarmup,
+		Workers:  h.Workers,
+		Unit:     h.Unit(nil, cfg),
+		StateDir: h.StateDir,
 	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
-	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
-
-	state, err := runstate.OpenSweep(*stateDir, *resume, "subsets", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if state != nil {
-		defer state.Close()
-	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
+	if *simFlag {
+		if err := sim.validate(); err != nil {
+			return err
 		}
-	}()
-	if *stateDir != "" {
-		obsSess.SetDefaultMetricsPath(filepath.Join(*stateDir, "metrics.json"))
 	}
+	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(h.Scale), Seed: 42}
 
 	if show(*figFlag, "table3") {
 		printTableIII()
@@ -121,52 +86,10 @@ func run() (retErr error) {
 	// observation in Section V-C). The sweep runs as a supervised pool:
 	// with -state-dir each profile is journaled and persisted, so a
 	// resumed run rebuilds the identical tables from the artifacts.
-	cfg := device.IvyBridgeHD4000()
 	specs := workloads.All()
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: 1}
-	}
-	progress := func(o workloads.Outcome) {
-		switch {
-		case o.Err != nil:
-			fmt.Fprintf(os.Stderr, "FAILED   %-28s %v\n", o.Unit.Spec.Name, o.Err)
-		case o.Resumed:
-			fmt.Fprintf(os.Stderr, "resumed  %-28s\n", o.Unit.Spec.Name)
-		default:
-			fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
-		}
-	}
-	var outs []workloads.Outcome
-	var perr error
-	if *fleetN > 0 {
-		fleetDir := ""
-		if *stateDir != "" {
-			fleetDir = filepath.Join(*stateDir, "fleet")
-		}
-		outs, perr = fleet.Run(ctx, units, fleet.Options{
-			Dir:       fleetDir,
-			State:     state,
-			Resume:    *resume,
-			Workers:   *fleetN,
-			OnOutcome: progress,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	} else {
-		outs, perr = workloads.RunPool(ctx, units, workloads.PoolOptions{
-			State:     state,
-			Resume:    *resume,
-			Workers:   *workers,
-			OnOutcome: progress,
-		})
-	}
-	if perr != nil {
-		if state != nil {
-			fmt.Fprintf(os.Stderr, "subsets: interrupted; progress journaled in %s — continue with -resume\n", *stateDir)
-		}
-		return perr
+	outs, err := h.Sweep(h.Units(specs, cfg), false, harness.Progress)
+	if err != nil {
+		return err
 	}
 	profiles := make(map[string]*profile.Profile)
 	var order []string
@@ -193,7 +116,7 @@ func run() (retErr error) {
 	needEvals := show(*figFlag, "5") || show(*figFlag, "6") || show(*figFlag, "7") || show(*figFlag, "bestavg") || *simFlag
 	if needEvals {
 		all := make([][]*selection.Evaluation, len(order))
-		if err := par.ForEachN(ctx, len(order), *workers, func(i int) error {
+		if err := par.ForEachN(h.Ctx, len(order), h.Workers, func(i int) error {
 			evs, err := selection.EvaluateAll(profiles[order[i]], opts)
 			if err != nil {
 				return err
@@ -228,15 +151,7 @@ func run() (retErr error) {
 		printFig7(order, evals)
 	}
 	if *simFlag {
-		if err := runSimulate(ctx, os.Stdout, evals, simOptions{
-			Apps:     parseApps(*simApps),
-			Mode:     *simMode,
-			Warmup:   *simWarmup,
-			Workers:  *workers,
-			Scale:    sc,
-			Device:   cfg,
-			StateDir: *stateDir,
-		}); err != nil {
+		if err := runSimulate(h.Ctx, os.Stdout, evals, sim); err != nil {
 			return err
 		}
 	}
@@ -409,18 +324,6 @@ func writeCSVs(dir string, order []string, evals map[string][]*selection.Evaluat
 		}
 	}
 	return nil
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 func show(figFlag, name string) bool { return figFlag == "all" || figFlag == name }

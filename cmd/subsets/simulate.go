@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"gtpin/internal/detsim"
-	"gtpin/internal/device"
+	"gtpin/internal/faults"
 	"gtpin/internal/intervals"
 	"gtpin/internal/par"
 	"gtpin/internal/report"
@@ -40,9 +40,18 @@ type simOptions struct {
 	Mode     string // "snippets" or "serial"
 	Warmup   int
 	Workers  int
-	Scale    workloads.Scale
-	Device   device.Config
-	StateDir string // when set, sealed snippets persist under <dir>/snippets
+	Unit     workloads.Unit // the sweep's unit, minus its Spec
+	StateDir string         // when set, sealed snippets persist under <dir>/snippets
+}
+
+// validate refuses, before any profiling, a simulation that would not
+// simulate the profiled code: detsim compiles the recorded IR and has
+// no binary-translation stage.
+func (opt simOptions) validate() error {
+	if opt.Unit.Translate != nil {
+		return fmt.Errorf("-simulate cannot reproduce -translate %s: %w", *opt.Unit.Translate, faults.ErrBadConfig)
+	}
+	return nil
 }
 
 // runSimulate simulates each application's error-minimizing subset
@@ -79,13 +88,15 @@ func simulateApp(ctx context.Context, w io.Writer, app string, best *selection.E
 		ranges[i] = detsim.Range{From: win.From, To: win.To, Warmup: win.Warmup}
 	}
 
-	rec, err := workloads.Record(spec, opt.Scale, opt.Device)
+	u := opt.Unit
+	u.Spec = spec
+	rec, err := workloads.Record(u)
 	if err != nil {
 		return err
 	}
 
 	simCfg := detsim.DefaultConfig()
-	simCfg.Device = opt.Device
+	simCfg.Device = u.Cfg
 
 	start := time.Now()
 	var reps []*detsim.Report

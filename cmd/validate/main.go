@@ -13,7 +13,8 @@
 // Usage:
 //
 //	validate [-scale full|small|tiny] [-part trials|freq|arch|all] [-trials N]
-//	         [-fault-rate R] [-fault-seed S] [-watchdog N] [-timeout D]
+//	         [-fault-rate R] [-fault-seed S] [-watchdog N] [-timeout D] [-workers N]
+//	         [-dialect gen|genx] [-translate gen|genx]
 //
 // The chaos flags mirror cmd/characterize: -fault-rate enables
 // deterministic fault injection (seeded by -fault-seed) during the
@@ -23,86 +24,32 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"gtpin/internal/device"
-	"gtpin/internal/faults"
-	"gtpin/internal/obs/obsflag"
+	"gtpin/internal/harness"
 	"gtpin/internal/par"
 	"gtpin/internal/report"
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
-	"gtpin/internal/xlate"
 )
 
 var freqsMHz = []int{1000, 850, 700, 550, 350}
 
-// main delegates to run so error exits unwind through deferred cleanup
-// (signal handler release, observability export) instead of os.Exit
-// skipping it.
+var (
+	partFlag = flag.String("part", "all", "which validation: trials, freq, arch, or all")
+	nTrials  = flag.Int("trials", 9, "number of additional trials (paper: trials 2-10)")
+)
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "validate:", err)
-		os.Exit(1)
-	}
+	harness.Main(harness.Config{Name: "validate", Scale: "full", Faults: true, Workers: true, Dialect: true}, run)
 }
 
-func run() (retErr error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	scaleFlag := flag.String("scale", "full", "workload scale: full, small, or tiny")
-	partFlag := flag.String("part", "all", "which validation: trials, freq, arch, or all")
-	nTrials := flag.Int("trials", 9, "number of additional trials (paper: trials 2-10)")
-	faultRate := flag.Float64("fault-rate", 0, "chaos mode: per-site fault-injection rate in [0,1] during profiling")
-	faultSeed := flag.Int64("fault-seed", 1, "chaos mode: fault-injection seed")
-	watchdog := flag.Uint64("watchdog", 0, "per-enqueue kernel watchdog budget in instructions (0 = off)")
-	workers := flag.Int("workers", 0, "concurrent validation shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); profiling units still running at the deadline are abandoned and classified as unit-timeout faults")
-	xlFlags := xlate.RegisterFlags(flag.CommandLine)
-	obsFlags := obsflag.Register(flag.CommandLine)
-	flag.Parse()
-	if err := xlFlags.Install(); err != nil {
-		return err
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
-	}
-	var fo *workloads.FaultOptions
-	if *faultRate > 0 || *watchdog > 0 {
-		fo = &workloads.FaultOptions{
-			Rates:    faults.Uniform(*faultRate),
-			Seed:     *faultSeed,
-			Watchdog: *watchdog,
-		}
-	}
-	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
+func run(h *harness.Session) error {
+	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(h.Scale), Seed: 42}
 	base := device.IvyBridgeHD4000()
 
 	type appState struct {
@@ -115,20 +62,9 @@ func run() (retErr error) {
 	// Profiling runs on the supervised pool (not a bare par loop) so a
 	// -timeout deadline abandons hung units with a typed unit-timeout
 	// fault instead of wedging the whole validation.
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: base, TrialSeed: 1, Faults: fo}
-	}
-	outs, perr := workloads.RunPool(ctx, units, workloads.PoolOptions{
-		Workers: *workers,
-		OnOutcome: func(o workloads.Outcome) {
-			if o.Err == nil {
-				fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
-			}
-		},
-	})
-	if perr != nil {
-		return perr
+	outs, err := h.Sweep(h.Units(specs, base), false, harness.Progress)
+	if err != nil {
+		return err
 	}
 	for i, o := range outs {
 		if o.Err != nil {
@@ -157,7 +93,7 @@ func run() (retErr error) {
 		report.Section(os.Stdout, "Figure 8 (top): error using trial-1 selections on trials 2-%d", *nTrials+1)
 		t := report.NewTable("", "Application", "Config", "Mean Error%", "Max Error%")
 		perApp := make([][]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(h.Ctx, len(apps), h.Workers, func(i int) error {
 			for trial := 2; trial <= *nTrials+1; trial++ {
 				e, err := crossErr(apps[i], base, int64(trial))
 				if err != nil {
@@ -195,7 +131,7 @@ func run() (retErr error) {
 		}
 		t := report.NewTable("", headers...)
 		perApp := make([][]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(h.Ctx, len(apps), h.Workers, func(i int) error {
 			for _, f := range freqsMHz {
 				e, err := crossErr(apps[i], base.WithFrequency(f), 1)
 				if err != nil {
@@ -230,11 +166,11 @@ func run() (retErr error) {
 	if show(*partFlag, "arch") {
 		// The paper establishes the two GPUs genuinely differ by
 		// comparing LuxMark scores (HD4000: 269, HD4600: 351).
-		ivb, err := workloads.LuxMarkScore(device.IvyBridgeHD4000())
+		ivb, err := workloads.LuxMarkScore(h.Unit(nil, device.IvyBridgeHD4000()))
 		if err != nil {
 			return err
 		}
-		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600())
+		hswScore, err := workloads.LuxMarkScore(h.Unit(nil, device.HaswellHD4600()))
 		if err != nil {
 			return err
 		}
@@ -245,7 +181,7 @@ func run() (retErr error) {
 		t := report.NewTable("", "Application", "Config", "Error%")
 		hsw := device.HaswellHD4600()
 		errsArch := make([]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(h.Ctx, len(apps), h.Workers, func(i int) error {
 			e, err := crossErr(apps[i], hsw, 1)
 			if err != nil {
 				return err
@@ -270,18 +206,6 @@ func run() (retErr error) {
 			stats.Mean(all), stats.Max(all), under3, len(apps))
 	}
 	return nil
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 func show(partFlag, name string) bool { return partFlag == "all" || partFlag == name }

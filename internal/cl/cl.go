@@ -17,34 +17,6 @@ import (
 // re-writer" before reaching the GPU).
 type BuildHook func(bin *jit.Binary) (*jit.Binary, error)
 
-// ProgramTransform rewrites kernel IR as it enters the driver — the
-// hook the cross-ISA tooling uses to retarget a workload to another
-// dialect before any compilation happens. Transforms must be pure: the
-// caller's IR is never mutated.
-type ProgramTransform func(ir *kernel.Program) (*kernel.Program, error)
-
-// defaultProgramTransform and defaultBinaryTransform are process-wide
-// driver configuration, the analogue of environment-selected driver
-// options on a real stack. They are installed once at process startup
-// (before any Context exists) and only read afterwards, so plain
-// variables suffice.
-var (
-	defaultProgramTransform ProgramTransform
-	defaultBinaryTransform  BuildHook
-)
-
-// SetDefaultProgramTransform installs a transform applied to the IR of
-// every program created in this process, in CreateProgram. Install it
-// before creating contexts; nil removes it.
-func SetDefaultProgramTransform(t ProgramTransform) { defaultProgramTransform = t }
-
-// SetDefaultBinaryTransform installs a hook applied to every kernel
-// binary at build time, before any context-registered build hook —
-// so a binary translator installed here runs below GT-Pin's rewriter,
-// and instrumentation lands on the translated code. Install it before
-// creating contexts; nil removes it.
-func SetDefaultBinaryTransform(h BuildHook) { defaultBinaryTransform = h }
-
 // Context owns a device, the objects created against it, and the
 // interception points tools attach to.
 type Context struct {
@@ -157,28 +129,12 @@ type Program struct {
 	ctx  *Context
 	ir   *kernel.Program
 	bins map[string]*jit.Binary
-
-	// xformErr is a failure of the default program transform, detected
-	// at creation but surfaced at Build: CreateProgram mirrors the real
-	// API's no-error signature, where source problems appear as build
-	// errors.
-	xformErr error
 }
 
 // CreateProgram creates a program from kernel IR (the analogue of
-// clCreateProgramWithSource; our "source" is already IR). The default
-// program transform, if installed, is applied here; a transform failure
-// is reported by Build.
+// clCreateProgramWithSource; our "source" is already IR).
 func (ctx *Context) CreateProgram(ir *kernel.Program) *Program {
 	p := &Program{ID: len(ctx.programs), ctx: ctx, ir: ir}
-	if defaultProgramTransform != nil {
-		tir, err := defaultProgramTransform(ir)
-		if err != nil {
-			p.xformErr = fmt.Errorf("cl: program transform: %w", err)
-		} else {
-			p.ir = tir
-		}
-	}
 	ctx.programs = append(ctx.programs, p)
 	ctx.emit(&APICall{Name: CallCreateProgram, Program: p.ID})
 	return p
@@ -193,9 +149,6 @@ func (p *Program) IR() *kernel.Program { return p.ir }
 // context's resilience policy before being surfaced.
 func (p *Program) Build() error {
 	p.ctx.emit(&APICall{Name: CallBuildProgram, Program: p.ID})
-	if p.xformErr != nil {
-		return p.xformErr
-	}
 	pol := p.ctx.resilience
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -236,12 +189,6 @@ func (p *Program) buildOnce() (map[string]*jit.Binary, error) {
 	}
 	for _, name := range names {
 		bin := bins[name]
-		if defaultBinaryTransform != nil {
-			bin, err = defaultBinaryTransform(bin)
-			if err != nil {
-				return nil, fmt.Errorf("cl: binary transform on kernel %s: %w", name, err)
-			}
-		}
 		for _, h := range p.ctx.buildHooks {
 			bin, err = h(bin)
 			if err != nil {

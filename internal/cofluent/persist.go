@@ -3,8 +3,8 @@ package cofluent
 // Recording persistence. CoFluent recordings outlive the capturing
 // process — the paper generates one recording per application and replays
 // it across trials, frequencies, and machines. Save/Load serialize the
-// full recording (API stream with write payloads, plus kernel IR) with
-// encoding/gob.
+// full recording (API stream with write payloads, kernel IR, and the
+// translation target) with encoding/gob.
 
 import (
 	"compress/gzip"

@@ -5,19 +5,25 @@ import (
 
 	"gtpin/internal/cl"
 	"gtpin/internal/device"
+	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
+	"gtpin/internal/xlate"
 )
 
 // Recording captures everything needed to re-execute an application's
 // OpenCL interaction deterministically: the full API call stream
-// (including write-buffer payloads) and the kernel IR of every program it
-// built. The paper uses CoFluent recordings to guarantee that the kernel
+// (including write-buffer payloads), the kernel IR of every program it
+// built, and the dialect the driver translated compiled kernels to, if
+// any. The paper uses CoFluent recordings to guarantee that the kernel
 // calls in selected intervals are "present and findable in future
 // executions" despite host-side non-determinism.
 type Recording struct {
 	App      string
 	Calls    []cl.APICall
 	Programs []*kernel.Program
+	// Translate, when set, is the dialect every compiled kernel was
+	// binary-translated to; Replay registers the same translation.
+	Translate *isa.Dialect
 }
 
 // Record finalizes a recording from a traced execution. programs must be
@@ -38,9 +44,13 @@ func Record(app string, t *Tracer, programs []*kernel.Program) (*Recording, erro
 //
 // Additional interceptors (such as a GT-Pin instance) can be attached by
 // the setup callback, which runs after context creation and before any
-// replayed call.
+// replayed call. The recording's own translation hook is registered
+// first, so hooks added by setup see the translated binaries.
 func (r *Recording) Replay(dev *device.Device, setup func(*cl.Context) error) (*Tracer, error) {
 	ctx := cl.NewContext(dev)
+	if r.Translate != nil {
+		ctx.AddBuildHook(xlate.BuildHook(*r.Translate))
+	}
 	t := Attach(ctx)
 	if setup != nil {
 		if err := setup(ctx); err != nil {

@@ -7,6 +7,7 @@ import (
 	"gtpin/internal/cl"
 	"gtpin/internal/cofluent"
 	"gtpin/internal/detsim"
+	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
 )
 
@@ -62,6 +63,14 @@ func TestRunRejectsCorruptRecordings(t *testing.T) {
 				}
 			},
 			want: "unknown kernel",
+		},
+		{
+			name: "translated binaries",
+			mutate: func(r *cofluent.Recording) {
+				gen := isa.DialectGEN
+				r.Translate = &gen
+			},
+			want: "cannot reproduce",
 		},
 	}
 	for _, c := range cases {

@@ -51,8 +51,14 @@ type walkHooks struct {
 // walkRecording replays the host call stream into buffers, dispatching
 // device work through the hooks. Errors from the walker's own
 // validation are prefixed with the call index; hook errors pass through
-// unwrapped so drivers control their messages.
+// unwrapped so drivers control their messages. Recordings whose
+// binaries were translated are refused: the simulator compiles the
+// recorded IR and has no translation stage.
 func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h walkHooks) error {
+	if rec.Translate != nil {
+		return fmt.Errorf("detsim: recording %s was translated to %s, which the simulator cannot reproduce: %w",
+			rec.App, *rec.Translate, faults.ErrBadConfig)
+	}
 	programs := make(map[int]map[string]*jit.Binary)
 	kernelIR := make(map[int]*kernel.Kernel) // kernel object ID -> IR
 	kernelBin := make(map[int]*jit.Binary)   // kernel object ID -> binary

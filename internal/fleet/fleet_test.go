@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"gtpin/internal/device"
+	"gtpin/internal/faults"
+	"gtpin/internal/isa"
 	"gtpin/internal/runstate"
 	"gtpin/internal/workloads"
 )
@@ -43,37 +45,54 @@ func fleetUnits(t testing.TB, trials int) []workloads.Unit {
 	return units
 }
 
+// TestLeaseRoundTrip: a lease carries a self-contained unit — fault
+// model and ISA configuration included — that a worker rebuilds under
+// the same journal key.
 func TestLeaseRoundTrip(t *testing.T) {
-	wdir := t.TempDir()
-	if err := os.MkdirAll(inboxDir(wdir), 0o755); err != nil {
-		t.Fatal(err)
+	gen, genx := isa.DialectGEN, isa.DialectGENX
+	base := fleetUnits(t, 1)[0]
+	withISA := func(d isa.Dialect, tr *isa.Dialect, fo *workloads.FaultOptions) workloads.Unit {
+		u := base
+		u.Dialect, u.Translate, u.Faults = d, tr, fo
+		return u
 	}
-	u := fleetUnits(t, 1)[0]
-	desc, err := u.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := leaseFile{UnitIdx: 3, Key: u.Key(), Epoch: 17, Descriptor: desc}
-	path, err := writeLease(wdir, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "17.lease" {
-		t.Fatalf("lease filename %s, want 17.lease (epoch-named)", filepath.Base(path))
-	}
-	got, err := readLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("lease did not round-trip:\n got %+v\nwant %+v", got, want)
-	}
-	back, err := got.Descriptor.Unit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Key() != u.Key() {
-		t.Fatalf("rebuilt unit key %s != %s", back.Key(), u.Key())
+	chaos := &workloads.FaultOptions{Rates: faults.Uniform(0.05), Seed: 11, Watchdog: 1 << 20}
+	for i, u := range []workloads.Unit{
+		base,
+		withISA(genx, nil, nil),
+		withISA(genx, &gen, nil),
+		withISA(genx, &gen, chaos),
+	} {
+		wdir := t.TempDir()
+		if err := os.MkdirAll(inboxDir(wdir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		desc, err := u.Descriptor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := leaseFile{UnitIdx: 3, Key: u.Key(), Epoch: 17, Descriptor: desc}
+		path, err := writeLease(wdir, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(path) != "17.lease" {
+			t.Fatalf("lease filename %s, want 17.lease (epoch-named)", filepath.Base(path))
+		}
+		got, err := readLease(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("unit %d: lease did not round-trip:\n got %+v\nwant %+v", i, got, want)
+		}
+		back, err := got.Descriptor.Unit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Key() != u.Key() || got.Descriptor.Key() != u.Key() {
+			t.Fatalf("unit %d: rebuilt key %s (descriptor %s) != %s", i, back.Key(), got.Descriptor.Key(), u.Key())
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func (sp *JobSpec) Validate() error {
 	if sp.Scale == "" {
 		sp.Scale = "tiny"
 	}
-	if _, err := parseScale(sp.Scale); err != nil {
+	if _, err := workloads.ParseScale(sp.Scale); err != nil {
 		return err
 	}
 	if sp.Trials == 0 {
@@ -146,18 +146,6 @@ func (sp *JobSpec) Validate() error {
 	return nil
 }
 
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
-}
-
 func parseConfig(s string) (device.Config, error) {
 	switch s {
 	case "hd4000":
@@ -172,7 +160,7 @@ func parseConfig(s string) (device.Config, error) {
 // the effective fault model. The order is canonical (roster order, then
 // trial), which is what makes result.json deterministic.
 func (sp *JobSpec) units(fo *workloads.FaultOptions) ([]workloads.Unit, error) {
-	sc, err := parseScale(sp.Scale)
+	sc, err := workloads.ParseScale(sp.Scale)
 	if err != nil {
 		return nil, err
 	}

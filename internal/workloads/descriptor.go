@@ -6,23 +6,27 @@ import (
 
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
+	"gtpin/internal/isa"
 )
 
 // UnitDescriptor is the self-contained, serializable form of a Unit —
 // what the fleet coordinator hands a worker process inside a lease.
 // Everything a worker needs to re-execute the unit rides along: the
 // application is named (specs carry build functions and are looked up
-// in the roster), but the scale and device configuration are embedded
-// verbatim, so a descriptor does not depend on the worker agreeing
-// with the coordinator about preset names. The round trip preserves
-// Unit.Key exactly, which is what makes a re-dispatched unit land on
-// the same journal identity wherever it runs.
+// in the roster), but the scale, device configuration and ISA
+// configuration are embedded verbatim, so a descriptor does not depend
+// on the worker agreeing with the coordinator about preset names or
+// flags. The round trip preserves Unit.Key exactly, which is what
+// makes a re-dispatched unit land on the same journal identity
+// wherever it runs.
 type UnitDescriptor struct {
 	App       string           `json:"app"`
 	Scale     Scale            `json:"scale"`
 	Cfg       device.Config    `json:"config"`
 	TrialSeed int64            `json:"trial_seed"`
 	Faults    *FaultDescriptor `json:"faults,omitempty"`
+	Dialect   isa.Dialect      `json:"dialect,omitempty"`
+	Translate *isa.Dialect     `json:"translate,omitempty"`
 }
 
 // FaultDescriptor is the serializable subset of FaultOptions. The
@@ -44,6 +48,8 @@ func (u Unit) Descriptor() (UnitDescriptor, error) {
 		Scale:     u.Scale,
 		Cfg:       u.Cfg,
 		TrialSeed: u.TrialSeed,
+		Dialect:   u.Dialect,
+		Translate: u.Translate,
 	}
 	if u.Faults != nil {
 		if u.Faults.Resilience != nil {
@@ -66,7 +72,11 @@ func (d UnitDescriptor) Unit() (Unit, error) {
 	if err != nil {
 		return Unit{}, fmt.Errorf("workloads: descriptor: %w", err)
 	}
-	u := Unit{Spec: spec, Scale: d.Scale, Cfg: d.Cfg, TrialSeed: d.TrialSeed}
+	return d.unit(spec), nil
+}
+
+func (d UnitDescriptor) unit(spec *Spec) Unit {
+	u := Unit{Spec: spec, Scale: d.Scale, Cfg: d.Cfg, TrialSeed: d.TrialSeed, Dialect: d.Dialect, Translate: d.Translate}
 	if d.Faults != nil {
 		u.Faults = &FaultOptions{
 			Rates:    d.Faults.Rates,
@@ -74,20 +84,13 @@ func (d UnitDescriptor) Unit() (Unit, error) {
 			Watchdog: d.Faults.Watchdog,
 		}
 	}
-	return u, nil
+	return u
 }
 
 // Key returns the journal identity the rebuilt unit will have, without
 // resolving the spec — the coordinator uses it to address units whose
 // descriptors it only holds serialized.
-func (d UnitDescriptor) Key() string {
-	var fo *FaultOptions
-	if d.Faults != nil {
-		fo = &FaultOptions{Rates: d.Faults.Rates, Seed: d.Faults.Seed, Watchdog: d.Faults.Watchdog}
-	}
-	return fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s",
-		d.App, d.Cfg.Name, d.Cfg.FreqMHz, d.Scale.Name, d.TrialSeed, faultSig(fo))
-}
+func (d UnitDescriptor) Key() string { return d.unit(&Spec{Name: d.App}).Key() }
 
 // Encode serializes the descriptor canonically.
 func (d UnitDescriptor) Encode() ([]byte, error) {

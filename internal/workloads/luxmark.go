@@ -12,7 +12,6 @@ import (
 
 	"gtpin/internal/asm"
 	"gtpin/internal/cl"
-	"gtpin/internal/cofluent"
 	"gtpin/internal/device"
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
@@ -27,46 +26,54 @@ func luxScene() (*kernel.Program, error) {
 		newStreamScale("lux_tonemap", isa.W8))
 }
 
-// LuxMarkScore renders the benchmark scene on the given device
-// configuration and returns its score: kilo-samples per modelled GPU
-// second (higher is better). The workload is fixed, so scores are
-// comparable across configurations.
-func LuxMarkScore(cfg device.Config) (float64, error) {
+// luxFrames frames of luxGWS samples make one render.
+const luxFrames, luxGWS = 24, 16384
+
+// buildLuxMark instantiates the fixed render workload; it takes a Scale
+// only to be a Spec builder and ignores it.
+func buildLuxMark(Scale) (*App, error) {
 	prog, err := luxScene()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	dev, err := device.New(cfg)
+	run := func(ctx *cl.Context) error {
+		h := newHost(ctx)
+		scene := h.buffer(1 << 19)
+		fb := h.buffer(luxGWS*4 + 4096)
+		h.upload(scene, 881)
+		p := h.build(prog)
+		trace := h.kernel(p, "lux_trace")
+		shade := h.kernel(p, "lux_shade")
+		tone := h.kernel(p, "lux_tonemap")
+		for f := 0; f < luxFrames; f++ {
+			h.dispatch(trace, luxGWS, []uint32{24}, scene, fb)
+			h.dispatch(shade, luxGWS, []uint32{12, uint32(200 + f%8)}, scene, fb)
+			h.dispatch(tone, luxGWS, []uint32{1, 3, 9}, fb, fb)
+			h.finish()
+		}
+		return h.done()
+	}
+	return &App{Name: "luxmark", Programs: []*kernel.Program{prog}, Run: run}, nil
+}
+
+// LuxMarkScore renders the benchmark scene on the unit's device
+// configuration, under its ISA configuration, and returns its score:
+// kilo-samples per modelled GPU second (higher is better). The workload
+// is fixed — the unit's application, scale, trial and fault model do
+// not apply — so scores are comparable across configurations.
+func LuxMarkScore(u Unit) (float64, error) {
+	u.Spec, u.Faults = &Spec{Name: "luxmark", Build: buildLuxMark}, nil
+	dev, err := device.New(u.Cfg)
 	if err != nil {
 		return 0, err
 	}
-	ctx := cl.NewContext(dev)
-	tr := cofluent.Attach(ctx)
-	h := newHost(ctx)
-
-	const gws = 16384
-	scene := h.buffer(1 << 19)
-	fb := h.buffer(gws*4 + 4096)
-	h.upload(scene, 881)
-	p := h.build(prog)
-	trace := h.kernel(p, "lux_trace")
-	shade := h.kernel(p, "lux_shade")
-	tone := h.kernel(p, "lux_tonemap")
-
-	const frames = 24
-	for f := 0; f < frames; f++ {
-		h.dispatch(trace, gws, []uint32{24}, scene, fb)
-		h.dispatch(shade, gws, []uint32{12, uint32(200 + f%8)}, scene, fb)
-		h.dispatch(tone, gws, []uint32{1, 3, 9}, fb, fb)
-		h.finish()
-	}
-	if err := h.done(); err != nil {
+	_, _, tr, err := u.record(dev)
+	if err != nil {
 		return 0, fmt.Errorf("luxmark: %w", err)
 	}
-	samples := float64(frames * gws)
 	seconds := tr.TotalKernelTimeNs() * 1e-9
 	if seconds <= 0 {
 		return 0, fmt.Errorf("luxmark: no time measured")
 	}
-	return samples / seconds / 1000, nil
+	return float64(luxFrames*luxGWS) / seconds / 1000, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
+	"gtpin/internal/isa"
 	"gtpin/internal/par"
 	"gtpin/internal/runstate"
 )
@@ -25,22 +26,44 @@ const (
 
 // Unit is one schedulable work item of a characterization sweep: an
 // application profiled on one device configuration at one scale, with
-// one trial seed and one fault model. Its Key identifies it across
-// processes, which is what lets a resumed sweep recognize work the
-// previous run completed.
+// one trial seed, one fault model, and one ISA configuration. Its Key
+// identifies it across processes, which is what lets a resumed sweep
+// recognize work the previous run completed.
 type Unit struct {
 	Spec      *Spec
 	Scale     Scale
 	Cfg       device.Config
 	TrialSeed int64
 	Faults    *FaultOptions
+	// Dialect retargets the application's programs to this ISA dialect
+	// before they reach the driver. The zero value, GEN, is every
+	// roster application's native dialect and leaves them untouched.
+	Dialect isa.Dialect
+	// Translate, when set, binary-translates every compiled kernel to
+	// this dialect below GT-Pin's rewriter, so instrumentation lands on
+	// the bytes the device runs.
+	Translate *isa.Dialect
 }
 
 // Key returns the stable journal identity of the unit:
-// app|device@freq|scale|trial|fault-signature.
+// app|device@freq|scale|trial|fault-signature, plus |isa=dialect[>target]
+// for units that retarget or translate. Native units keep the short
+// form, so their journals resume across releases.
 func (u Unit) Key() string {
-	return fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s",
-		u.Spec.Name, u.Cfg.Name, u.Cfg.FreqMHz, u.Scale.Name, u.TrialSeed, faultSig(u.Faults))
+	return fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s%s",
+		u.Spec.Name, u.Cfg.Name, u.Cfg.FreqMHz, u.Scale.Name, u.TrialSeed, faultSig(u.Faults), u.isaSig())
+}
+
+// isaSig folds the ISA configuration into unit and replay-cache keys;
+// it is empty for native units.
+func (u Unit) isaSig() string {
+	switch {
+	case u.Translate != nil:
+		return fmt.Sprintf("|isa=%s>%s", u.Dialect, *u.Translate)
+	case u.Dialect != isa.DialectGEN:
+		return "|isa=" + u.Dialect.String()
+	}
+	return ""
 }
 
 // faultSig folds the fault model into the unit key, so a sweep rerun
@@ -335,7 +358,7 @@ func runSupervised(u Unit, attempt int, rc *ReplayCache) (res *Result, err error
 	if hook := poolTestHook; hook != nil {
 		hook(u, attempt)
 	}
-	return runPipeline(u.Spec, u.Scale, u.Cfg, u.TrialSeed, u.Faults, rc)
+	return runPipeline(u, rc)
 }
 
 // restartable reports whether the supervision budget applies: recovered

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gtpin/internal/cofluent"
-	"gtpin/internal/device"
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
 )
@@ -27,10 +26,11 @@ type ReplayCacheStats struct {
 // replay runs on an unjittered device — trial seeds perturb only the
 // native phase's timings — so its invocation counts, static kernel
 // shapes, and injected-fault tallies are a pure function of
-// (application, scale, device config, fault model). A multi-trial
-// sweep otherwise re-instruments and re-executes an identical replay
-// once per trial; the cache collapses those to one execution whose
-// GT-Pin state every trial's profile join shares read-only. Artifacts
+// (application, scale, device config, fault model, ISA configuration).
+// A multi-trial sweep otherwise re-instruments and re-executes an
+// identical replay once per trial; the cache collapses those to one
+// execution whose GT-Pin state every trial's profile join shares
+// read-only. Artifacts
 // stay byte-identical to uncached runs because the memoized result is
 // exactly what each trial would have recomputed.
 type ReplayCache struct {
@@ -76,11 +76,12 @@ func (rc *ReplayCache) Stats() ReplayCacheStats {
 	}
 }
 
-// replayKey identifies one replay configuration. The trial seed is
-// absent by design: it must never influence the replay phase, and the
-// cache is what enforces that economy.
-func replayKey(spec *Spec, sc Scale, cfg device.Config, fo *FaultOptions) string {
-	key := fmt.Sprintf("%s|%+v|%+v|%s", spec.Name, cfg, sc, faultSig(fo))
+// replayKey identifies one replay configuration of u under the fault
+// model fo. The trial seed is absent by design: it must never influence
+// the replay phase, and the cache is what enforces that economy. The
+// ISA configuration is present: it changes the code that runs.
+func replayKey(u Unit, fo *FaultOptions) string {
+	key := fmt.Sprintf("%s|%+v|%+v|%s%s", u.Spec.Name, u.Cfg, u.Scale, faultSig(fo), u.isaSig())
 	if fo != nil && fo.Resilience != nil {
 		key += fmt.Sprintf("|%+v", *fo.Resilience)
 	}

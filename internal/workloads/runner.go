@@ -9,8 +9,10 @@ import (
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
+	"gtpin/internal/isa"
 	"gtpin/internal/obs"
 	"gtpin/internal/profile"
+	"gtpin/internal/xlate"
 )
 
 // JitterSigma is the relative timing noise applied to timed runs,
@@ -110,14 +112,16 @@ func Run(spec *Spec, sc Scale, cfg device.Config, trialSeed int64) (*Result, err
 // fault injection, the kernel watchdog, and the resilience policy for
 // both pipeline phases. A nil fo is identical to Run.
 func RunWithFaults(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *FaultOptions) (*Result, error) {
-	return runPipeline(spec, sc, cfg, trialSeed, fo, nil)
+	return runPipeline(Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: trialSeed, Faults: fo}, nil)
 }
 
 // runPipeline is the pipeline with an optional replay cache: when rc is
 // non-nil, the instrumented-replay phase is satisfied from the cache
 // for every unit after the first that shares this (app, scale, device,
-// fault model) configuration — see ReplayCache for why that is exact.
-func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *FaultOptions, rc *ReplayCache) (*Result, error) {
+// fault model, ISA) configuration — see ReplayCache for why that is
+// exact.
+func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
+	spec, fo := u.Spec, u.Faults
 	tracer := obs.ActiveTracer()
 	var phaseStart time.Time
 	if tracer != nil {
@@ -127,11 +131,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 	// Step 1: native timed run under CoFluent. jitter == nil records the
 	// unjittered base times for the memoized path.
 	native := func(jitter *device.TimingJitter) (*App, *cofluent.Recording, *cofluent.Tracer, *faults.Injector, error) {
-		app, err := spec.Build(sc)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: build %s: %w", spec.Name, err)
-		}
-		dev, err := device.New(cfg)
+		dev, err := device.New(u.Cfg)
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
@@ -140,17 +140,8 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
-		ctx := cl.NewContext(dev)
-		fo.apply(ctx)
-		tr := cofluent.Attach(ctx)
-		if err := app.Run(ctx); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: run %s: %w", spec.Name, err)
-		}
-		rec, err := cofluent.Record(spec.Name, tr, app.Programs)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: record %s: %w", spec.Name, err)
-		}
-		return app, rec, tr, natInj, nil
+		app, rec, tr, err := u.record(dev)
+		return app, rec, tr, natInj, err
 	}
 
 	var (
@@ -167,7 +158,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		// run, which TestPoolReplayCacheByteIdentical enforces. Fault
 		// models stay on the live path: their retries consume jitter
 		// draws the tracer never sees.
-		e, err := rc.doNative(replayKey(spec, sc, cfg, nil), func() (*nativeEntry, error) {
+		e, err := rc.doNative(replayKey(u, nil), func() (*nativeEntry, error) {
 			app, rec, base, _, err := native(nil)
 			if err != nil {
 				return nil, err
@@ -178,10 +169,10 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 			return nil, err
 		}
 		app, rec = e.app, e.rec
-		tr = e.tracer.PerturbTimes(device.NewTimingJitter(trialSeed, JitterSigma))
+		tr = e.tracer.PerturbTimes(device.NewTimingJitter(u.TrialSeed, JitterSigma))
 	} else {
 		var err error
-		app, rec, tr, natInj, err = native(device.NewTimingJitter(trialSeed, JitterSigma))
+		app, rec, tr, natInj, err = native(device.NewTimingJitter(u.TrialSeed, JitterSigma))
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +187,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 	// gets the trial's timing jitter, so the phase is trial-independent
 	// and memoizable.
 	replay := func() (*gtpin.GTPin, faults.Stats, error) {
-		idev, err := device.New(cfg)
+		idev, err := device.New(u.Cfg)
 		if err != nil {
 			return nil, faults.Stats{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
@@ -221,7 +212,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		err error
 	)
 	if rc != nil {
-		g, rst, err = rc.do(replayKey(spec, sc, cfg, fo), replay)
+		g, rst, err = rc.do(replayKey(u, fo), replay)
 	} else {
 		g, rst, err = replay()
 	}
@@ -245,30 +236,68 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 	return &Result{App: app, Recording: rec, Tracer: tr, GTPin: g, Profile: p, FaultStats: st}, nil
 }
 
-// Record runs the application natively once, without timing jitter, and
-// returns just its CoFluent recording — the replayable call stream
-// detsim and snippet capture consume. Recordings are jitter-independent
-// (jitter perturbs reported times, never the call stream), so one
-// unjittered run yields the same recording any trial would.
-func Record(spec *Spec, sc Scale, cfg device.Config) (*cofluent.Recording, error) {
-	app, err := spec.Build(sc)
+// Record runs the unit's application natively once, without timing
+// jitter or fault injection, and returns just its CoFluent recording —
+// the replayable call stream detsim and snippet capture consume.
+// Recordings are jitter-independent (jitter perturbs reported times,
+// never the call stream), so one unjittered run yields the same
+// recording any trial would.
+func Record(u Unit) (*cofluent.Recording, error) {
+	dev, err := device.New(u.Cfg)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: build %s: %w", spec.Name, err)
+		return nil, fmt.Errorf("workloads: %s: %w", u.Spec.Name, err)
 	}
-	dev, err := device.New(cfg)
+	_, rec, _, err := u.record(dev)
+	return rec, err
+}
+
+// record runs the unit's application once on dev under a CoFluent
+// tracer. The recording keeps the IR the context built (retargeted to
+// the unit's dialect) and the unit's translate target, so every replay
+// of it — instrumented, timed, or simulated — runs the unit's code
+// without a transform of its own.
+func (u Unit) record(dev *device.Device) (*App, *cofluent.Recording, *cofluent.Tracer, error) {
+	app, err := u.build()
 	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
+		return nil, nil, nil, err
 	}
 	ctx := cl.NewContext(dev)
+	u.Faults.apply(ctx)
+	if u.Translate != nil {
+		ctx.AddBuildHook(xlate.BuildHook(*u.Translate))
+	}
 	tr := cofluent.Attach(ctx)
 	if err := app.Run(ctx); err != nil {
-		return nil, fmt.Errorf("workloads: run %s: %w", spec.Name, err)
+		return nil, nil, nil, fmt.Errorf("workloads: run %s: %w", u.Spec.Name, err)
 	}
-	rec, err := cofluent.Record(spec.Name, tr, app.Programs)
+	rec, err := cofluent.Record(u.Spec.Name, tr, app.Programs)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: record %s: %w", spec.Name, err)
+		return nil, nil, nil, fmt.Errorf("workloads: record %s: %w", u.Spec.Name, err)
 	}
-	return rec, nil
+	rec.Translate = u.Translate
+	return app, rec, tr, nil
+}
+
+// build instantiates the unit's application with its programs
+// retargeted to the unit's dialect. Builders return fresh IR on every
+// call and their host drivers create programs from those same values,
+// so retargeting in place is what makes the driver build — and the
+// recording keep — the dialect's code.
+func (u Unit) build() (*App, error) {
+	app, err := u.Spec.Build(u.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("workloads: build %s: %w", u.Spec.Name, err)
+	}
+	if u.Dialect != isa.DialectGEN {
+		for _, p := range app.Programs {
+			rp, err := xlate.RetargetProgram(p, u.Dialect)
+			if err != nil {
+				return nil, fmt.Errorf("workloads: %s: %w", u.Spec.Name, err)
+			}
+			p.Kernels = rp.Kernels
+		}
+	}
+	return app, nil
 }
 
 // TimedReplay re-executes a recording without instrumentation on the

@@ -138,11 +138,11 @@ func TestSelectionTransfersToHaswell(t *testing.T) {
 // TestLuxMarkScoresFavorHaswell reproduces the paper's raw-performance
 // sanity check (HD4000: 269 vs HD4600: 351 — a 1.30x ratio).
 func TestLuxMarkScoresFavorHaswell(t *testing.T) {
-	ivb, err := LuxMarkScore(device.IvyBridgeHD4000())
+	ivb, err := LuxMarkScore(Unit{Cfg: device.IvyBridgeHD4000()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hsw, err := LuxMarkScore(device.HaswellHD4600())
+	hsw, err := LuxMarkScore(Unit{Cfg: device.HaswellHD4600()})
 	if err != nil {
 		t.Fatal(err)
 	}

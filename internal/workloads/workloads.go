@@ -48,6 +48,16 @@ var (
 	ScaleTiny  = Scale{Name: "tiny", Iters: 0.25, Invs: 0.03, Data: 0.25}
 )
 
+// ParseScale maps a scale name (full, small, tiny) to its preset.
+func ParseScale(name string) (Scale, error) {
+	for _, sc := range []Scale{ScaleFull, ScaleSmall, ScaleTiny} {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", name)
+}
+
 // N scales a base count, with a floor of min.
 func (s Scale) N(base float64, factor float64, min int) int {
 	n := int(base*factor + 0.5)

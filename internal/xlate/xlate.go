@@ -27,6 +27,7 @@ package xlate
 import (
 	"fmt"
 
+	"gtpin/internal/cl"
 	"gtpin/internal/faults"
 	"gtpin/internal/isa"
 	"gtpin/internal/jit"
@@ -97,6 +98,14 @@ func RetargetKernel(k *kernel.Kernel, target isa.Dialect) (*kernel.Kernel, error
 	}
 	mKernels.Inc()
 	return out, nil
+}
+
+// BuildHook returns a driver build hook that translates every compiled
+// kernel to the target dialect. Register it on a context before GT-Pin
+// attaches, so the translator runs below the rewriter and
+// instrumentation lands on the translated code.
+func BuildHook(target isa.Dialect) cl.BuildHook {
+	return func(bin *jit.Binary) (*jit.Binary, error) { return TranslateBinary(bin, target) }
 }
 
 // TranslateBinary translates a compiled device binary to the target

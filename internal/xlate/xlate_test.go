@@ -22,13 +22,17 @@ import (
 // runProgram executes a program on a fresh device through the cl stack
 // and returns the final output-surface bytes, plus the GT-Pin records
 // when instrument is set. Surface 0 is seeded input, surface 1 output.
-func runProgram(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, instrument bool) ([]byte, []*gtpin.InvocationRecord) {
+// hooks are registered before GT-Pin attaches.
+func runProgram(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, instrument bool, hooks ...cl.BuildHook) ([]byte, []*gtpin.InvocationRecord) {
 	t.Helper()
 	dev, err := device.New(device.IvyBridgeHD4000())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := cl.NewContext(dev)
+	for _, h := range hooks {
+		ctx.AddBuildHook(h)
+	}
 	var g *gtpin.GTPin
 	if instrument {
 		g, err = gtpin.Attach(ctx, gtpin.Options{MemTrace: true, DisableCache: true})
@@ -474,8 +478,10 @@ func TestUntranslatableCases(t *testing.T) {
 	}
 }
 
-// TestDriverTransformsEndToEnd wires the process-default transforms the
-// way the -dialect/-translate flags do and checks results survive the
+// TestDriverTransformsEndToEnd wires the transforms the way a unit
+// with -dialect genx -translate gen does — IR retargeted before it
+// enters the driver, every compiled binary translated back to GEN by a
+// build hook registered below GT-Pin's — and checks results survive the
 // full native-vs-retargeted-vs-translated-back loop.
 func TestDriverTransformsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -484,19 +490,11 @@ func TestDriverTransformsEndToEnd(t *testing.T) {
 
 	native, _ := runProgram(t, p, steps, false)
 
-	// -dialect genx: the workload behaves as if authored for GENX.
-	cl.SetDefaultProgramTransform(func(ir *kernel.Program) (*kernel.Program, error) {
-		return RetargetProgram(ir, isa.DialectGENX)
-	})
-	// -translate gen: every compiled binary is translated back to GEN
-	// below the instrumentation layer.
-	cl.SetDefaultBinaryTransform(func(bin *jit.Binary) (*jit.Binary, error) {
-		return TranslateBinary(bin, isa.DialectGEN)
-	})
-	defer cl.SetDefaultProgramTransform(nil)
-	defer cl.SetDefaultBinaryTransform(nil)
-
-	transformed, recs := runProgram(t, p, steps, true)
+	px, err := RetargetProgram(p, isa.DialectGENX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transformed, recs := runProgram(t, px, steps, true, BuildHook(isa.DialectGEN))
 	if !bytes.Equal(native, transformed) {
 		t.Fatal("transform round-trip perturbed results")
 	}
