@@ -158,7 +158,7 @@ bench:
 # The engine line carries the predecode differential fuzz (threaded-code
 # loops vs the reference interpreter) under the race detector.
 bench-smoke:
-	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup' ./internal/gtpin ./internal/jit ./internal/export ./internal/workloads ./cmd/bench
+	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch' ./internal/engine
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...

@@ -38,8 +38,8 @@ import (
 	"gtpin/internal/device"
 	"gtpin/internal/gtpin"
 	"gtpin/internal/harness"
-	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
+	"gtpin/internal/memo"
 	"gtpin/internal/obs"
 	"gtpin/internal/runstate"
 	"gtpin/internal/testgen"
@@ -321,7 +321,7 @@ func run(h *harness.Session) error {
 	// while artifacts and cache counters come from the first rep.
 	var optTimes []time.Duration
 	var optArt [][]byte
-	var rwStats jit.CacheStats
+	var rwStats memo.Stats
 	var rst workloads.ReplayCacheStats
 	for r := 0; r < *overheadReps; r++ {
 		gtpin.SetDefaultRewriteCache(gtpin.NewRewriteCache())
@@ -335,9 +335,7 @@ func run(h *harness.Session) error {
 		optTimes = append(optTimes, ns)
 		if r == 0 {
 			optArt = art
-			if rc := gtpin.DefaultRewriteCache(); rc != nil {
-				rwStats = rc.Stats()
-			}
+			rwStats = gtpin.DefaultRewriteCache().Stats()
 			rst = replays.Stats()
 		}
 	}

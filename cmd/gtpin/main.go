@@ -61,8 +61,10 @@ func run(h *harness.Session) error {
 		return fmt.Errorf("-app or -replay is required (use -list to see benchmarks)")
 	}
 	sc := h.Scale
+	if *noCache {
+		gtpin.SetDefaultRewriteCache(nil)
+	}
 	var opts gtpin.Options
-	opts.DisableCache = *noCache
 	switch *toolsFlag {
 	case "basic":
 	case "mem":

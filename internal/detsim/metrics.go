@@ -24,10 +24,6 @@ var (
 		"simulated cache hits across all levels")
 	mSimCacheMisses = obs.DefaultCounter("detsim_cache_misses_total",
 		"simulated cache misses across all levels")
-	mCompileCacheHits = obs.DefaultCounter("detsim_compile_cache_hits_total",
-		"program builds served from the process-wide compile cache")
-	mCompileCacheMisses = obs.DefaultCounter("detsim_compile_cache_misses_total",
-		"program builds that ran the JIT compiler")
 	mSnippetsCaptured = obs.DefaultCounter("detsim_snippets_captured_total",
 		"interval snippets captured from recordings")
 	mSnippetBytes = obs.DefaultCounter("detsim_snippet_bytes_total",

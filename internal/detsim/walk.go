@@ -2,7 +2,6 @@ package detsim
 
 import (
 	"fmt"
-	"sync"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/cofluent"
@@ -10,6 +9,7 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
+	"gtpin/internal/memo"
 )
 
 // This file is the single recording walk both Run (simulate) and
@@ -189,24 +189,16 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 	return nil
 }
 
-// compileCache memoizes jit.CompileProgram results across Run and
-// Capture calls, keyed by program content (kernel names + executable
+// progCache memoizes jit.CompileProgram results across Run and Capture
+// calls, keyed by program content (kernel names + executable
 // fingerprints) — the detsim-side analogue of the device's
 // decoded-binary cache. Compiled binaries are immutable, so entries are
-// shared freely; the map is guarded for the parallel snippet-replay
-// workers, each of which owns a private Simulator but shares this
-// process-wide cache.
-type compileCache struct {
-	mu     sync.RWMutex
-	m      map[string]map[string]*jit.Binary
-	hits   uint64
-	misses uint64
-}
-
-var progCache = &compileCache{m: make(map[string]map[string]*jit.Binary)}
+// shared freely, including by the parallel snippet-replay workers, each
+// of which owns a private Simulator but shares this process-wide memo.
+var progCache = memo.New[map[string]*jit.Binary]("detsim_compile_cache")
 
 // programKey content-addresses a program: each kernel's name and
-// executable fingerprint, length-delimited via jit.Key.
+// executable fingerprint, length-delimited via memo.Key.
 func programKey(p *kernel.Program) (string, error) {
 	parts := make([][]byte, 0, 2*len(p.Kernels))
 	for _, k := range p.Kernels {
@@ -216,7 +208,7 @@ func programKey(p *kernel.Program) (string, error) {
 		}
 		parts = append(parts, []byte(k.Name), []byte(fp))
 	}
-	return jit.Key(parts...), nil
+	return memo.Key(parts...), nil
 }
 
 // compileCached returns the program's compiled binaries, compiling at
@@ -226,44 +218,18 @@ func compileCached(p *kernel.Program) (map[string]*jit.Binary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jit: %w", err)
 	}
-	progCache.mu.RLock()
-	bins, ok := progCache.m[key]
-	progCache.mu.RUnlock()
-	if ok {
-		progCache.mu.Lock()
-		progCache.hits++
-		progCache.mu.Unlock()
-		mCompileCacheHits.Inc()
-		return bins, nil
-	}
-	bins, err = jit.CompileProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	progCache.mu.Lock()
-	progCache.misses++
-	// Concurrent compilers racing the same key are harmless: the binaries
-	// are a deterministic function of the content address.
-	progCache.m[key] = bins
-	progCache.mu.Unlock()
-	mCompileCacheMisses.Inc()
-	return bins, nil
+	bins, _, err := progCache.Do(key, func() (map[string]*jit.Binary, error) { return jit.CompileProgram(p) })
+	return bins, err
 }
 
 // CompileCacheStats reports the program-compile cache counters:
 // lookups served from cache, compilations performed, and distinct
 // programs held.
 func CompileCacheStats() (hits, misses uint64, entries int) {
-	progCache.mu.RLock()
-	defer progCache.mu.RUnlock()
-	return progCache.hits, progCache.misses, len(progCache.m)
+	st := progCache.Stats()
+	return st.Hits, st.Misses, st.Entries
 }
 
 // ResetCompileCache drops every cached program and zeroes the counters
 // (tests and benchmark baselines).
-func ResetCompileCache() {
-	progCache.mu.Lock()
-	progCache.m = make(map[string]map[string]*jit.Binary)
-	progCache.hits, progCache.misses = 0, 0
-	progCache.mu.Unlock()
-}
+func ResetCompileCache() { progCache.Reset() }

@@ -18,10 +18,6 @@ var (
 		"dynamic instructions interpreted by the engine, across all backends")
 	mLaneOps = obs.DefaultCounter("engine_lane_ops_total",
 		"per-lane operations evaluated by the cycle-level loop")
-	mPredecodeHits = obs.DefaultCounter("engine_predecode_hits_total",
-		"kernel threaded-code streams served from the shared predecode cache")
-	mPredecodeMisses = obs.DefaultCounter("engine_predecode_misses_total",
-		"kernel threaded-code streams lowered on a predecode cache miss")
 )
 
 // mInstrsByDialect splits engine_instructions_total by the ISA dialect

@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"sync"
-
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
+	"gtpin/internal/memo"
 )
 
 // Pre-decoding lowers a kernel's basic blocks into a flat threaded-code
@@ -157,7 +156,7 @@ func Predecode(k *kernel.Kernel) *Predecoded {
 // PredecodeVersion + kernel fingerprint. Like the rewrite cache it is
 // content-addressed and unbounded: distinct kernels in a process are
 // bounded by the programs it builds, not by how many devices run them.
-var predecodeCache sync.Map // string -> *Predecoded
+var predecodeCache = memo.New[*Predecoded]("engine_predecode")
 
 // PredecodeFor returns the kernel's stream from the shared cache,
 // lowering and inserting it on first sight. Kernels whose instructions
@@ -168,14 +167,8 @@ func PredecodeFor(k *kernel.Kernel) *Predecoded {
 	if err != nil {
 		return Predecode(k)
 	}
-	key := PredecodeVersion + "/" + fp
-	if v, ok := predecodeCache.Load(key); ok {
-		mPredecodeHits.Add(1)
-		return v.(*Predecoded)
-	}
-	mPredecodeMisses.Add(1)
-	v, _ := predecodeCache.LoadOrStore(key, Predecode(k))
-	return v.(*Predecoded)
+	pk, _, _ := predecodeCache.Do(PredecodeVersion+"/"+fp, func() (*Predecoded, error) { return Predecode(k), nil })
+	return pk
 }
 
 // predecoded memoizes PredecodeFor per kernel object, so the per-group

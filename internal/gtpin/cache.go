@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"gtpin/internal/jit"
+	"gtpin/internal/memo"
 )
 
 // RewriterVersion identifies the rewrite-engine generation. It is hashed
@@ -21,24 +22,15 @@ import (
 // from an older rewriter would be replayed as current.
 const RewriterVersion = "gtpin-rewriter/2"
 
-// RewriteCache is a content-addressed cache of instrumented binaries plus
+// RewriteCache is a content-addressed memo of instrumented binaries plus
 // the per-kernel metadata GT-Pin must reinstall on a hit. It is safe for
 // concurrent use, so one cache can back every GT-Pin instance across the
-// sharded sweep workers.
-type RewriteCache struct {
-	c *jit.Cache
-}
+// sharded sweep workers. Its lookups count into the
+// jit_cache_{hits,misses}_total counters.
+type RewriteCache = memo.Memo[rewriteEntry]
 
 // NewRewriteCache creates an empty rewrite cache.
-func NewRewriteCache() *RewriteCache {
-	return &RewriteCache{c: jit.NewCache()}
-}
-
-// Stats returns hit/miss/entry counters for the cache.
-func (rc *RewriteCache) Stats() jit.CacheStats { return rc.c.Stats() }
-
-// Reset drops every entry and zeroes the counters.
-func (rc *RewriteCache) Reset() { rc.c.Reset() }
+func NewRewriteCache() *RewriteCache { return memo.New[rewriteEntry]("jit_cache") }
 
 // defaultCache is the process-wide cache used when Options.Cache is nil.
 var defaultCache atomic.Pointer[RewriteCache]
@@ -59,13 +51,14 @@ func SetDefaultRewriteCache(rc *RewriteCache) *RewriteCache {
 	return defaultCache.Swap(rc)
 }
 
-// rewriteMeta is the per-entry metadata stored beside the instrumented
-// binary: the kernel's instrumentation bookkeeping and the slot cursor
-// after the rewrite, so a hit advances the allocator exactly as the
-// original rewrite did. The instrKernel is shared read-only between every
-// GT-Pin instance that hits the entry; post-construction it is never
-// mutated (OnKernelComplete and drainRing only read it).
-type rewriteMeta struct {
+// rewriteEntry is one cached rewrite: the instrumented binary, the
+// kernel's instrumentation bookkeeping and the slot cursor after the
+// rewrite, so a hit advances the allocator exactly as the original
+// rewrite did. The instrKernel is shared read-only between every GT-Pin
+// instance that hits the entry; post-construction it is never mutated
+// (OnKernelComplete and drainRing only read it).
+type rewriteEntry struct {
+	bin      *jit.Binary
 	ik       *instrKernel
 	nextSlot int
 }
@@ -100,14 +93,5 @@ func (g *GTPin) cacheKey(bin *jit.Binary) string {
 	} else {
 		cfg[17] = 0xFF // malformed header; instrument() will reject it
 	}
-	return jit.Key([]byte(RewriterVersion), cfg[:], bin.Code)
-}
-
-// CacheStats returns the counters of the cache this instance uses, or a
-// zero snapshot when caching is disabled.
-func (g *GTPin) CacheStats() jit.CacheStats {
-	if g.cache == nil {
-		return jit.CacheStats{}
-	}
-	return g.cache.Stats()
+	return memo.Key([]byte(RewriterVersion), cfg[:], bin.Code)
 }

@@ -33,9 +33,6 @@ type Options struct {
 	// Cache overrides the rewrite cache for this instance; nil uses the
 	// process-wide DefaultRewriteCache.
 	Cache *RewriteCache
-	// DisableCache forces every binary through a full decode/instrument/
-	// re-encode even when a cache is available.
-	DisableCache bool
 }
 
 // GTPin is an attached instance of the instrumentation engine. It is
@@ -102,9 +99,6 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 	cache := opts.Cache
 	if cache == nil {
 		cache = DefaultRewriteCache()
-	}
-	if opts.DisableCache {
-		cache = nil
 	}
 	g := &GTPin{
 		opts:        opts,

@@ -78,7 +78,7 @@ func testKernelBin(t testing.TB) *jit.Binary {
 func TestRewriteSurfaceBoundary(t *testing.T) {
 	// 254 declared surfaces is the last instrumentable configuration: the
 	// trace surface takes index 254 and the count re-encodes as 255.
-	g := newAttached(t, Options{DisableCache: true})
+	g := newAttached(t, Options{Cache: NewRewriteCache()})
 	out, err := g.rewrite(binWithSurfaces(t, maxSurfaces-1))
 	if err != nil {
 		t.Fatalf("254 surfaces must instrument: %v", err)
@@ -97,7 +97,7 @@ func TestRewriteSurfaceBoundary(t *testing.T) {
 	// 255 declared surfaces leaves no binding-table slot: before the guard,
 	// uint8(NumSurfaces) stayed in range but NumSurfaces++ truncated in the
 	// re-encoded header, aliasing the trace surface onto surface 0.
-	g2 := newAttached(t, Options{DisableCache: true})
+	g2 := newAttached(t, Options{Cache: NewRewriteCache()})
 	if _, err := g2.rewrite(binWithSurfaces(t, maxSurfaces)); !errors.Is(err, faults.ErrSurfaceOverflow) {
 		t.Fatalf("255 surfaces: got %v, want ErrSurfaceOverflow", err)
 	}
@@ -169,7 +169,7 @@ func TestCachedRewriteByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gu := newAttached(t, Options{MemTrace: true, Latency: true, DisableCache: true})
+	gu := newAttached(t, Options{MemTrace: true, Latency: true, Cache: NewRewriteCache()})
 	uncached, err := gu.rewrite(bin)
 	if err != nil {
 		t.Fatal(err)

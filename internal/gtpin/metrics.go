@@ -24,17 +24,17 @@ var (
 // instrumentObserved wraps instrument with rewrite metrics and — when a
 // tracer is installed — a wall-clock span named after the rewritten
 // kernel.
-func (g *GTPin) instrumentObserved(bin *jit.Binary) (*jit.Binary, error) {
+func (g *GTPin) instrumentObserved(bin *jit.Binary) (rewriteEntry, error) {
 	start := time.Now()
-	out, err := g.instrument(bin)
+	e, err := g.instrument(bin)
 	if err != nil {
-		return nil, err
+		return e, err
 	}
 	mRewrites.Inc()
 	mRewriteWallNs.Observe(uint64(time.Since(start).Nanoseconds()))
 	if t := obs.ActiveTracer(); t != nil {
-		t.SpanWall("gtpin", "rewrite "+mustDecodeName(out), "rewriter", start,
-			obs.A("bytes", len(out.Code)))
+		t.SpanWall("gtpin", "rewrite "+e.ik.Name, "rewriter", start,
+			obs.A("bytes", len(e.bin.Code)))
 	}
-	return out, nil
+	return e, nil
 }

@@ -160,41 +160,20 @@ func counterBump(sr scratchRegs, slot int, delta uint32, traceSurf uint8) []isa.
 // pipeline entirely. The cache key covers every input that shapes the
 // output (see cacheKey), so a hit is byte-identical to a fresh rewrite.
 func (g *GTPin) rewrite(bin *jit.Binary) (*jit.Binary, error) {
-	if g.cache == nil {
+	e, hit, err := g.cache.Do(g.cacheKey(bin), func() (rewriteEntry, error) {
 		return g.instrumentObserved(bin)
+	})
+	if err != nil || !hit {
+		return e.bin, err
 	}
-	key := g.cacheKey(bin)
-	if e, ok := g.cache.c.Get(key); ok {
-		m := e.Meta.(*rewriteMeta)
-		// Per-instance bookkeeping still applies on a hit: the same kernel
-		// name must not be instrumented twice in one context.
-		if _, dup := g.kernels[m.ik.Name]; dup {
-			return nil, fmt.Errorf("gtpin: kernel %q instrumented twice: %w", m.ik.Name, faults.ErrAlreadyAttached)
-		}
-		g.kernels[m.ik.Name] = m.ik
-		g.nextSlot = m.nextSlot
-		return e.Bin, nil
+	// Per-instance bookkeeping still applies on a hit: the same kernel
+	// name must not be instrumented twice in one context.
+	if _, dup := g.kernels[e.ik.Name]; dup {
+		return nil, fmt.Errorf("gtpin: kernel %q instrumented twice: %w", e.ik.Name, faults.ErrAlreadyAttached)
 	}
-	out, err := g.instrumentObserved(bin)
-	if err != nil {
-		return nil, err
-	}
-	name := mustDecodeName(out)
-	g.cache.c.Put(key, jit.CacheEntry{Bin: out, Meta: &rewriteMeta{
-		ik:       g.kernels[name],
-		nextSlot: g.nextSlot,
-	}})
-	return out, nil
-}
-
-// mustDecodeName extracts the kernel name from a binary the rewriter just
-// produced; by construction the header is well-formed.
-func mustDecodeName(bin *jit.Binary) string {
-	k, err := jit.Decode(bin)
-	if err != nil {
-		panic(fmt.Sprintf("gtpin: re-encoded binary failed to decode: %v", err))
-	}
-	return k.Name
+	g.kernels[e.ik.Name] = e.ik
+	g.nextSlot = e.nextSlot
+	return e.bin, nil
 }
 
 // maxSurfaces bounds a kernel's declared surfaces: binding-table indices
@@ -203,21 +182,22 @@ func mustDecodeName(bin *jit.Binary) string {
 const maxSurfaces = 255
 
 // instrument decodes a JIT-produced binary, injects the instrumentation
-// selected by the tool's options, and re-encodes it.
-func (g *GTPin) instrument(bin *jit.Binary) (*jit.Binary, error) {
+// selected by the tool's options, and re-encodes it. The returned entry
+// is what the rewrite cache stores.
+func (g *GTPin) instrument(bin *jit.Binary) (rewriteEntry, error) {
 	k, err := jit.Decode(bin)
 	if err != nil {
-		return nil, fmt.Errorf("gtpin: rewriter: %w", err)
+		return rewriteEntry{}, fmt.Errorf("gtpin: rewriter: %w", err)
 	}
 	if _, dup := g.kernels[k.Name]; dup {
-		return nil, fmt.Errorf("gtpin: kernel %q instrumented twice: %w", k.Name, faults.ErrAlreadyAttached)
+		return rewriteEntry{}, fmt.Errorf("gtpin: kernel %q instrumented twice: %w", k.Name, faults.ErrAlreadyAttached)
 	}
 	// Refuse already-instrumented binaries (e.g. a second GT-Pin instance
 	// attached to the same context): the Injected encoding bit marks them.
 	for _, b := range k.Blocks {
 		for _, in := range b.Instrs {
 			if in.Injected {
-				return nil, fmt.Errorf("gtpin: kernel %q is %w", k.Name, faults.ErrAlreadyAttached)
+				return rewriteEntry{}, fmt.Errorf("gtpin: kernel %q is %w", k.Name, faults.ErrAlreadyAttached)
 			}
 		}
 	}
@@ -228,7 +208,7 @@ func (g *GTPin) instrument(bin *jit.Binary) (*jit.Binary, error) {
 	// this guard uint8(k.NumSurfaces) would wrap and the injected sends
 	// would alias a user surface.
 	if k.NumSurfaces >= maxSurfaces {
-		return nil, fmt.Errorf("gtpin: kernel %q declares %d surfaces; no binding-table slot left for the trace surface: %w",
+		return rewriteEntry{}, fmt.Errorf("gtpin: kernel %q declares %d surfaces; no binding-table slot left for the trace surface: %w",
 			k.Name, k.NumSurfaces, faults.ErrSurfaceOverflow)
 	}
 	traceSurf := uint8(k.NumSurfaces)
@@ -248,7 +228,7 @@ func (g *GTPin) instrument(bin *jit.Binary) (*jit.Binary, error) {
 		ik.BlockOps[bi] = opCounts(b)
 		slot, err := g.allocSlot()
 		if err != nil {
-			return nil, fmt.Errorf("gtpin: kernel %s: %w", k.Name, err)
+			return rewriteEntry{}, fmt.Errorf("gtpin: kernel %s: %w", k.Name, err)
 		}
 		ik.BlockSlots[bi] = slot
 
@@ -271,7 +251,7 @@ func (g *GTPin) instrument(bin *jit.Binary) (*jit.Binary, error) {
 					sum, err1 := g.allocSlot()
 					cnt, err2 := g.allocSlot()
 					if err := errors.Join(err1, err2); err != nil {
-						return nil, fmt.Errorf("gtpin: kernel %s: latency slots: %w", k.Name, err)
+						return rewriteEntry{}, fmt.Errorf("gtpin: kernel %s: latency slots: %w", k.Name, err)
 					}
 					site.LatSumSlot, site.LatCntSlot = sum, cnt
 					body = append(body,
@@ -298,7 +278,11 @@ func (g *GTPin) instrument(bin *jit.Binary) (*jit.Binary, error) {
 	k.NumSurfaces++
 
 	g.kernels[k.Name] = ik
-	return jit.Recompile(k)
+	out, err := jit.Recompile(k)
+	if err != nil {
+		return rewriteEntry{}, err
+	}
+	return rewriteEntry{bin: out, ik: ik, nextSlot: g.nextSlot}, nil
 }
 
 // memTraceSeq emits the instruction sequence that appends one trace

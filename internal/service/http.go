@@ -103,49 +103,52 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec.applyPolicy(pol)
 
 	// Idempotent resubmission: an existing ID returns the existing job.
-	if spec.ID != "" {
-		if j, found := s.job(spec.ID); found {
-			writeJSON(w, http.StatusOK, j.View())
-			return
-		}
-	} else {
-		spec.ID = s.freshID()
+	// Otherwise the ID is reserved before anything touches disk, and
+	// every failure below must release it.
+	j, fresh := s.reserve(spec, tenant)
+	if !fresh {
+		writeJSON(w, http.StatusOK, j.View())
+		return
 	}
-
-	if pol.MaxQueued > 0 && s.tenantJobs(tenant) >= pol.MaxQueued {
+	// The tenant's count includes the reservation itself.
+	if pol.MaxQueued > 0 && s.tenantJobs(tenant) > pol.MaxQueued {
+		s.unregister(j.ID)
 		mJobsShed.Inc()
 		w.Header().Set("Retry-After", s.retryAfterHint())
 		writeErr(w, http.StatusTooManyRequests,
 			"tenant %q at max_queued=%d; retry later", tenant, pol.MaxQueued)
 		return
 	}
-
-	dir := s.jobDir(spec.ID)
-	if _, err := os.Stat(dir); err == nil {
+	if _, err := os.Stat(j.dir); err == nil {
 		// On disk but not in the registry: a leftover from a recovery
 		// skip. Refuse rather than silently reuse foreign state.
-		writeErr(w, http.StatusConflict, "job directory %s already exists", spec.ID)
+		s.unregister(j.ID)
+		writeErr(w, http.StatusConflict, "job directory %s already exists", j.ID)
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// abort rolls the admission back completely, so a retry of the same
+	// ID starts clean.
+	abort := func() {
+		s.unregister(j.ID)
+		_ = os.RemoveAll(j.dir)
+	}
+	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+		abort()
 		writeErr(w, http.StatusInternalServerError, "create job dir: %v", err)
 		return
 	}
-	j := newJob(spec.ID, tenant, spec, dir)
 	if err := j.persistSpec(); err != nil {
+		abort()
 		writeErr(w, http.StatusInternalServerError, "persist job spec: %v", err)
 		return
 	}
 	if err := j.setState(StateQueued, ""); err != nil {
+		abort()
 		writeErr(w, http.StatusInternalServerError, "persist job status: %v", err)
 		return
 	}
-	s.register(j)
 	if err := s.queue.push(j); err != nil {
-		// Shed: roll the admission back completely so a retry of the
-		// same ID starts clean.
-		s.unregister(j.ID)
-		_ = os.RemoveAll(dir)
+		abort()
 		mJobsShed.Inc()
 		if errors.Is(err, faults.ErrQueueFull) {
 			w.Header().Set("Retry-After", s.retryAfterHint())
@@ -162,15 +165,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, j.View())
 }
 
-// freshID picks the next free job-NNNN identifier. IDs only need to be
-// unique within the state dir; clients that care supply their own.
+// freshID picks the next free job-NNNN identifier, free both in the
+// registry and on disk; s.mu must be held. IDs only need to be unique
+// within the state dir; clients that care supply their own.
 func (s *Server) freshID() string {
-	s.mu.Lock()
-	n := len(s.order)
-	s.mu.Unlock()
-	for ; ; n++ {
+	for n := len(s.order); ; n++ {
 		id := fmt.Sprintf("job-%04d", n)
-		if _, taken := s.job(id); taken {
+		if _, taken := s.jobs[id]; taken {
 			continue
 		}
 		if _, err := os.Stat(s.jobDir(id)); err == nil {

@@ -348,6 +348,25 @@ func (s *Server) register(j *Job) {
 	s.order = append(s.order, j.ID)
 }
 
+// reserve registers a new queued job for spec — under the next free
+// job-NNNN ID when the spec names none — and reports fresh. When the
+// spec's ID is already registered it returns that job instead. The
+// lookup and the insert share one lock hold, so concurrent submissions
+// can never be handed the same ID.
+func (s *Server) reserve(spec JobSpec, tenant string) (j *Job, fresh bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if spec.ID == "" {
+		spec.ID = s.freshID()
+	} else if existing, ok := s.jobs[spec.ID]; ok {
+		return existing, false
+	}
+	j = newJob(spec.ID, tenant, spec, s.jobDir(spec.ID))
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	return j, true
+}
+
 func (s *Server) unregister(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

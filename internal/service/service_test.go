@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -474,9 +475,85 @@ func TestFreshIDSkipsTaken(t *testing.T) {
 	if err := os.MkdirAll(s.jobDir("job-0000"), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
 	id := s.freshID()
+	s.mu.Unlock()
 	if id == "job-0000" {
 		t.Fatalf("freshID returned a taken id")
+	}
+}
+
+// TestConcurrentSubmitsNeverShareAnID: concurrent submissions without an
+// ID each get a job of their own, and concurrent submissions of one
+// client ID admit exactly one job, registered once.
+func TestConcurrentSubmitsNeverShareAnID(t *testing.T) {
+	const n = 16
+	release := make(chan struct{})
+	defer close(release)
+	s := newTestServer(t, Config{QueueCap: 2 * n, JobWorkers: 1})
+	s.runPool = blockingRunner(release)
+
+	// submitAll posts spec n times at once and returns each response's
+	// status code and job ID (code 0 on a transport error).
+	submitAll := func(spec string) (codes []int, ids []string) {
+		codes, ids = make([]int, n), make([]string, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				resp, err := http.Post(baseURL(s)+"/api/v1/jobs", "application/json", strings.NewReader(spec))
+				if err != nil {
+					return
+				}
+				defer resp.Body.Close()
+				var v JobView
+				_ = json.NewDecoder(resp.Body).Decode(&v)
+				codes[i], ids[i] = resp.StatusCode, v.ID
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		return codes, ids
+	}
+
+	codes, ids := submitAll(`{"kind":"subsets","apps":["cb-gaussian-buffer"]}`)
+	seen := make(map[string]bool, n)
+	for i := range codes {
+		if codes[i] != http.StatusCreated {
+			t.Fatalf("id-less submit %d: status %d, want 201", i, codes[i])
+		}
+		if seen[ids[i]] {
+			t.Fatalf("two submissions were both admitted as %s", ids[i])
+		}
+		seen[ids[i]] = true
+	}
+
+	codes, ids = submitAll(`{"id":"same","kind":"subsets","apps":["cb-gaussian-buffer"]}`)
+	created := 0
+	for i := range codes {
+		if codes[i] == http.StatusCreated {
+			created++
+		} else if codes[i] != http.StatusOK {
+			t.Fatalf("resubmit %d of one ID: status %d, want 201 or 200", i, codes[i])
+		}
+		if ids[i] != "same" {
+			t.Fatalf("resubmit %d of one ID answered for job %q", i, ids[i])
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d submissions of one ID were admitted, want 1", created)
+	}
+	listed := 0
+	for _, j := range s.listJobs() {
+		if j.ID == "same" {
+			listed++
+		}
+	}
+	if total := len(s.listJobs()); listed != 1 || total != n+1 {
+		t.Fatalf("registry lists %q %d times among %d jobs, want once among %d", "same", listed, total, n+1)
 	}
 }
 

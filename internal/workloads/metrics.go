@@ -6,9 +6,9 @@ import (
 	"gtpin/internal/obs"
 )
 
-// Observability for the supervised sweep pool and the replay cache —
-// unit granularity only; per-dispatch accounting lives in internal/
-// device.
+// Observability for the supervised sweep pool — unit granularity only;
+// per-dispatch accounting lives in internal/device, and the replay
+// cache counts through its memos (see NewReplayCache).
 var (
 	mUnitsCompleted = obs.DefaultCounter("workloads_units_completed_total",
 		"sweep units that produced a usable artifact by executing")
@@ -22,14 +22,6 @@ var (
 		"sweep units currently executing on pool workers")
 	mUnitWallNs = obs.DefaultHistogram("workloads_unit_wall_ns",
 		"wall-clock duration of one executed sweep unit in nanoseconds")
-	mReplayHits = obs.DefaultCounter("workloads_replay_cache_hits_total",
-		"instrumented-replay phases satisfied from the replay cache")
-	mReplayMisses = obs.DefaultCounter("workloads_replay_cache_misses_total",
-		"instrumented-replay phases executed on a cache miss")
-	mNativeHits = obs.DefaultCounter("workloads_native_cache_hits_total",
-		"native phases satisfied from the replay cache")
-	mNativeMisses = obs.DefaultCounter("workloads_native_cache_misses_total",
-		"native phases executed on a cache miss")
 )
 
 // observeOutcome records a settled unit and — when a tracer is

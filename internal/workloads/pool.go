@@ -309,8 +309,11 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 // reachable with an uncancellable context and no timeout — is
 // byte-for-byte the pre-existing inline call.
 func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeout time.Duration) (*Result, error) {
+	// Read the hook here, not in the goroutine: an abandoned attempt
+	// outlives its test, whose cleanup clears the hook.
+	hook := poolTestHook
 	if timeout <= 0 && ctx.Done() == nil {
-		return runSupervised(u, attempt, rc)
+		return runSupervised(u, attempt, rc, hook)
 	}
 	type attemptResult struct {
 		res *Result
@@ -318,7 +321,7 @@ func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeo
 	}
 	ch := make(chan attemptResult, 1)
 	go func() {
-		res, err := runSupervised(u, attempt, rc)
+		res, err := runSupervised(u, attempt, rc, hook)
 		ch <- attemptResult{res, err}
 	}()
 	var expire <-chan time.Time
@@ -347,15 +350,16 @@ func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeo
 
 // runSupervised executes one attempt with panic isolation: a panicking
 // worker is converted into a typed, classified error carrying the panic
-// value and stack, so one bad unit can never take down the sweep.
-func runSupervised(u Unit, attempt int, rc *ReplayCache) (res *Result, err error) {
+// value and stack, so one bad unit can never take down the sweep. A
+// non-nil hook (poolTestHook) runs first.
+func runSupervised(u Unit, attempt int, rc *ReplayCache, hook func(Unit, int)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("workloads: unit %s attempt %d: %w: %v\n%s",
 				u.Key(), attempt, faults.ErrWorkerPanic, r, debug.Stack())
 		}
 	}()
-	if hook := poolTestHook; hook != nil {
+	if hook != nil {
 		hook(u, attempt)
 	}
 	return runPipeline(u, rc)

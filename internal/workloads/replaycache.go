@@ -2,11 +2,11 @@ package workloads
 
 import (
 	"fmt"
-	"sync"
 
 	"gtpin/internal/cofluent"
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
+	"gtpin/internal/memo"
 )
 
 // ReplayCacheStats reports a cache's hit/miss history. Hits/Misses
@@ -30,17 +30,13 @@ type ReplayCacheStats struct {
 // A multi-trial sweep otherwise re-instruments and re-executes an
 // identical replay once per trial; the cache collapses those to one
 // execution whose GT-Pin state every trial's profile join shares
-// read-only. Artifacts
-// stay byte-identical to uncached runs because the memoized result is
-// exactly what each trial would have recomputed.
+// read-only. Artifacts stay byte-identical to uncached runs because the
+// memoized result is exactly what each trial would have recomputed.
+// Failed phases are never cached, so supervised restarts re-execute
+// from scratch.
 type ReplayCache struct {
-	mu        sync.Mutex
-	entries   map[string]replayEntry
-	natives   map[string]*nativeEntry
-	hits      uint64
-	misses    uint64
-	natHits   uint64
-	natMisses uint64
+	replays *memo.Memo[replayEntry]
+	natives *memo.Memo[*nativeEntry]
 }
 
 type replayEntry struct {
@@ -61,18 +57,21 @@ type nativeEntry struct {
 // NewReplayCache creates an empty cache.
 func NewReplayCache() *ReplayCache {
 	return &ReplayCache{
-		entries: make(map[string]replayEntry),
-		natives: make(map[string]*nativeEntry),
+		replays: memo.New[replayEntry]("workloads_replay_cache"),
+		natives: memo.New[*nativeEntry]("workloads_native_cache"),
 	}
 }
 
+// The replay memos' counters are process-wide; registering them at
+// init lists them in every metrics snapshot, before any pool runs.
+var _ = NewReplayCache()
+
 // Stats snapshots the cache counters.
 func (rc *ReplayCache) Stats() ReplayCacheStats {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	r, n := rc.replays.Stats(), rc.natives.Stats()
 	return ReplayCacheStats{
-		Hits: rc.hits, Misses: rc.misses, Entries: len(rc.entries),
-		NativeHits: rc.natHits, NativeMisses: rc.natMisses,
+		Hits: r.Hits, Misses: r.Misses, Entries: r.Entries,
+		NativeHits: n.Hits, NativeMisses: n.Misses,
 	}
 }
 
@@ -86,62 +85,4 @@ func replayKey(u Unit, fo *FaultOptions) string {
 		key += fmt.Sprintf("|%+v", *fo.Resilience)
 	}
 	return key
-}
-
-// do returns the cached replay for key, or runs f and caches its
-// result. Failed replays are never cached, so supervised restarts
-// re-execute from scratch. Concurrent shards may race to compute the
-// same key; the first stored entry wins and the loser adopts it — both
-// computations are deterministic and identical, the adoption only
-// keeps pointer sharing canonical.
-func (rc *ReplayCache) do(key string, f func() (*gtpin.GTPin, faults.Stats, error)) (*gtpin.GTPin, faults.Stats, error) {
-	rc.mu.Lock()
-	if e, ok := rc.entries[key]; ok {
-		rc.hits++
-		mReplayHits.Inc()
-		rc.mu.Unlock()
-		return e.g, e.stats, nil
-	}
-	rc.misses++
-	mReplayMisses.Inc()
-	rc.mu.Unlock()
-
-	g, st, err := f()
-	if err != nil {
-		return nil, st, err
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if e, ok := rc.entries[key]; ok {
-		return e.g, e.stats, nil
-	}
-	rc.entries[key] = replayEntry{g: g, stats: st}
-	return g, st, nil
-}
-
-// doNative is do for the native phase, with the same error and race
-// discipline.
-func (rc *ReplayCache) doNative(key string, f func() (*nativeEntry, error)) (*nativeEntry, error) {
-	rc.mu.Lock()
-	if e, ok := rc.natives[key]; ok {
-		rc.natHits++
-		mNativeHits.Inc()
-		rc.mu.Unlock()
-		return e, nil
-	}
-	rc.natMisses++
-	mNativeMisses.Inc()
-	rc.mu.Unlock()
-
-	e, err := f()
-	if err != nil {
-		return nil, err
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if cached, ok := rc.natives[key]; ok {
-		return cached, nil
-	}
-	rc.natives[key] = e
-	return e, nil
 }

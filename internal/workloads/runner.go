@@ -10,6 +10,7 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
 	"gtpin/internal/isa"
+	"gtpin/internal/memo"
 	"gtpin/internal/obs"
 	"gtpin/internal/profile"
 	"gtpin/internal/xlate"
@@ -158,7 +159,7 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 		// run, which TestPoolReplayCacheByteIdentical enforces. Fault
 		// models stay on the live path: their retries consume jitter
 		// draws the tracer never sees.
-		e, err := rc.doNative(replayKey(u, nil), func() (*nativeEntry, error) {
+		e, _, err := rc.natives.Do(replayKey(u, nil), func() (*nativeEntry, error) {
 			app, rec, base, _, err := native(nil)
 			if err != nil {
 				return nil, err
@@ -186,14 +187,14 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 	// Step 2: instrumented replay under GT-Pin. The replay device never
 	// gets the trial's timing jitter, so the phase is trial-independent
 	// and memoizable.
-	replay := func() (*gtpin.GTPin, faults.Stats, error) {
+	replay := func() (replayEntry, error) {
 		idev, err := device.New(u.Cfg)
 		if err != nil {
-			return nil, faults.Stats{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
+			return replayEntry{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
 		repInj, err := fo.arm(idev, spec.Name, "replay")
 		if err != nil {
-			return nil, faults.Stats{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
+			return replayEntry{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
 		var g *gtpin.GTPin
 		if _, err := rec.Replay(idev, func(rctx *cl.Context) error {
@@ -202,23 +203,19 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 			g, aerr = gtpin.Attach(rctx, gtpin.Options{})
 			return aerr
 		}); err != nil {
-			return nil, faults.Stats{}, fmt.Errorf("workloads: instrumented replay of %s: %w", spec.Name, err)
+			return replayEntry{}, fmt.Errorf("workloads: instrumented replay of %s: %w", spec.Name, err)
 		}
-		return g, repInj.Stats(), nil
+		return replayEntry{g: g, stats: repInj.Stats()}, nil
 	}
-	var (
-		g   *gtpin.GTPin
-		rst faults.Stats
-		err error
-	)
+	var replays *memo.Memo[replayEntry] // nil: replay from scratch
 	if rc != nil {
-		g, rst, err = rc.do(replayKey(u, fo), replay)
-	} else {
-		g, rst, err = replay()
+		replays = rc.replays
 	}
+	r, _, err := replays.Do(replayKey(u, fo), replay)
 	if err != nil {
 		return nil, err
 	}
+	g, rst := r.g, r.stats
 	if tracer != nil {
 		tracer.SpanWall("pipeline", "replay "+spec.Name, "pipeline", phaseStart)
 	}

@@ -42,9 +42,11 @@ func TestUnitTimeoutAbandonsHungUnit(t *testing.T) {
 	}
 	defer state.Close()
 
+	// The budget must fit the healthy tiny unit, which takes about
+	// 50-110 ms under -race on two cores; the hung unit waits it out.
 	outs, err := RunPool(context.Background(), units, PoolOptions{
 		State:       state,
-		UnitTimeout: 50 * time.Millisecond,
+		UnitTimeout: 2 * time.Second,
 		Workers:     2,
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ func runProgram(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, ins
 	}
 	var g *gtpin.GTPin
 	if instrument {
-		g, err = gtpin.Attach(ctx, gtpin.Options{MemTrace: true, DisableCache: true})
+		g, err = gtpin.Attach(ctx, gtpin.Options{MemTrace: true, Cache: gtpin.NewRewriteCache()})
 		if err != nil {
 			t.Fatal(err)
 		}
