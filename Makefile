@@ -38,13 +38,20 @@ smoke:
 # (per-interval fast-forwarding, one worker) and via captured interval
 # snippets replayed on four workers — and require byte-identical
 # stdout. Mode and timing narration go to stderr, so cmp proves the
-# snippet path changes only wall time, never results.
+# snippet path changes only wall time, never results. The second pair
+# runs cb-histogram-buffer at small scale: its merge kernel reads
+# register lanes it never writes, so its snippets replay only because a
+# dispatch starts from zeroed registers, not from whatever the engine
+# ran before.
 snippets-smoke:
 	rm -rf .snippets-smoke
 	mkdir -p .snippets-smoke
 	$(GO) run ./cmd/subsets -scale tiny -fig table3 -simulate -sim-mode serial -workers 1 -sim-apps cb-physics-ocean-surf > .snippets-smoke/serial.out 2> .snippets-smoke/serial.err
 	$(GO) run ./cmd/subsets -scale tiny -fig table3 -simulate -sim-mode snippets -workers 4 -sim-apps cb-physics-ocean-surf > .snippets-smoke/snippets.out 2> .snippets-smoke/snippets.err
 	cmp .snippets-smoke/serial.out .snippets-smoke/snippets.out
+	$(GO) run ./cmd/subsets -scale small -fig table3 -simulate -sim-mode serial -workers 1 -sim-apps cb-histogram-buffer > .snippets-smoke/hist-serial.out 2> .snippets-smoke/hist-serial.err
+	$(GO) run ./cmd/subsets -scale small -fig table3 -simulate -sim-mode snippets -workers 4 -sim-apps cb-histogram-buffer > .snippets-smoke/hist-snippets.out 2> .snippets-smoke/hist-snippets.err
+	cmp .snippets-smoke/hist-serial.out .snippets-smoke/hist-snippets.out
 	rm -rf .snippets-smoke
 
 # xlate-smoke is the per-unit ISA configuration gate on the real harness,
@@ -125,8 +132,8 @@ fleet-chaos:
 # module's vet and tests.
 check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke bench-module
 
-# bench runs the Go benchmark suites (instrumentation rewrite,
-# interpreters, end-to-end sweep) and then the benchmark-regression
+# bench runs the Go benchmark suites (instrumentation rewrite, SimPoint
+# clustering, interpreters, end-to-end sweep) and then the benchmark-regression
 # harness: a multi-trial characterization sweep timed three ways — the
 # pre-optimization baseline (serial, all caches off), the cached,
 # sharded hot path, and the hot path again with the obs span tracer

@@ -24,9 +24,11 @@ package detsim
 
 import (
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gtpin/internal/cachesim"
@@ -141,6 +143,41 @@ func (sn *Snippet) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("detsim: encode snippet: %w", err)
 	}
 	return data, nil
+}
+
+// encodedLen returns len(sn.Encode()) without building the base64 text
+// of the snippet's code and memory images: it encodes a copy whose
+// non-empty byte fields hold one byte each, then adds back each field's
+// full length. encoding/json writes a []byte as padded standard base64,
+// so a field of n bytes takes base64.StdEncoding.EncodedLen(n)
+// characters between its quotes.
+func (sn *Snippet) encodedLen() (int, error) {
+	extra := 0
+	stub := func(b []byte) []byte {
+		if len(b) == 0 {
+			return b
+		}
+		extra += base64.StdEncoding.EncodedLen(len(b)) - base64.StdEncoding.EncodedLen(1)
+		return b[:1]
+	}
+	cp := *sn
+	cp.Kernels = slices.Clone(sn.Kernels)
+	for i := range cp.Kernels {
+		cp.Kernels[i].Code = stub(cp.Kernels[i].Code)
+	}
+	cp.Buffers = slices.Clone(sn.Buffers)
+	for i := range cp.Buffers {
+		cp.Buffers[i].Image = stub(cp.Buffers[i].Image)
+	}
+	cp.Events = slices.Clone(sn.Events)
+	for i := range cp.Events {
+		cp.Events[i].Payload = stub(cp.Events[i].Payload)
+	}
+	data, err := cp.Encode()
+	if err != nil {
+		return 0, err
+	}
+	return len(data) + extra, nil
 }
 
 // DecodeSnippet parses and structurally validates a serialized snippet.
@@ -412,8 +449,8 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 				w.r.From, w.r.To, faults.ErrBadConfig)
 		}
 		out[i] = w.sn
-		if data, err := w.sn.Encode(); err == nil {
-			totalBytes += uint64(len(data))
+		if n, err := w.sn.encodedLen(); err == nil {
+			totalBytes += uint64(n)
 		}
 	}
 	mSnippetsCaptured.Add(uint64(len(out)))

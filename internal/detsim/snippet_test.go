@@ -423,3 +423,52 @@ func TestMergeReports(t *testing.T) {
 		t.Error("empty merge not zero")
 	}
 }
+
+// TestSnippetEncodedLen: the byte count Capture adds to
+// detsim_snippet_bytes_total, computed without encoding the images,
+// equals len(Encode()) for captured snippets and for hand-built ones
+// with nil, empty and short byte fields.
+func TestSnippetEncodedLen(t *testing.T) {
+	var snips []*detsim.Snippet
+	for _, cfg := range []testgen.Config{testgen.DefaultConfig(), testgen.FidelityConfig()} {
+		for seed := int64(8710); seed < 8713; seed++ {
+			rec, n := recordCfg(t, seed, 8, cfg, nil)
+			sim, err := detsim.New(detsim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.Capture(rec, snippetRanges(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snips = append(snips, got...)
+		}
+	}
+	var kernels []detsim.SnippetKernel
+	var buffers []detsim.SnippetBuffer
+	var events []detsim.SnippetEvent
+	for i, b := range [][]byte{nil, {}, {0}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}, bytes.Repeat([]byte{0xFF}, 1001)} {
+		kernels = append(kernels, detsim.SnippetKernel{Name: fmt.Sprint("k", i), Code: b})
+		buffers = append(buffers, detsim.SnippetBuffer{ID: i, Size: 1 + len(b), Image: b})
+		events = append(events, detsim.SnippetEvent{Kind: "write", Buffer: i, Size: len(b), Payload: b})
+	}
+	snips = append(snips,
+		&detsim.Snippet{},
+		&detsim.Snippet{Kernels: []detsim.SnippetKernel{}, Buffers: []detsim.SnippetBuffer{}, Events: []detsim.SnippetEvent{}, PostDigests: []detsim.BufferDigest{}},
+		&detsim.Snippet{Version: detsim.SnippetVersion, App: "hand/built<&>", Kernels: kernels, Buffers: buffers, Events: events},
+		&detsim.Snippet{Events: []detsim.SnippetEvent{{Kind: "launch", Args: []uint32{}, Surfaces: []int{}}, {Kind: "launch", Args: []uint32{1}}}},
+	)
+	for i, sn := range snips {
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := sn.EncodedLen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(data) {
+			t.Errorf("snippet %d: EncodedLen %d, len(Encode()) %d", i, n, len(data))
+		}
+	}
+}

@@ -7,10 +7,13 @@ import (
 
 // Core is the architectural state of one executing channel-group: the
 // general register file, the flag register, and the broadcast scratch
-// for immediate operands. Register contents are undefined at thread
-// start, as on real hardware; kernels must write registers before
-// reading them, so the scratch is reused across groups without
-// clearing.
+// for immediate operands. A Core is reused across channel-groups and
+// dispatches. InitGroup zeroes the registers and flags when a dispatch
+// starts, so a register or lane a kernel reads before writing holds zero
+// in the dispatch's first group and, in later groups, whatever the
+// previous group of the same dispatch left there: a dispatch's results
+// depend only on its kernel, arguments and memory, never on what the
+// engine ran before. The scratch is written before every read.
 type Core struct {
 	GRF  [isa.NumRegs][isa.MaxWidth]uint32
 	Flag [isa.MaxWidth]bool
@@ -19,8 +22,13 @@ type Core struct {
 
 // InitGroup performs the dispatch ABI setup for one channel-group:
 // per-channel global IDs, the group index, and broadcast scalar
-// arguments.
+// arguments. Every dispatch loop runs its groups in order from group 0,
+// which starts the dispatch from zeroed registers and flags.
 func (c *Core) InitGroup(k *kernel.Kernel, args []uint32, group, width int) {
+	if group == 0 {
+		c.GRF = [isa.NumRegs][isa.MaxWidth]uint32{}
+		c.Flag = [isa.MaxWidth]bool{}
+	}
 	base := uint32(group * width)
 	for l := 0; l < width; l++ {
 		c.GRF[kernel.GIDReg][l] = base + uint32(l)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gtpin/internal/features"
@@ -80,6 +81,21 @@ type Result struct {
 // Run clusters interval feature vectors. weights[i] is interval i's
 // dynamic instruction count.
 func Run(vecs []features.Vector, weights []float64, cfg Config) (*Result, error) {
+	return run(vecs, weights, cfg, lloyd)
+}
+
+// clusterFunc runs one k-means clustering of kpts into k centers, with at
+// most maxIters Lloyd iterations, and assigns every point of pts to its
+// nearest center. Run's is lloyd; the tests drive the same pipeline with
+// the unoptimised reference loop.
+type clusterFunc func(pts, kpts [][]float64, kweights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64)
+
+func lloyd(pts, kpts [][]float64, kweights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64) {
+	centers, _ := kmeans(kpts, kweights, k, maxIters, rng)
+	return assignAll(pts, centers), centers
+}
+
+func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterFunc) (*Result, error) {
 	n := len(vecs)
 	if n == 0 {
 		return nil, fmt.Errorf("simpoint: no intervals")
@@ -141,8 +157,7 @@ func Run(vecs []features.Vector, weights []float64, cfg Config) (*Result, error)
 	for k := 1; k <= maxK; k++ {
 		best := candidate{bic: math.Inf(-1)}
 		for r := 0; r < cfg.Restarts; r++ {
-			_, centers := kmeans(kpts, kweights, k, cfg.MaxIters, rng)
-			assign := assignAll(pts, centers)
+			assign, centers := cluster(pts, kpts, kweights, k, cfg.MaxIters, rng)
 			b := bic(pts, weights, assign, centers, totalW)
 			if b > best.bic {
 				best = candidate{assign: assign, centers: centers, bic: b}
@@ -260,15 +275,36 @@ func direction(key uint64, j int) float64 {
 func assignAll(pts [][]float64, centers [][]float64) []int {
 	assign := make([]int, len(pts))
 	for i, p := range pts {
-		best, bestD := 0, math.Inf(1)
-		for c := range centers {
-			if d := sqDist(p, centers[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
+		assign[i], _, _ = nearest(p, centers)
 	}
 	return assign
+}
+
+// nearest returns the index of the center nearest p (the lowest index on
+// ties), its squared distance, and how many candidates it dropped early.
+// A candidate is dropped once its running sum of squares reaches the best
+// distance so far: adding d*d >= 0 never lowers a sum under
+// round-to-nearest, so it could not have won, and every sum that is not
+// dropped accumulates in sqDist's order. The argmin and the winner's
+// distance are therefore bit for bit those of a full scan with sqDist.
+func nearest(p []float64, centers [][]float64) (best int, bestD float64, pruned int) {
+	bestD = math.Inf(1)
+	for c, ctr := range centers {
+		ctr = ctr[:len(p)]
+		s := 0.0
+		for j, x := range p {
+			d := x - ctr[j]
+			s += d * d
+			if s >= bestD {
+				pruned++
+				break
+			}
+		}
+		if s < bestD {
+			best, bestD = c, s
+		}
+	}
+	return best, bestD, pruned
 }
 
 // sampleIndices draws m distinct interval indices with probability
@@ -312,22 +348,59 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// kmeans runs weighted Lloyd's algorithm with k-means++ seeding.
-func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64) {
+// shortcuts counts the work kmeans skipped without changing its result.
+type shortcuts struct {
+	iters  int // Lloyd iterations skipped as repeats of a proven cycle
+	pruned int // candidate distances nearest stopped summing early
+}
+
+// kmeans runs weighted Lloyd's algorithm with k-means++ seeding and
+// returns the centers after maxIters iterations or convergence.
+//
+// The loop body is a pure function of (assign, centers): the RNG is drawn
+// only by seedPlusPlus, before the loop. So once the state at the top of
+// an iteration equals an earlier one bit for bit, the run is in a cycle
+// none of whose states ended the loop, and the state after maxIters
+// iterations is the one (maxIters-iter) mod period iterations on; kmeans
+// runs only those. Runs that keep reseeding an empty cluster fall into
+// such cycles within a few iterations and would otherwise spin to
+// maxIters. Cycles are found with Brent's method: one snapshot, re-saved
+// at iterations 1, 2, 4, 8, …. After a skip fewer than a period's
+// iterations remain, so no state can match the snapshot again.
+func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand) ([][]float64, shortcuts) {
 	n := len(pts)
 	dims := len(pts[0])
 	centers := seedPlusPlus(pts, weights, k, rng)
 	assign := make([]int, n)
+	dist := make([]float64, n) // each point's distance to its center
+	sums := make([][]float64, k)
+	for c := range sums {
+		sums[c] = make([]float64, dims)
+	}
+	ws := make([]float64, k)
+	var sc shortcuts
+	var snap snapshot
 
 	for iter := 0; iter < maxIters; iter++ {
+		if iter > 0 {
+			if snap.iter > 0 && snap.matches(assign, centers) {
+				// Skip whole periods: the state here is the state then.
+				period := iter - snap.iter
+				skip := (maxIters - iter) / period * period
+				iter += skip
+				sc.iters += skip
+				if iter == maxIters {
+					break
+				}
+			} else if iter&(iter-1) == 0 {
+				snap.save(iter, assign, centers)
+			}
+		}
 		changed := false
 		for i, p := range pts {
-			best, bestD := 0, math.Inf(1)
-			for c := range centers {
-				if d := sqDist(p, centers[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
+			best, d, pruned := nearest(p, centers)
+			sc.pruned += pruned
+			dist[i] = d
 			if assign[i] != best {
 				assign[i] = best
 				changed = true
@@ -337,11 +410,10 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			break
 		}
 		// Recompute weighted centroids.
-		sums := make([][]float64, k)
-		ws := make([]float64, k)
 		for c := range sums {
-			sums[c] = make([]float64, dims)
+			clear(sums[c])
 		}
+		clear(ws)
 		for i, p := range pts {
 			c := assign[i]
 			w := weights[i]
@@ -350,16 +422,23 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 				sums[c][j] += w * x
 			}
 		}
+		fresh := 0 // dist is current for points assigned below fresh or at c and above
 		for c := range centers {
 			if ws[c] == 0 {
 				// Empty cluster: reseed to the point farthest from its
-				// center.
+				// center. Centers below c are already updated and change
+				// no more this iteration, so a point's distance to its
+				// center is summed at most once more.
 				far, farD := 0, -1.0
 				for i, p := range pts {
-					if d := sqDist(p, centers[assign[i]]); d > farD {
-						far, farD = i, d
+					if a := assign[i]; a >= fresh && a < c {
+						dist[i] = sqDist(p, centers[a])
+					}
+					if dist[i] > farD {
+						far, farD = i, dist[i]
 					}
 				}
+				fresh = c
 				copy(centers[c], pts[far])
 				continue
 			}
@@ -368,17 +447,37 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			}
 		}
 	}
-	// Final assignment against final centers.
-	for i, p := range pts {
-		best, bestD := 0, math.Inf(1)
-		for c := range centers {
-			if d := sqDist(p, centers[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
+	return centers, sc
+}
+
+// snapshot is kmeans's state at the top of iteration iter (0: none yet).
+type snapshot struct {
+	iter    int
+	assign  []int
+	centers []float64
+}
+
+func (s *snapshot) save(iter int, assign []int, centers [][]float64) {
+	s.iter = iter
+	s.assign = append(s.assign[:0], assign...)
+	s.centers = s.centers[:0]
+	for _, c := range centers {
+		s.centers = append(s.centers, c...)
 	}
-	return assign, centers
+}
+
+// matches reports whether the state equals the snapshot bit for bit.
+func (s *snapshot) matches(assign []int, centers [][]float64) bool {
+	i := 0
+	for _, c := range centers {
+		for _, x := range c {
+			if math.Float64bits(x) != math.Float64bits(s.centers[i]) {
+				return false
+			}
+			i++
+		}
+	}
+	return slices.Equal(assign, s.assign)
 }
 
 // seedPlusPlus performs weighted k-means++ initialization.
