@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke bench-module service-race serve-smoke fleet-chaos bench bench-smoke clean
+.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke bench-module service-race serve-smoke fleet-chaos bench bench-smoke bench-baseline clean
 
 all: build
 
@@ -138,17 +138,27 @@ check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-
 # pre-optimization baseline (serial, all caches off), the cached,
 # sharded hot path, and the hot path again with the obs span tracer
 # installed — all verified byte-identical and recorded in
-# BENCH_sweep.json. The harness fails below 2x wall-clock speedup,
-# above 5% observability overhead, or when detailed-interpreter
+# .bench/BENCH_sweep.json. The harness fails below 2x wall-clock
+# speedup, above 5% observability overhead, or when detailed-interpreter
 # throughput (detsim_mips) drops more than 10% below the committed
-# baseline report (BENCH_sweep.json is checked in for exactly this
-# reason; -require-detsim-prior makes a missing baseline a hard error
-# instead of a silently skipped gate). The overhead gate compares
-# median wall times over -overhead-reps repetitions, so one scheduler
-# stall cannot flip it.
+# baseline report, BENCH_sweep.json (-prior; checked in for exactly this
+# reason, and never written by this target, so a regressed run cannot
+# become the next baseline; -require-detsim-prior makes a missing
+# baseline a hard error instead of a silently skipped gate). The
+# overhead gate compares median wall times over -overhead-reps
+# repetitions, so one scheduler stall cannot flip it.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 5 -min-speedup 2 -max-obs-overhead 1.05 -min-detsim-ratio 0.9 -require-detsim-prior -out BENCH_sweep.json
+	mkdir -p .bench
+	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 5 -min-speedup 2 -max-obs-overhead 1.05 -min-detsim-ratio 0.9 -require-detsim-prior -prior BENCH_sweep.json -out .bench/BENCH_sweep.json
+
+# bench-baseline rewrites the committed baseline, BENCH_sweep.json, on
+# purpose: the same measurement as bench, with no ratio gates (the
+# artifacts must still be byte-identical), printing the old detsim value
+# next to the new one. Run it on the machine the baseline describes and
+# commit the result, so every rebaseline shows up in a diff.
+bench-baseline:
+	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 5 -prior BENCH_sweep.json -out BENCH_sweep.json
 
 # bench-smoke is the CI shape of bench: the edge-case regression tests
 # and the observability layer under -race, the execution engine's
@@ -158,18 +168,22 @@ bench:
 # (shared CI boxes make those ratios too noisy to fail a build on, but
 # the breach still prints and the medians still land in the report)
 # while still gating detailed-interpreter throughput at 10% regression
-# against the committed BENCH_sweep.json baseline — -require-detsim-prior
-# asserts the gate actually armed, so a lost baseline fails the build
-# instead of silently skipping the comparison — and a tiny traced sweep
-# whose -trace/-metrics artifacts are schema-validated by cmd/obscheck.
-# The engine line carries the predecode differential fuzz (threaded-code
-# loops vs the reference interpreter) under the race detector.
+# against the committed BENCH_sweep.json baseline (read through -prior;
+# the report goes to .bench/, so the run never replaces its baseline) —
+# -require-detsim-prior asserts the gate actually armed, so a lost
+# baseline fails the build instead of silently skipping the comparison —
+# and a tiny traced sweep whose -trace/-metrics artifacts are
+# schema-validated by cmd/obscheck. The engine line carries the
+# predecode differential fuzz (threaded-code loops vs the reference
+# interpreter) and the oracle tests of the lane bodies both loops share
+# under the race detector.
 bench-smoke:
-	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
-	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch' ./internal/engine
+	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
+	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle' ./internal/engine
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 3 -max-obs-overhead 1.05 -obs-overhead-warn -min-detsim-ratio 0.9 -require-detsim-prior -out BENCH_sweep.json
+	mkdir -p .bench
+	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 3 -max-obs-overhead 1.05 -obs-overhead-warn -min-detsim-ratio 0.9 -require-detsim-prior -prior BENCH_sweep.json -out .bench/BENCH_sweep.json
 	rm -rf .obs-smoke
 	mkdir -p .obs-smoke
 	$(GO) run ./cmd/characterize -scale tiny -fig 3c -trace .obs-smoke/trace.json -metrics .obs-smoke/metrics.json > .obs-smoke/run.out 2> .obs-smoke/run.err
@@ -178,4 +192,4 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .smoke .obs-smoke .serve-smoke .snippets-smoke .xlate-smoke
+	rm -rf .smoke .obs-smoke .serve-smoke .snippets-smoke .xlate-smoke .bench

@@ -16,6 +16,13 @@
 // gate compares medians, and -obs-overhead-warn downgrades a gate
 // breach to a warning for environments (shared CI boxes) where even the
 // median is not trustworthy.
+//
+// The detailed-interpreter gate (-min-detsim-ratio) compares against the
+// baseline report named by -prior, the committed BENCH_sweep.json by
+// default, and never reads the report the run writes (-out): a run
+// cannot overwrite the baseline it is gated against, so a regressed run
+// never becomes the next baseline. Rebaselining means naming the
+// committed file as -out on purpose (make bench-baseline).
 package main
 
 import (
@@ -250,9 +257,9 @@ func measureDetsim(reps int) (float64, error) {
 	return best, nil
 }
 
-// priorDetsimMIPS reads the previous report's detsim_mips, for the
+// priorDetsimMIPS reads a baseline report's detsim_mips, for the
 // regression gate. A missing report, or one predating the field, yields
-// 0 — the gate is then skipped, and this run's measurement seeds it.
+// 0 — the gate is then skipped.
 func priorDetsimMIPS(path string) (float64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -268,16 +275,46 @@ func priorDetsimMIPS(path string) (float64, error) {
 	return prior.DetsimMIPS, nil
 }
 
+// detsimGate checks a run's detailed-interpreter throughput against the
+// baseline report at -prior, which is never the report this run writes
+// (-out) unless the caller names the same file for both, as a deliberate
+// rebaseline does. It returns the baseline's value (0 when there is
+// none) and, with -min-detsim-ratio set, an error when the run falls
+// below that share of it — or when there is no baseline and
+// -require-detsim-prior says the gate must arm.
+func detsimGate(mips float64) (float64, error) {
+	prior, err := priorDetsimMIPS(*priorPath)
+	if err != nil || *minDetsimRatio <= 0 {
+		return prior, err
+	}
+	if prior <= 0 {
+		// No baseline: the ratio gate has nothing to compare against.
+		// Say so loudly — a silently skipped gate reads as a pass — and
+		// fail outright when the caller requires a baseline.
+		if *requireDetsimPrior {
+			return 0, fmt.Errorf("detsim gate cannot arm: -min-detsim-ratio %.2f set but no prior report at %s (-require-detsim-prior)", *minDetsimRatio, *priorPath)
+		}
+		fmt.Fprintf(os.Stderr, "bench: WARNING: detsim gate SKIPPED: no prior report at %s to compare against\n", *priorPath)
+		return 0, nil
+	}
+	if mips < prior**minDetsimRatio {
+		return prior, fmt.Errorf("detailed interpreter %.1f MI/s below %.0f%% of prior %.1f MI/s (%s)",
+			mips, *minDetsimRatio*100, prior, *priorPath)
+	}
+	return prior, nil
+}
+
 var (
 	workers            = flag.Int("workers", 0, "shard count for the optimized run (0 = GOMAXPROCS)")
 	trials             = flag.Int("trials", 3, "trial seeds per workload (re-instrumentation pressure)")
 	out                = flag.String("out", "BENCH_sweep.json", "report path (written atomically)")
+	priorPath          = flag.String("prior", "BENCH_sweep.json", "baseline report the detsim gate reads (the committed one by default; only read, never written)")
 	minSpeedup         = flag.Float64("min-speedup", 0, "fail unless optimized/baseline speedup reaches this factor")
 	maxObsOverhead     = flag.Float64("max-obs-overhead", 0, "fail if the traced run exceeds this multiple of the optimized wall time (0 = report only)")
 	obsOverheadWarn    = flag.Bool("obs-overhead-warn", false, "downgrade a -max-obs-overhead breach from a failure to a warning (for noisy shared machines)")
 	overheadReps       = flag.Int("overhead-reps", 3, "repetitions of the optimized and observed sweeps; the overhead gate compares median wall times")
-	minDetsimRatio     = flag.Float64("min-detsim-ratio", 0, "fail if detailed-interpreter MI/s falls below this fraction of the previous report's (0 = report only)")
-	requireDetsimPrior = flag.Bool("require-detsim-prior", false, "fail if -min-detsim-ratio is set but no prior report exists to gate against (CI arms this so the gate can never be silently vacuous)")
+	minDetsimRatio     = flag.Float64("min-detsim-ratio", 0, "fail if detailed-interpreter MI/s falls below this fraction of the -prior report's (0 = report only)")
+	requireDetsimPrior = flag.Bool("require-detsim-prior", false, "fail if -min-detsim-ratio is set but no -prior report exists to gate against (CI arms this so the gate can never be silently vacuous)")
 	detsimReps         = flag.Int("detsim-reps", 3, "timed repetitions of the detailed-interpreter benchmark (best is kept)")
 )
 
@@ -404,16 +441,15 @@ func run(h *harness.Session) error {
 		return err
 	}
 
-	// Detailed-interpreter throughput, gated against the previous report
-	// (read before this run's report overwrites it).
-	prior, err := priorDetsimMIPS(*out)
-	if err != nil {
-		return err
-	}
+	// Detailed-interpreter throughput, gated against the -prior report.
+	// The gate reads it before this run writes -out, so a rebaseline
+	// that names one file for both still compares against the old value;
+	// its verdict is returned after the other gates, as before.
 	rep.DetsimMIPS, err = measureDetsim(*detsimReps)
 	if err != nil {
 		return err
 	}
+	prior, detsimErr := detsimGate(rep.DetsimMIPS)
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -449,19 +485,5 @@ func run(h *harness.Session) error {
 		}
 		fmt.Fprintln(os.Stderr, "bench: WARNING:", breach)
 	}
-	if *minDetsimRatio > 0 {
-		if prior <= 0 {
-			// No prior report: the ratio gate has nothing to compare
-			// against. Say so loudly — a silently skipped gate reads as a
-			// pass — and fail outright when the caller requires a prior.
-			if *requireDetsimPrior {
-				return fmt.Errorf("detsim gate cannot arm: -min-detsim-ratio %.2f set but no prior report at %s (-require-detsim-prior)", *minDetsimRatio, *out)
-			}
-			fmt.Fprintf(os.Stderr, "bench: WARNING: detsim gate SKIPPED: no prior report at %s to compare against\n", *out)
-		} else if rep.DetsimMIPS < prior**minDetsimRatio {
-			return fmt.Errorf("detailed interpreter %.1f MI/s below %.0f%% of prior %.1f MI/s",
-				rep.DetsimMIPS, *minDetsimRatio*100, prior)
-		}
-	}
-	return nil
+	return detsimErr
 }

@@ -73,8 +73,8 @@ type Device struct {
 	decoded map[*jit.Binary]*kernel.Kernel
 
 	// eng is the shared execution engine: interpreter scratch state,
-	// watchdog accounting, and the device's hooks (timer, send faults,
-	// memory stall charge).
+	// watchdog accounting, and the device's hooks (timer, memory stall
+	// charge, and send faults while a dispatch with a fault plan runs).
 	eng engine.Env
 }
 
@@ -93,7 +93,6 @@ func New(cfg Config) (*Device, error) {
 	// (co-resident threads hide most of each other's latency).
 	d.eng.MemStallCycles = uint64(cfg.MemLatencyNs * cfg.freqGHz() / float64(cfg.ThreadsPerEU))
 	d.eng.Timer = func(groupCycles uint64) uint32 { return uint32(d.cycles + groupCycles) }
-	d.eng.SendFault = func(sends uint64) bool { return d.curInv.SendFault(sends) }
 	return d, nil
 }
 
@@ -233,6 +232,13 @@ func (d *Device) Run(disp Dispatch) (ExecStats, error) {
 	}
 
 	d.eng.Watchdog.Reset(d.watchdog)
+	// Only a dispatch with a fault plan can lose a send, so only such a
+	// dispatch pays the hook's call on every send.
+	if d.curInv != nil {
+		d.eng.SendFault = d.curInv.SendFault
+	} else {
+		d.eng.SendFault = nil
+	}
 	if d.probe != nil {
 		d.eng.OnBlock = d.probe.Profile(k).CountBlock
 	} else {

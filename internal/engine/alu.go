@@ -2,23 +2,9 @@ package engine
 
 import "gtpin/internal/isa"
 
-// execALU executes one ALU-class instruction over the full execution
-// width, resolving operands from the instruction form. It is the
-// reference loops' entry point; the pre-decoded loops call execALUVec
-// directly with their pre-resolved sources.
-func (c *Core) execALU(in *isa.Instruction, width int) {
-	s0 := c.operand(in.Src0, 0, width)
-	s1 := c.operand(in.Src1, 1, width)
-	var s2 *[isa.MaxWidth]uint32
-	if in.Op == isa.OpMad {
-		s2 = c.operand(in.Src2, 2, width)
-	}
-	c.execALUVec(in.Op, in.Fn, in.Pred, in.Dst, s0, s1, s2, width)
-}
-
 // execALUVec executes one ALU-class operation over pre-resolved source
 // vectors. The per-opcode loops are the vectorized form of isa.Eval —
-// tests assert the two stay semantically identical — so the compiler
+// TestOracleALU holds the two to identical lanes — so the compiler
 // keeps the lane loop free of per-lane dispatch. s2 is consulted only by
 // mad.
 func (c *Core) execALUVec(op isa.Opcode, fn isa.MathFn, pred isa.PredMode, dstReg isa.Reg, s0, s1, s2 *[isa.MaxWidth]uint32, width int) {
@@ -26,98 +12,103 @@ func (c *Core) execALUVec(op isa.Opcode, fn isa.MathFn, pred isa.PredMode, dstRe
 
 	if pred == isa.PredNoneMode {
 		// Unpredicated (the common case): dense lane loops with no
-		// per-channel enable check. Must mirror the predicated switch
-		// below exactly, minus the laneOn gate.
+		// per-channel enable check, over operands re-sliced to the
+		// execution width so the compiler drops the per-lane bounds
+		// checks. Must mirror the predicated switch below exactly, minus
+		// the laneOn gate.
+		d, a, b := dst[:width], s0[:width], s1[:width]
 		switch op {
 		case isa.OpMov, isa.OpMovi:
-			copy(dst[:width], s0[:width])
+			copy(d, a)
 		case isa.OpSel:
-			for i := 0; i < width; i++ {
-				if c.Flag[i] {
-					dst[i] = s0[i]
+			f := c.Flag[:width]
+			for i := range d {
+				if f[i] {
+					d[i] = a[i]
 				} else {
-					dst[i] = s1[i]
+					d[i] = b[i]
 				}
 			}
 		case isa.OpAnd:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] & s1[i]
+			for i := range d {
+				d[i] = a[i] & b[i]
 			}
 		case isa.OpOr:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] | s1[i]
+			for i := range d {
+				d[i] = a[i] | b[i]
 			}
 		case isa.OpXor:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] ^ s1[i]
+			for i := range d {
+				d[i] = a[i] ^ b[i]
 			}
 		case isa.OpNot:
-			for i := 0; i < width; i++ {
-				dst[i] = ^s0[i]
+			for i := range d {
+				d[i] = ^a[i]
 			}
 		case isa.OpShl:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] << (s1[i] & 31)
+			for i := range d {
+				d[i] = a[i] << (b[i] & 31)
 			}
 		case isa.OpShr:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] >> (s1[i] & 31)
+			for i := range d {
+				d[i] = a[i] >> (b[i] & 31)
 			}
 		case isa.OpAsr:
-			for i := 0; i < width; i++ {
-				dst[i] = uint32(int32(s0[i]) >> (s1[i] & 31))
+			for i := range d {
+				d[i] = uint32(int32(a[i]) >> (b[i] & 31))
 			}
 		case isa.OpAdd:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] + s1[i]
+			for i := range d {
+				d[i] = a[i] + b[i]
 			}
 		case isa.OpSub:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] - s1[i]
+			for i := range d {
+				d[i] = a[i] - b[i]
 			}
 		case isa.OpMul:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i] * s1[i]
+			for i := range d {
+				d[i] = a[i] * b[i]
 			}
 		case isa.OpMach:
-			for i := 0; i < width; i++ {
-				dst[i] = uint32((uint64(s0[i]) * uint64(s1[i])) >> 32)
+			for i := range d {
+				d[i] = uint32((uint64(a[i]) * uint64(b[i])) >> 32)
 			}
 		case isa.OpMad:
-			for i := 0; i < width; i++ {
-				dst[i] = s0[i]*s1[i] + s2[i]
+			m := s2[:width]
+			for i := range d {
+				d[i] = a[i]*b[i] + m[i]
 			}
 		case isa.OpMin:
-			for i := 0; i < width; i++ {
-				if s1[i] < s0[i] {
-					dst[i] = s1[i]
+			for i := range d {
+				if b[i] < a[i] {
+					d[i] = b[i]
 				} else {
-					dst[i] = s0[i]
+					d[i] = a[i]
 				}
 			}
 		case isa.OpMax:
-			for i := 0; i < width; i++ {
-				if s1[i] > s0[i] {
-					dst[i] = s1[i]
+			for i := range d {
+				if b[i] > a[i] {
+					d[i] = b[i]
 				} else {
-					dst[i] = s0[i]
+					d[i] = a[i]
 				}
 			}
 		case isa.OpAbs:
-			for i := 0; i < width; i++ {
-				v := int32(s0[i])
+			for i := range d {
+				v := int32(a[i])
 				if v < 0 {
 					v = -v
 				}
-				dst[i] = uint32(v)
+				d[i] = uint32(v)
 			}
 		case isa.OpAvg:
-			for i := 0; i < width; i++ {
-				dst[i] = uint32((uint64(s0[i]) + uint64(s1[i]) + 1) >> 1)
+			for i := range d {
+				d[i] = uint32((uint64(a[i]) + uint64(b[i]) + 1) >> 1)
 			}
 		case isa.OpMath:
-			for i := 0; i < width; i++ {
-				dst[i] = isa.EvalMath(fn, s0[i], s1[i])
+			for i := range d {
+				d[i] = isa.EvalMath(fn, a[i], b[i])
 			}
 		}
 		return
@@ -275,44 +266,45 @@ func (c *Core) countOn(pred isa.PredMode, width int) int {
 }
 
 // execCmp executes a compare over the execution width, writing the flag
-// register. The condition dispatch is hoisted out of the lane loop.
+// register. The condition dispatch is hoisted out of the lane loop, and
+// the operands are re-sliced to the width so the loops carry no bounds
+// checks.
 func (c *Core) execCmp(cond isa.CondMod, s0, s1 *[isa.MaxWidth]uint32, width int) {
+	f, a, b := c.Flag[:width], s0[:width], s1[:width]
 	switch cond {
 	case isa.CondEQ:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] == s1[i]
+		for i := range f {
+			f[i] = a[i] == b[i]
 		}
 	case isa.CondNE:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] != s1[i]
+		for i := range f {
+			f[i] = a[i] != b[i]
 		}
 	case isa.CondLT:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] < s1[i]
+		for i := range f {
+			f[i] = a[i] < b[i]
 		}
 	case isa.CondLE:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] <= s1[i]
+		for i := range f {
+			f[i] = a[i] <= b[i]
 		}
 	case isa.CondGT:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] > s1[i]
+		for i := range f {
+			f[i] = a[i] > b[i]
 		}
 	case isa.CondGE:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = s0[i] >= s1[i]
+		for i := range f {
+			f[i] = a[i] >= b[i]
 		}
 	case isa.CondLTS:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = int32(s0[i]) < int32(s1[i])
+		for i := range f {
+			f[i] = int32(a[i]) < int32(b[i])
 		}
 	case isa.CondGTS:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = int32(s0[i]) > int32(s1[i])
+		for i := range f {
+			f[i] = int32(a[i]) > int32(b[i])
 		}
 	default:
-		for i := 0; i < width; i++ {
-			c.Flag[i] = false
-		}
+		clear(f)
 	}
 }

@@ -45,11 +45,15 @@ func (b *Buffer) Size() int { return len(b.data) }
 func (b *Buffer) Bytes() []byte { return b.data }
 
 // wrap clamps a device byte offset into the buffer, aligned to elem bytes.
+// An offset already below the size needs no reduction, which spares
+// every in-range access to a non-power-of-two surface its division.
 func (b *Buffer) wrap(off uint32, elem int) int {
 	n := len(b.data)
 	var o int
 	if b.mask != 0 {
 		o = int(off) & b.mask
+	} else if uint(off) < uint(n) {
+		o = int(off)
 	} else {
 		o = int(off) % n
 	}
@@ -109,6 +113,107 @@ func (b *Buffer) AtomicAdd(off uint32, elem int, v uint64) uint64 {
 	old := b.LoadElem(off, elem)
 	b.StoreElem(off, elem, old+v)
 	return old
+}
+
+// loadLanes, storeLanes and addLanes are the lane loops of an
+// unpredicated, unobserved gather, scatter and atomic add: lane i
+// accesses the wrapped offset addrs[i] exactly as LoadElem, StoreElem
+// and AtomicAdd do, lanes run in order (so duplicate addresses resolve
+// as they do lane by lane), and the element size is fixed outside each
+// loop. Each reports false, touching nothing, for an element size the
+// typed accessors reject, leaving the caller to take the per-lane path.
+
+// loadLanes sets dst[i] to the low 32 bits of the element at addrs[i].
+func (b *Buffer) loadLanes(dst, addrs []uint32, elem int) bool {
+	data, dst := b.data, dst[:len(addrs)]
+	switch elem {
+	case 1:
+		for i, a := range addrs {
+			dst[i] = uint32(data[b.wrap(a, 1)])
+		}
+	case 2:
+		for i, a := range addrs {
+			dst[i] = uint32(binary.LittleEndian.Uint16(data[b.wrap(a, 2):]))
+		}
+	case 4:
+		for i, a := range addrs {
+			dst[i] = binary.LittleEndian.Uint32(data[b.wrap(a, 4):])
+		}
+	case 8:
+		for i, a := range addrs {
+			dst[i] = uint32(binary.LittleEndian.Uint64(data[b.wrap(a, 8):]))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// storeLanes writes vals[i], truncated or zero-extended to the element
+// size, at addrs[i].
+func (b *Buffer) storeLanes(addrs, vals []uint32, elem int) bool {
+	data, vals := b.data, vals[:len(addrs)]
+	switch elem {
+	case 1:
+		for i, a := range addrs {
+			data[b.wrap(a, 1)] = byte(vals[i])
+		}
+	case 2:
+		for i, a := range addrs {
+			binary.LittleEndian.PutUint16(data[b.wrap(a, 2):], uint16(vals[i]))
+		}
+	case 4:
+		for i, a := range addrs {
+			binary.LittleEndian.PutUint32(data[b.wrap(a, 4):], vals[i])
+		}
+	case 8:
+		for i, a := range addrs {
+			binary.LittleEndian.PutUint64(data[b.wrap(a, 8):], uint64(vals[i]))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// addLanes adds vals[i] to the element at addrs[i] and sets old[i] to
+// the low 32 bits of its previous value. Each lane reads its address and
+// addend before writing old[i], so old may alias either.
+func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
+	data, old, vals := b.data, old[:len(addrs)], vals[:len(addrs)]
+	switch elem {
+	case 1:
+		for i, a := range addrs {
+			o := b.wrap(a, 1)
+			v := data[o]
+			data[o] = v + byte(vals[i])
+			old[i] = uint32(v)
+		}
+	case 2:
+		for i, a := range addrs {
+			p := data[b.wrap(a, 2):]
+			v := binary.LittleEndian.Uint16(p)
+			binary.LittleEndian.PutUint16(p, v+uint16(vals[i]))
+			old[i] = uint32(v)
+		}
+	case 4:
+		for i, a := range addrs {
+			p := data[b.wrap(a, 4):]
+			v := binary.LittleEndian.Uint32(p)
+			binary.LittleEndian.PutUint32(p, v+vals[i])
+			old[i] = v
+		}
+	case 8:
+		for i, a := range addrs {
+			p := data[b.wrap(a, 8):]
+			v := binary.LittleEndian.Uint64(p)
+			binary.LittleEndian.PutUint64(p, v+uint64(vals[i]))
+			old[i] = uint32(v)
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // WriteU32 writes host data as little-endian 32-bit words starting at a

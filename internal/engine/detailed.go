@@ -70,8 +70,8 @@ type DetailedStats struct {
 // preserved. An instruction whose every channel is predicated off
 // writes nothing, holds nothing, and does not update the scoreboard —
 // a masked-off write must not create a phantom dependency
-// (RunGroupDetailedRef in reference.go is the lane-by-lane executable
-// spec).
+// (RunGroupDetailedRef in reference_test.go is the lane-by-lane
+// executable spec).
 //
 // It returns the group's pipeline cycles and the bytes that missed
 // every cache level (DRAM traffic).

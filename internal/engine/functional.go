@@ -59,7 +59,7 @@ type Env struct {
 // dispatch classes, operand sources, and issue costs come from the pOp
 // records, and watchdog checks amortize over whole basic blocks while
 // preserving the exact per-instruction trip point (RunGroupRef in
-// reference.go is the unamortized executable spec the differential
+// reference_test.go is the unamortized executable spec the differential
 // tests compare against).
 func (e *Env) RunGroup(k *kernel.Kernel, args []uint32, surfs []*Buffer, group, active int, st *Stats) error {
 	pk := e.predecoded(k)

@@ -17,9 +17,9 @@ import (
 // bytes — so every device and simulator in a sweep shares one stream per
 // distinct kernel, and re-decoded copies of the same binary hit.
 //
-// The reference loops in reference.go interpret kernel.Block directly;
-// the differential tests in this package hold the two forms to identical
-// architectural results, timing, and work accounting.
+// The reference loops in reference_test.go interpret kernel.Block
+// directly; the differential tests in this package hold the two forms to
+// identical architectural results, timing, and work accounting.
 
 // PredecodeVersion identifies the stream-format generation. It prefixes
 // every cache key, so changing the pOp lowering in any way must bump it —

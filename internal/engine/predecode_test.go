@@ -14,7 +14,7 @@ import (
 
 // This file is the predecode differential fuzz: the pre-decoded
 // threaded-code production loops (RunGroup, RunGroupDetailed) are run
-// against the straight-from-IR reference loops in reference.go on
+// against the straight-from-IR reference loops in reference_test.go on
 // randomly generated kernels — with timer sends and fully-predicated-off
 // regions enabled — and every observable must agree: architectural
 // registers, memory images, dynamic block traces, work counters,

@@ -17,7 +17,15 @@ import (
 // shared lowering. Deliberate divergence from the production loops is a
 // bug in exactly one of the two; the differential tests compare
 // architectural state, memory images, block traces, returned cycles,
-// and work counters.
+// and work counters. The loops live in a test file, so production
+// binaries do not carry them.
+//
+// RunGroupRef shares two bodies with RunGroup: the ALU lane loops
+// (execALUVec, through execALU below) and the send body (execSendMsg);
+// RunGroupDetailedRef shares detSendMsg with RunGroupDetailed. A bug
+// inside a shared body would be in both sides of a differential test,
+// so oracle_test.go checks execALUVec and execCmp against isa.Eval and
+// isa.EvalCmp, and both send paths against a byte-slice model.
 //
 // The interpreter-fidelity fixes apply here too (the spec defines the
 // intended semantics, not the historical bugs): timer sends receive the
@@ -31,6 +39,7 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 	width := int(k.SIMD)
 	c.InitGroup(k, args, group, width)
 
+	var imm [3][isa.MaxWidth]uint32 // broadcast scratch for immediate operands
 	var retStack [16]int
 	sp := 0
 	blk := 0
@@ -58,17 +67,17 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 			iw := int(in.Width) // instruction execution width
 			switch OpClass[in.Op] {
 			case ClassALU:
-				c.execALU(in, iw)
+				c.execALU(in, &imm, iw)
 			case ClassCmp:
-				s0 := c.operand(in.Src0, 0, iw)
-				s1 := c.operand(in.Src1, 1, iw)
+				s0 := c.operand(in.Src0, &imm[0], iw)
+				s1 := c.operand(in.Src1, &imm[1], iw)
 				c.execCmp(in.Cond, s0, s1, iw)
 			case ClassSend:
 				sendActive := active
 				if iw < sendActive {
 					sendActive = iw
 				}
-				if err := e.execSend(in, surfs, iw, sendActive, groupCycles, st); err != nil {
+				if err := e.execSendMsg(&in.Msg, in.Dst, in.Src0.Reg, in.Src1.Reg, in.Pred, surfs, iw, sendActive, groupCycles, st); err != nil {
 					return err
 				}
 				if in.Msg.Kind.Reads() || in.Msg.Kind.Writes() {
@@ -110,6 +119,49 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 		}
 		blk = next
 	}
+}
+
+// execALU executes one ALU-class instruction over the full execution
+// width, resolving its operands from the instruction form into imm.
+func (c *Core) execALU(in *isa.Instruction, imm *[3][isa.MaxWidth]uint32, width int) {
+	s0 := c.operand(in.Src0, &imm[0], width)
+	s1 := c.operand(in.Src1, &imm[1], width)
+	var s2 *[isa.MaxWidth]uint32
+	if in.Op == isa.OpMad {
+		s2 = c.operand(in.Src2, &imm[2], width)
+	}
+	c.execALUVec(in.Op, in.Fn, in.Pred, in.Dst, s0, s1, s2, width)
+}
+
+// operand resolves an instruction source to a channel vector: a
+// register reads the live GRF, an immediate or an absent operand is
+// broadcast into scratch.
+func (c *Core) operand(o isa.Operand, scratch *[isa.MaxWidth]uint32, width int) *[isa.MaxWidth]uint32 {
+	switch o.Kind {
+	case isa.OperandReg:
+		return &c.GRF[o.Reg]
+	case isa.OperandImm:
+		for i := 0; i < width; i++ {
+			scratch[i] = o.Imm
+		}
+		return scratch
+	}
+	for i := 0; i < width; i++ {
+		scratch[i] = 0
+	}
+	return scratch
+}
+
+// srcLane resolves one channel of an instruction source, for the
+// cycle-level loop's lane-by-lane evaluation.
+func (c *Core) srcLane(o isa.Operand, l int) uint32 {
+	switch o.Kind {
+	case isa.OperandReg:
+		return c.GRF[o.Reg][l]
+	case isa.OperandImm:
+		return o.Imm
+	}
+	return 0
 }
 
 // RunGroupDetailedRef simulates one channel-group at cycle level

@@ -14,21 +14,10 @@ func sendKey(surface uint8, addr uint32) uint64 {
 	return uint64(surface)<<32 | uint64(addr)
 }
 
-// execSend performs the memory message of a send instruction under
-// functional semantics, resolving the message fields from the
-// instruction form. It is the reference loop's entry point; the
-// pre-decoded loop calls execSendMsg directly with its pre-extracted
-// fields.
-func (e *Env) execSend(in *isa.Instruction, surfs []*Buffer, width, active int, groupCycles uint64, st *Stats) error {
-	return e.execSendMsg(&in.Msg, in.Dst, in.Src0.Reg, in.Src1.Reg, in.Pred, surfs, width, active, groupCycles, st)
-}
-
 // execSendMsg performs a send's memory message under functional
 // semantics. Only channels below active (the dispatch mask) and enabled
 // by predication participate in gather/scatter/atomic messages; block
-// messages move the full SIMD width addressed by channel 0. Both
-// functional loops funnel through this one body, so their memory
-// semantics cannot drift.
+// messages move the full SIMD width addressed by channel 0.
 func (e *Env) execSendMsg(msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred isa.PredMode, surfs []*Buffer, width, active int, groupCycles uint64, st *Stats) error {
 	st.Sends++
 	if e.SendFault != nil && e.SendFault(st.Sends) {
@@ -51,6 +40,32 @@ func (e *Env) execSendMsg(msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred 
 	surf := surfs[msg.Surface]
 	elem := int(msg.ElemBytes)
 	addrs := &c.GRF[addrReg]
+
+	if pred == isa.PredNoneMode && e.Touch == nil {
+		// Every active lane runs and nothing observes the accesses: index
+		// the surface directly and count the bytes once per message. An
+		// element size the lane loops reject falls through to the
+		// per-lane path below.
+		a, n := addrs[:active], uint64(elem*active)
+		switch msg.Kind {
+		case isa.MsgLoad:
+			if surf.loadLanes(c.GRF[dst][:], a, elem) {
+				st.BytesRead += n
+				return nil
+			}
+		case isa.MsgStore:
+			if surf.storeLanes(a, c.GRF[dataReg][:], elem) {
+				st.BytesWritten += n
+				return nil
+			}
+		case isa.MsgAtomicAdd:
+			if surf.addLanes(c.GRF[dst][:], a, c.GRF[dataReg][:], elem) {
+				st.BytesRead += n
+				st.BytesWritten += n
+				return nil
+			}
+		}
+	}
 
 	switch msg.Kind {
 	case isa.MsgLoad:

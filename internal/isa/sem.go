@@ -1,10 +1,12 @@
 package isa
 
-// Per-lane semantic evaluation shared by simulators. The fast functional
-// path in gtpin/internal/device inlines these operations in vectorized
-// switches for speed; the detailed simulator (gtpin/internal/detsim)
-// calls Eval lane-by-lane. Property tests assert the two agree on all
-// opcodes so the implementations cannot drift apart.
+import "math"
+
+// Per-lane semantic evaluation shared by simulators. The execution
+// engine (gtpin/internal/engine) inlines these operations in vectorized
+// lane loops for speed; its oracle tests check those loops against Eval
+// and EvalCmp lane by lane on every opcode, so the implementations
+// cannot drift apart.
 
 // Eval computes a data-processing opcode on one channel. flag is the
 // channel's flag bit (consumed by OpSel). Control opcodes, sends, and
@@ -129,29 +131,20 @@ func EvalMath(fn MathFn, a, b uint32) uint32 {
 	return 0
 }
 
-// isqrtU32 computes the integer square root by Newton iteration.
+// isqrtU32 computes the integer square root ⌊√v⌋. It is exact for every
+// uint32: float64 holds v exactly, math.Sqrt is correctly rounded, and
+// for v = n²−1 (the input closest below a perfect square) the true root
+// lies more than half an ulp below n, so rounding never carries the
+// result up to the next integer.
 func isqrtU32(v uint32) uint32 {
-	if v == 0 {
-		return 0
-	}
-	x := uint64(v)
-	bits := uint32(0)
-	for t := v; t > 0; t >>= 1 {
-		bits++
-	}
-	r := uint64(1) << ((bits + 1) / 2)
-	for {
-		nr := (r + x/r) / 2
-		if nr >= r {
-			return uint32(r)
-		}
-		r = nr
-	}
+	return uint32(math.Sqrt(float64(v)))
 }
 
 // SinTable is the math unit's 256-entry fixed-point sine period:
 // 32768 + 32767·sin(2πi/256), evaluated with an integer quarter-wave
-// parabola so device behaviour is float-free.
+// parabola, so the table is defined by integer arithmetic alone. (The
+// only float the math unit uses is isqrtU32's, whose results are exact
+// integers.)
 var SinTable = func() [256]uint32 {
 	var t [256]uint32
 	for i := 0; i < 256; i++ {

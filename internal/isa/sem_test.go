@@ -85,6 +85,52 @@ func TestMathSqrtProperty(t *testing.T) {
 	}
 }
 
+// isqrtNewton is the integer square root by Newton iteration that the
+// math unit used before isqrtU32, kept as the reference.
+func isqrtNewton(v uint32) uint32 {
+	if v == 0 {
+		return 0
+	}
+	x := uint64(v)
+	bits := uint32(0)
+	for t := v; t > 0; t >>= 1 {
+		bits++
+	}
+	r := uint64(1) << ((bits + 1) / 2)
+	for {
+		nr := (r + x/r) / 2
+		if nr >= r {
+			return uint32(r)
+		}
+		r = nr
+	}
+}
+
+// TestMathSqrtEveryInput proves isqrtU32 exact on all 2^32 inputs
+// without enumerating them. ⌊√v⌋ is constant on each [n², (n+1)²−1],
+// and isqrtU32 is monotone in v (float64 holds v exactly, and both
+// math.Sqrt and the truncation are monotone), so it is right on a whole
+// interval once it is right at both ends. The checks below hit every
+// end: n² and n²−1 for n = 1..65535, 0, and 0xFFFFFFFF. The old Newton
+// loop must agree at each of them.
+func TestMathSqrtEveryInput(t *testing.T) {
+	check := func(v, want uint32) {
+		t.Helper()
+		if got := EvalMath(MathSqrt, v, 0); got != want {
+			t.Fatalf("isqrt(%d) = %d, want %d", v, got, want)
+		}
+		if ref := isqrtNewton(v); ref != want {
+			t.Fatalf("Newton isqrt(%d) = %d, want %d", v, ref, want)
+		}
+	}
+	check(0, 0)
+	check(0xFFFFFFFF, 65535)
+	for n := uint32(1); n <= 65535; n++ {
+		check(n*n, n)
+		check(n*n-1, n-1)
+	}
+}
+
 // TestMathDivRemProperty: a = (a/b)*b + a%b for b != 0.
 func TestMathDivRemProperty(t *testing.T) {
 	f := func(a, b uint32) bool {
