@@ -64,42 +64,56 @@ func (s Stats) HitRate() float64 {
 
 // Cache is one set-associative LRU level.
 type Cache struct {
-	cfg      Config
-	sets     int
-	setShift uint
-	setMask  uint64
-	tagShift uint
-	// tags[set*ways+way]; stamp[set*ways+way] packs the line's fill
+	cfg       Config
+	sets      int
+	setShift  uint
+	setMask   uint64
+	tagShift  uint
+	pageShift uint // log2 of the sets per page
+	// pages[set>>pageShift] holds the ways of a page of min(sets,
+	// pageSets) consecutive sets, set-major; a page is allocated on its
+	// first access, so a simulation pays for the line state it touches
+	// rather than for the whole cache. A way's stamp packs its fill
 	// epoch (high bits) with its LRU recency clock (low clockBits). A
 	// line is valid iff its stamp's epoch equals the cache's: Reset
 	// invalidates the whole cache by bumping the epoch instead of
-	// clearing the line arrays, so resets cost O(1) rather than
-	// O(lines) — they sit on the per-simulation setup path, where an
-	// LLC-sized clear used to dominate short runs. Within one epoch,
-	// stamp order is recency order, so LRU comparisons use the packed
-	// word directly.
-	tags  []uint64
-	stamp []uint64
+	// clearing the pages, so resets cost O(1) rather than O(lines) —
+	// they sit on the per-simulation setup path. Within one epoch, stamp
+	// order is recency order, so LRU comparisons use the packed word
+	// directly.
+	pages [][]way
 	epoch uint64
 	clock uint64
 	stats Stats
 
 	// One-entry MRU filter: the line of the last hit or fill and its way
-	// index. Block sends touch the same line for every lane, so most
-	// accesses resolve here with one compare instead of a set scan. The
-	// filter is only a lookup shortcut — it is validated against the live
-	// epoch and tag before use, and a filter hit performs exactly the
-	// stats and stamp updates a scan hit would.
+	// (nil before the first access). A repeat of the last line resolves
+	// here with one compare instead of a set scan, and AccessLanes
+	// applies the rest of a same-line run through it in bulk
+	// (repeatLast). The filter is only a lookup shortcut — it is
+	// validated against the live epoch and tag before use, and a filter
+	// hit performs exactly the stats and stamp updates a scan hit would.
 	lastLine uint64
-	lastIdx  int
+	last     *way
 }
+
+// way is one line slot: its tag and packed epoch/recency stamp. A zero
+// stamp means "never filled" (the epoch starts at 1).
+type way struct {
+	tag, stamp uint64
+}
+
+// pageSets is the number of consecutive sets whose line state is
+// allocated together (a cache with fewer sets is one page).
+const pageSets = 64
 
 // clockBits is the width of the recency clock within a packed stamp:
 // 2^40 accesses per reset and 2^24 resets per cache before overflow,
 // both far beyond any simulation this drives.
 const clockBits = 40
 
-// New creates a cache level.
+// New creates a cache level. It allocates only the page table; each
+// page of line state is allocated on its first access.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -109,16 +123,16 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	n := sets * cfg.Ways
+	perPage := min(sets, pageSets)
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setShift: shift,
-		setMask:  uint64(sets - 1),
-		tagShift: uint(log2(sets)),
-		tags:     make([]uint64, n),
-		stamp:    make([]uint64, n),
-		epoch:    1, // stamp[] zero value means "never filled"
+		cfg:       cfg,
+		sets:      sets,
+		setShift:  shift,
+		setMask:   uint64(sets - 1),
+		tagShift:  uint(log2(sets)),
+		pageShift: uint(log2(perPage)),
+		pages:     make([][]way, sets/perPage),
+		epoch:     1,
 	}, nil
 }
 
@@ -147,31 +161,35 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	line := addr >> c.setShift
 	tag := line >> c.tagShift
 	live := c.epoch << clockBits
-	if line == c.lastLine {
-		if i := c.lastIdx; c.stamp[i] >= live && c.tags[i] == tag {
+	if line == c.lastLine && c.last != nil {
+		if w := c.last; w.stamp >= live && w.tag == tag {
 			c.stats.Hits++
-			c.stamp[i] = live | c.clock
+			w.stamp = live | c.clock
 			return true
 		}
 	}
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
+	set := line & c.setMask
+	page := c.pages[set>>c.pageShift]
+	if page == nil {
+		page = make([]way, c.cfg.Ways<<c.pageShift)
+		c.pages[set>>c.pageShift] = page
+	}
+	base := int(set&(1<<c.pageShift-1)) * c.cfg.Ways
 	// Stamps are only ever written with the current or an earlier epoch,
 	// so stamp >= live is exactly "live in this epoch" — and every stale
 	// stamp compares below every live one, so the running minimum is the
 	// victim: an invalid way when one exists, else true LRU. One pass
 	// finds both the hit and the victim.
-	st := c.stamp[base : base+c.cfg.Ways]
-	tg := c.tags[base : base+c.cfg.Ways]
+	ws := page[base : base+c.cfg.Ways]
 	victim := 0
-	vs := st[0]
-	for w := 0; w < len(st); w++ {
-		s := st[w]
-		if s >= live && tg[w] == tag {
+	vs := ws[0].stamp
+	for w := range ws {
+		s := ws[w].stamp
+		if s >= live && ws[w].tag == tag {
 			c.stats.Hits++
-			st[w] = live | c.clock
+			ws[w].stamp = live | c.clock
 			c.lastLine = line
-			c.lastIdx = base + w
+			c.last = &ws[w]
 			return true
 		}
 		if s < vs {
@@ -183,11 +201,25 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	if vs >= live {
 		c.stats.Evictions++
 	}
-	tg[victim] = tag
-	st[victim] = live | c.clock
+	ws[victim] = way{tag: tag, stamp: live | c.clock}
 	c.lastLine = line
-	c.lastIdx = base + victim
+	c.last = &ws[victim]
 	return false
+}
+
+// repeatLast applies n more accesses to the line the last Access left
+// in the MRU filter. Each would hit through the filter, so together they
+// advance the clock and the access, hit and write counts by n and leave
+// the line stamped with the final clock — exactly what n calls to
+// Access with that line would do.
+func (c *Cache) repeatLast(n uint64, write bool) {
+	c.clock += n
+	c.stats.Accesses += n
+	c.stats.Hits += n
+	if write {
+		c.stats.Writes += n
+	}
+	c.last.stamp = c.epoch<<clockBits | c.clock
 }
 
 func log2(v int) int {
@@ -232,6 +264,45 @@ func (h *Hierarchy) Access(addr uint64, write bool) float64 {
 	}
 	h.MemAccesses++
 	return h.memNs
+}
+
+// AccessLanes walks the hierarchy for each key in order, exactly as
+// calling Access on each would, and returns the worst latency and the
+// number of accesses whose latency reached the memory latency (line
+// fills from memory). A run of consecutive keys in one nearest-level
+// line walks the hierarchy once: its first access leaves the line in
+// the nearest level's MRU filter, so the rest of the run are nearest-
+// level hits, applied in bulk.
+func (h *Hierarchy) AccessLanes(keys []uint64, write bool) (worstNs float64, memFills uint64) {
+	note := func(ns float64, n uint64) {
+		if ns > worstNs {
+			worstNs = ns
+		}
+		if ns >= h.memNs {
+			memFills += n
+		}
+	}
+	if len(h.levels) == 0 {
+		for _, k := range keys {
+			note(h.Access(k, write), 1)
+		}
+		return worstNs, memFills
+	}
+	l0 := h.levels[0]
+	for i := 0; i < len(keys); {
+		note(h.Access(keys[i], write), 1)
+		line := keys[i] >> l0.setShift
+		j := i + 1
+		for j < len(keys) && keys[j]>>l0.setShift == line {
+			j++
+		}
+		if run := uint64(j - i - 1); run > 0 {
+			l0.repeatLast(run, write)
+			note(l0.cfg.HitNs, run)
+		}
+		i = j
+	}
+	return worstNs, memFills
 }
 
 // Levels returns the cache levels, nearest first.

@@ -18,6 +18,7 @@ func benchSim(b *testing.B, ranges func(n int) []detsim.Range) {
 		b.Fatal(err)
 	}
 	var instrs uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := sim.Run(rec, ranges(n))

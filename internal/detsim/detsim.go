@@ -159,7 +159,6 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, caches: h}
 	s.det.Depth = uint64(cfg.PipelineDepth)
 	s.det.Caches = h
-	s.det.MemLatencyNs = cfg.Device.MemLatencyNs
 	return s, nil
 }
 

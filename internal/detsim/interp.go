@@ -114,10 +114,11 @@ func (s *Simulator) runDetailed(k *kernel.Kernel, args []uint32, surfs []*device
 }
 
 // touchCache is the warmup hook, installed on the fast-forward device
-// while a warmup invocation runs: every send access walks the simulated
-// hierarchy so microarchitectural state stays warm. (Warmup execution
-// itself moved onto the device — see Run — so warmup time is modelled
-// and the device clock advances exactly as it would without warmup.)
-func (s *Simulator) touchCache(key uint64, write bool) {
-	s.caches.Access(key, write)
+// while a warmup invocation runs: every send's accesses walk the
+// simulated hierarchy so microarchitectural state stays warm. (Warmup
+// execution itself moved onto the device — see Run — so warmup time is
+// modelled and the device clock advances exactly as it would without
+// warmup.)
+func (s *Simulator) touchCache(keys []uint64, write bool) {
+	s.caches.AccessLanes(keys, write)
 }

@@ -307,9 +307,9 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 	dev.SetWatchdog(s.cfg.WatchdogInstrs)
 	dev.SetTimerHook(s.timerHook)
 	var cur *engine.TouchSet
-	dev.SetTouchHook(func(key uint64, write bool) {
+	dev.SetTouchHook(func(keys []uint64, write bool) {
 		if cur != nil {
-			cur.Observe(key, write)
+			cur.Observe(keys, write)
 		}
 	})
 

@@ -130,13 +130,14 @@ func (d *Device) Jitter() *TimingJitter { return d.jitter }
 // never alter execution, timing, or statistics.
 func (d *Device) SetProbe(p *engine.Probe) { d.probe = p }
 
-// SetTouchHook installs an observer called once per element-sized
-// surface access with the engine's surface<<32|addr key and a write
-// flag; nil detaches. Pure observation — detsim uses it to warm its
-// simulated caches from fast-forwarded work and to record the touch
+// SetTouchHook installs an observer called once per data send with the
+// engine's surface<<32|addr key of every accessed lane, in lane order,
+// and the message's write flag; nil detaches. keys is engine scratch,
+// valid only during the call. Pure observation — detsim uses it to warm
+// its simulated caches from fast-forwarded work and to record the touch
 // sets snippet checkpoints are trimmed by; execution, timing, and
 // statistics are unchanged.
-func (d *Device) SetTouchHook(h func(key uint64, write bool)) { d.eng.Touch = h }
+func (d *Device) SetTouchHook(h func(keys []uint64, write bool)) { d.eng.Touch = h }
 
 // SeedClock positions the device's timestamp counter and completed-
 // dispatch count as if a prefix of work had already executed. Snippet

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"gtpin/internal/faults"
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
 )
@@ -16,10 +15,12 @@ const (
 )
 
 // CacheModel is the memory hierarchy the detailed loop walks on every
-// send access; it returns the access latency in nanoseconds.
-// *cachesim.Hierarchy satisfies it.
+// send. AccessLanes walks it for each key in order and returns the
+// worst access latency in nanoseconds and how many accesses reached the
+// memory latency (line fills from DRAM). *cachesim.Hierarchy satisfies
+// it.
 type CacheModel interface {
-	Access(addr uint64, write bool) float64
+	AccessLanes(keys []uint64, write bool) (worstNs float64, memFills uint64)
 }
 
 // Detailed is the cycle-level interpreter state a backend composes with
@@ -31,9 +32,6 @@ type Detailed struct {
 	Depth uint64
 	// Caches is the simulated hierarchy every access walks.
 	Caches CacheModel
-	// MemLatencyNs is the DRAM latency; accesses at or above it count
-	// as full line fills (DRAM traffic).
-	MemLatencyNs float64
 	// Timer supplies the value a MsgTimer send writes under detailed
 	// simulation, given the pipeline cycle (within the current group) at
 	// which the send issues — so a timer read observes time advancing
@@ -277,91 +275,31 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 	}
 }
 
-// detSendMsg performs a send's memory semantics with per-access cache
-// simulation, returning the access latency in cycles and the line bytes
-// that missed every cache level (DRAM traffic). cycle is the pipeline
-// cycle at which the send issues, supplied to the detailed timer hook.
-// Both the reference and pre-decoded cycle-level loops funnel through
-// this one body, so their per-lane memory semantics cannot drift.
+// detSendMsg performs a send's memory semantics with cache simulation,
+// returning the access latency in cycles and the line bytes that missed
+// every cache level (DRAM traffic). cycle is the pipeline cycle at which
+// the send issues, supplied to the detailed timer hook. The data moves
+// through moveLanes, the body the functional send shares, which records
+// the accessed lanes' keys; the cache model then walks them in one call.
 func (e *Env) detSendMsg(det *Detailed, msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred isa.PredMode, surfs []*Buffer, width, active int, freq float64, cycle uint64, ds *DetailedStats) (uint64, uint64, error) {
-	c := &e.Core
 	switch msg.Kind {
 	case isa.MsgEOT:
 		return 0, 0, nil
 	case isa.MsgTimer:
 		if det.Timer != nil {
-			c.GRF[dst][0] = det.Timer(cycle)
+			e.Core.GRF[dst][0] = det.Timer(cycle)
 		}
 		return 0, 0, nil
 	}
-	if int(msg.Surface) >= len(surfs) {
-		return 0, 0, fmt.Errorf("send %s: surface %d not bound: %w", msg.Kind, msg.Surface, faults.ErrInvalidDispatch)
+	n, err := e.moveLanes(msg, dst, addrReg, dataReg, pred, surfs, width, active, true)
+	if err != nil {
+		return 0, 0, err
 	}
-	surf := surfs[msg.Surface]
-	elem := int(msg.ElemBytes)
-	addrs := &c.GRF[addrReg]
-	var worstNs float64
-	var missBytes uint64
-	memNs := det.MemLatencyNs
-
-	access := func(addr uint32, write bool) {
-		ns := det.Caches.Access(sendKey(msg.Surface, addr), write)
-		if ns > worstNs {
-			worstNs = ns
-		}
-		if ns >= memNs {
-			missBytes += 64 // one line fill from DRAM
-		}
-		ds.LaneOps++
-	}
-
-	switch msg.Kind {
-	case isa.MsgLoad:
-		d := &c.GRF[dst]
-		for l := 0; l < active; l++ {
-			if c.laneOn(pred, l) {
-				d[l] = uint32(surf.LoadElem(addrs[l], elem))
-				access(addrs[l], false)
-			}
-		}
-	case isa.MsgStore:
-		data := &c.GRF[dataReg]
-		for l := 0; l < active; l++ {
-			if c.laneOn(pred, l) {
-				surf.StoreElem(addrs[l], elem, uint64(data[l]))
-				access(addrs[l], true)
-			}
-		}
-	case isa.MsgLoadBlock:
-		d := &c.GRF[dst]
-		base := addrs[0]
-		for l := 0; l < width; l++ {
-			d[l] = uint32(surf.LoadElem(base+uint32(l*elem), elem))
-			access(base+uint32(l*elem), false)
-		}
-	case isa.MsgStoreBlock:
-		data := &c.GRF[dataReg]
-		base := addrs[0]
-		for l := 0; l < width; l++ {
-			surf.StoreElem(base+uint32(l*elem), elem, uint64(data[l]))
-			access(base+uint32(l*elem), true)
-		}
-	case isa.MsgAtomicAdd:
-		data := &c.GRF[dataReg]
-		d := &c.GRF[dst]
-		for l := 0; l < active; l++ {
-			if c.laneOn(pred, l) {
-				old := surf.AtomicAdd(addrs[l], elem, uint64(data[l]))
-				d[l] = uint32(old)
-				access(addrs[l], true)
-			}
-		}
-	default:
-		return 0, 0, fmt.Errorf("send: unsupported message kind %s", msg.Kind)
-	}
+	worstNs, fills := det.Caches.AccessLanes(e.keys[:n], msg.Kind.Writes())
+	ds.LaneOps += uint64(n)
 	lat := uint64(worstNs * freq)
 	if lat == 0 {
 		lat = 1
 	}
-	return lat, missBytes, nil
+	return lat, 64 * fills, nil // one line fill from DRAM per miss
 }

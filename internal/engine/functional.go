@@ -30,10 +30,13 @@ type Env struct {
 	// faults.ErrSendFault.
 	SendFault func(sends uint64) bool
 
-	// Touch observes every send memory access with the hierarchy key
-	// surface<<32|addr — how cache-warming execution keeps simulated
-	// caches hot without modelling time.
-	Touch func(key uint64, write bool)
+	// Touch observes each data send's accesses in one call: keys holds
+	// the hierarchy key surface<<32|addr of every accessed lane, in lane
+	// order, and write is the message's direction (an atomic add
+	// writes). It is how cache-warming execution keeps simulated caches
+	// hot without modelling time. keys is engine scratch, valid only
+	// during the call.
+	Touch func(keys []uint64, write bool)
 
 	// OnBlock observes each dynamic basic-block entry; analysis probes
 	// (BBVs, opcode mixes) attach here.
@@ -43,6 +46,13 @@ type Env struct {
 	// SMT-amortized share of memory latency the owning backend models
 	// (0 = memory time modelled elsewhere).
 	MemStallCycles uint64
+
+	// keys and blockAddrs are send scratch: the accessed lanes' hierarchy
+	// keys handed to Touch and to the detailed cache model, and a block
+	// message's per-lane addresses. They live here, not on the stack, so
+	// a send allocates nothing.
+	keys       [isa.MaxWidth]uint64
+	blockAddrs [isa.MaxWidth]uint32
 
 	// pre memoizes each kernel's pre-decoded threaded-code stream (see
 	// predecode.go), so the per-group loops pay one pointer-map hit per

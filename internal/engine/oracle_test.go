@@ -4,16 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gtpin/internal/isa"
 )
 
 // The oracle tests check the lane bodies that every functional loop
-// shares — execALUVec, execCmp and the send body — against definitions
-// written independently of them. The differential tests cannot: the
-// reference loop in reference_test.go runs these same bodies, so a bug
-// inside one of them would be on both sides of the comparison.
+// shares — execALUVec, execCmp and the send body moveLanes, which both
+// send paths run — against definitions written independently of them.
+// The differential tests cannot: the functional reference loop in
+// reference_test.go runs these same bodies, so a bug inside one of them
+// would be on both sides of the comparison.
 
 // oracleValue draws an operand that often lands on an edge case: zero, one,
 // all ones, the sign bit, a shift amount around 31, or a small divisor.
@@ -137,26 +139,44 @@ func TestOracleCmp(t *testing.T) {
 	}
 }
 
-// sendModel is the send oracle: gather, scatter and atomic add written
-// from the message definitions over a plain byte slice, with its own
-// offset wrapping, for the lanes below active that predication enables.
-func sendModel(kind isa.MsgKind, mem []byte, c *Core, pred isa.PredMode, dst, addrReg, dataReg isa.Reg, elem, active int, st *Stats) {
+// sendModel is the send oracle: gather, scatter, atomic add and block
+// messages written from the message definitions over a plain byte
+// slice, with its own offset wrapping. A gather, scatter or atomic add
+// accesses the lanes below active that predication enables, each at its
+// own address; a block message accesses lanes [0, width) at consecutive
+// elements from lane 0's address, whatever the predication. It returns
+// the accessed lanes' addresses in lane order, each read before its
+// lane's access, which is what a Touch hook and the cache model must
+// receive.
+func sendModel(kind isa.MsgKind, mem []byte, c *Core, pred isa.PredMode, dst, addrReg, dataReg isa.Reg, elem, width, active int, st *Stats) []uint32 {
 	n := uint64(len(mem))
-	for l := 0; l < active; l++ {
-		if !c.laneOn(pred, l) {
-			continue
+	block := kind == isa.MsgLoadBlock || kind == isa.MsgStoreBlock
+	base := c.GRF[addrReg][0]
+	lanes := active
+	if block {
+		lanes = width
+	}
+	var addrs []uint32
+	for l := 0; l < lanes; l++ {
+		a := base + uint32(l*elem)
+		if !block {
+			if !c.laneOn(pred, l) {
+				continue
+			}
+			a = c.GRF[addrReg][l]
 		}
-		o := int(uint64(c.GRF[addrReg][l]) % n)
+		addrs = append(addrs, a)
+		o := int(uint64(a) % n)
 		o -= o % elem
 		var buf [8]byte
 		copy(buf[:elem], mem[o:o+elem])
 		old := binary.LittleEndian.Uint64(buf[:])
 		v := uint64(c.GRF[dataReg][l])
 		switch kind {
-		case isa.MsgLoad:
+		case isa.MsgLoad, isa.MsgLoadBlock:
 			c.GRF[dst][l] = uint32(old)
 			st.BytesRead += uint64(elem)
-		case isa.MsgStore:
+		case isa.MsgStore, isa.MsgStoreBlock:
 			binary.LittleEndian.PutUint64(buf[:], v)
 			copy(mem[o:o+elem], buf[:elem])
 			st.BytesWritten += uint64(elem)
@@ -169,13 +189,14 @@ func sendModel(kind isa.MsgKind, mem []byte, c *Core, pred isa.PredMode, dst, ad
 		}
 	}
 	st.Sends++
+	return addrs
 }
 
 // sendCase is one message TestOracleSend runs: its kind and element
 // size, the surface size, how lane addresses are drawn ("in-range",
 // "wrapping" or "duplicate"), the predication mode, the destination
 // register (which may alias the address or data register) and the
-// active lane count.
+// active lane count, which is also a block message's width.
 type sendCase struct {
 	kind   isa.MsgKind
 	elem   int
@@ -186,19 +207,46 @@ type sendCase struct {
 	active int
 }
 
-// The address and data registers of every sendCase.
-const sendAddrReg, sendDataReg isa.Reg = 20, 21
+// The address and data registers of every sendCase, and the binding
+// table index of its surface.
+const (
+	sendAddrReg, sendDataReg isa.Reg = 20, 21
+	sendSurf                         = 1
+)
 
-// TestOracleSend runs gathers, scatters and atomic adds of every element
-// size on a power-of-two and a non-power-of-two surface, with in-range,
-// wrapping and duplicate addresses and aliased registers, three ways:
-// with no Touch hook (the direct-indexed path when unpredicated), with a
-// no-op Touch hook (the per-lane path), and through sendModel. Registers,
-// flags, memory and Stats must be identical on all three.
+// recordingCache is a CacheModel that records the keys and write flag
+// it is handed and answers with latencies and fill counts derived from
+// the message length, so detSendMsg's conversions can be checked.
+type recordingCache struct {
+	keys  []uint64
+	write bool
+	calls int
+}
+
+func (r *recordingCache) AccessLanes(keys []uint64, write bool) (float64, uint64) {
+	r.keys = append(r.keys, keys...)
+	r.write = write
+	r.calls++
+	return 7.5 * float64(len(keys)), uint64(len(keys)) / 3
+}
+
+// TestOracleSend runs gathers, scatters, atomic adds and block messages
+// of every element size on a power-of-two and a non-power-of-two
+// surface, with in-range, wrapping and duplicate addresses and aliased
+// registers, four ways: with no Touch hook (the direct-indexed path when
+// unpredicated), with a recording Touch hook, through detSendMsg with a
+// recording cache model, and through sendModel. Registers, flags and
+// memory must be identical on all four and Stats on the functional
+// ones. The hook and the cache model must each be called once, with the
+// model's lane addresses as keys in lane order — so a destination that
+// aliases the address register cannot redirect them — and the
+// message's write flag; detSendMsg must turn the model's answer into
+// the latency and DRAM bytes it defines.
 func TestOracleSend(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	kinds := []isa.MsgKind{isa.MsgLoad, isa.MsgStore, isa.MsgAtomicAdd, isa.MsgLoadBlock, isa.MsgStoreBlock}
 	for _, size := range []int{256, 200} {
-		for _, kind := range []isa.MsgKind{isa.MsgLoad, isa.MsgStore, isa.MsgAtomicAdd} {
+		for _, kind := range kinds {
 			for _, elem := range []int{1, 2, 4, 8} {
 				for _, addrs := range []string{"in-range", "wrapping", "duplicate"} {
 					for _, pred := range []isa.PredMode{isa.PredNoneMode, isa.PredOn} {
@@ -236,35 +284,67 @@ func (sc sendCase) check(t *testing.T, rng *rand.Rand) {
 	var want Stats
 	model := *core
 	wantMem := append([]byte(nil), mem...)
-	sendModel(sc.kind, wantMem, &model, sc.pred, sc.dst, sendAddrReg, sendDataReg, sc.elem, sc.active, &want)
+	width := sc.active
+	addrs := sendModel(sc.kind, wantMem, &model, sc.pred, sc.dst, sendAddrReg, sendDataReg, sc.elem, width, sc.active, &want)
+	wantKeys := make([]uint64, len(addrs))
+	for i, a := range addrs {
+		wantKeys[i] = sendSurf<<32 | uint64(a)
+	}
 
-	msg := isa.MsgDesc{Kind: sc.kind, ElemBytes: uint8(sc.elem)}
-	for _, hooked := range []bool{false, true} {
+	msg := isa.MsgDesc{Kind: sc.kind, Surface: sendSurf, ElemBytes: uint8(sc.elem)}
+	for _, leg := range []string{"direct", "hooked", "detailed"} {
 		surf, err := NewBuffer(sc.size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		copy(surf.Bytes(), mem)
+		surfs := []*Buffer{nil, surf}
 		e := &Env{Core: *core}
-		touches := 0
-		if hooked {
-			e.Touch = func(uint64, bool) { touches++ }
+		var touched []uint64
+		touchWrite, touches := false, 0
+		if leg == "hooked" {
+			e.Touch = func(keys []uint64, write bool) {
+				touched = append(touched, keys...)
+				touchWrite = write
+				touches++
+			}
 		}
 		var st Stats
-		if err := e.execSendMsg(&msg, sc.dst, sendAddrReg, sendDataReg, sc.pred, []*Buffer{surf}, 16, sc.active, 0, &st); err != nil {
-			t.Fatalf("%+v hooked=%v: %v", sc, hooked, err)
+		if leg == "detailed" {
+			const freq = 1.15
+			rc := &recordingCache{}
+			var ds DetailedStats
+			lat, dram, err := e.detSendMsg(&Detailed{Caches: rc}, &msg, sc.dst, sendAddrReg, sendDataReg, sc.pred, surfs, width, sc.active, freq, 0, &ds)
+			if err != nil {
+				t.Fatalf("%+v %s: %v", sc, leg, err)
+			}
+			if rc.calls != 1 || !slices.Equal(rc.keys, wantKeys) || rc.write != sc.kind.Writes() {
+				t.Fatalf("%+v %s: cache model saw %d calls, keys %x (write %v), want 1 call, keys %x (write %v)",
+					sc, leg, rc.calls, rc.keys, rc.write, wantKeys, sc.kind.Writes())
+			}
+			wantLat := uint64(7.5 * float64(len(wantKeys)) * freq)
+			if wantLat == 0 {
+				wantLat = 1
+			}
+			if lat != wantLat || dram != 64*uint64(len(wantKeys)/3) || ds.LaneOps != uint64(len(wantKeys)) {
+				t.Fatalf("%+v %s: latency %d, DRAM bytes %d, lane ops %d; want %d, %d, %d",
+					sc, leg, lat, dram, ds.LaneOps, wantLat, 64*(len(wantKeys)/3), len(wantKeys))
+			}
+		} else if err := e.execSendMsg(&msg, sc.dst, sendAddrReg, sendDataReg, sc.pred, surfs, width, sc.active, 0, &st); err != nil {
+			t.Fatalf("%+v %s: %v", sc, leg, err)
 		}
 		if d := firstDiff(&e.Core, &model); d != "" {
-			t.Fatalf("%+v hooked=%v: %s", sc, hooked, d)
+			t.Fatalf("%+v %s: %s", sc, leg, d)
 		}
 		if string(surf.Bytes()) != string(wantMem) {
-			t.Fatalf("%+v hooked=%v: memory differs from the model", sc, hooked)
+			t.Fatalf("%+v %s: memory differs from the model", sc, leg)
 		}
-		if st != want {
-			t.Fatalf("%+v hooked=%v: stats %+v, want %+v", sc, hooked, st, want)
+		if leg != "detailed" && st != want {
+			t.Fatalf("%+v %s: stats %+v, want %+v", sc, leg, st, want)
 		}
-		if hooked && sc.pred == isa.PredNoneMode && touches != sc.active {
-			t.Fatalf("%+v: per-lane path observed %d accesses, want %d", sc, touches, sc.active)
+		if leg == "hooked" && (touches != 1 || !slices.Equal(touched, wantKeys) || touchWrite != sc.kind.Writes()) {
+			t.Fatalf("%+v: Touch saw %d calls, keys %x (write %v), want 1 call, keys %x (write %v)",
+				sc, touches, touched, touchWrite, wantKeys, sc.kind.Writes())
 		}
 	}
 }

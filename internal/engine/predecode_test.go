@@ -18,7 +18,7 @@ import (
 // randomly generated kernels — with timer sends and fully-predicated-off
 // regions enabled — and every observable must agree: architectural
 // registers, memory images, dynamic block traces, work counters,
-// returned cycles, and DRAM traffic. A bug in the predecode lowering
+// returned cycles, DRAM traffic, and cache statistics. A bug in the predecode lowering
 // (operand resolution, scoreboard source sets, issue costs, watchdog
 // accounting) cannot also be present in the reference interpreter, so it
 // surfaces here as a divergence.
@@ -57,9 +57,20 @@ func newDetailed(t *testing.T) *engine.Detailed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := &engine.Detailed{Depth: 4, Caches: h, MemLatencyNs: 80}
+	det := &engine.Detailed{Depth: 4, Caches: h}
 	det.Timer = func(cycle uint64) uint32 { return uint32(cycle)*2246822519 + 777 }
 	return det
+}
+
+// cacheState is a hierarchy's observable state: every level's Stats and
+// the accesses that missed them all.
+func cacheState(det *engine.Detailed) ([]cachesim.Stats, uint64) {
+	h := det.Caches.(*cachesim.Hierarchy)
+	var st []cachesim.Stats
+	for _, c := range h.Levels() {
+		st = append(st, c.Stats())
+	}
+	return st, h.MemAccesses
 }
 
 // TestPredecodeDifferentialFunctional fuzzes RunGroup against RunGroupRef.
@@ -109,8 +120,10 @@ func TestPredecodeDifferentialFunctional(t *testing.T) {
 }
 
 // TestPredecodeDifferentialDetailed fuzzes RunGroupDetailed against
-// RunGroupDetailedRef, including cycle counts and DRAM traffic — the
-// quantities the detailed simulator's reports are built from.
+// RunGroupDetailedRef, including cycle counts, DRAM traffic and, after
+// every group, each cache level's Stats and the hierarchy's memory
+// accesses — the quantities the detailed simulator's reports are built
+// from.
 func TestPredecodeDifferentialDetailed(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -149,6 +162,12 @@ func TestPredecodeDifferentialDetailed(t *testing.T) {
 					}
 					if refEnv.Core.GRF != preEnv.Core.GRF {
 						t.Fatalf("active %d group %d: architectural registers diverged", active, group)
+					}
+					refSt, refMem := cacheState(refDet)
+					preSt, preMem := cacheState(preDet)
+					if !reflect.DeepEqual(refSt, preSt) || refMem != preMem {
+						t.Fatalf("active %d group %d: cache state diverged: ref %+v (%d to memory), predecoded %+v (%d to memory)",
+							active, group, refSt, refMem, preSt, preMem)
 					}
 				}
 				if refDS != preDS {

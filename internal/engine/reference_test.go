@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"gtpin/internal/faults"
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
 )
@@ -21,11 +22,15 @@ import (
 // binaries do not carry them.
 //
 // RunGroupRef shares two bodies with RunGroup: the ALU lane loops
-// (execALUVec, through execALU below) and the send body (execSendMsg);
-// RunGroupDetailedRef shares detSendMsg with RunGroupDetailed. A bug
-// inside a shared body would be in both sides of a differential test,
-// so oracle_test.go checks execALUVec and execCmp against isa.Eval and
-// isa.EvalCmp, and both send paths against a byte-slice model.
+// (execALUVec, through execALU below) and the send body (execSendMsg
+// and its lane mover, moveLanes). A bug inside a shared body would be in
+// both sides of a differential test, so oracle_test.go checks execALUVec
+// and execCmp against isa.Eval and isa.EvalCmp, and both send paths
+// against a byte-slice model. RunGroupDetailedRef shares no send code
+// with RunGroupDetailed: detSendRef below moves each lane through
+// LoadElem, StoreElem or AtomicAdd and walks the cache model one key at
+// a time, so the differential fuzz also checks how detSendMsg groups a
+// message's lanes into one cache walk.
 //
 // The interpreter-fidelity fixes apply here too (the spec defines the
 // intended semantics, not the historical bugs): timer sends receive the
@@ -295,7 +300,7 @@ func (e *Env) RunGroupDetailedRef(det *Detailed, k *kernel.Kernel, args []uint32
 				if iw < sa {
 					sa = iw
 				}
-				lat, moved, err := e.detSendMsg(det, &in.Msg, in.Dst, in.Src0.Reg, in.Src1.Reg, in.Pred, surfs, iw, sa, freq, start, ds)
+				lat, moved, err := e.detSendRef(det, &in.Msg, in.Dst, in.Src0.Reg, in.Src1.Reg, in.Pred, surfs, iw, sa, freq, start, ds)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -327,4 +332,67 @@ func (e *Env) RunGroupDetailedRef(det *Detailed, k *kernel.Kernel, args []uint32
 		}
 		blk = next
 	}
+}
+
+// detSendRef is the lane-by-lane specification of detSendMsg. Each
+// accessed lane reads its address, walks the cache model with a
+// single-key AccessLanes call, and then moves its element through
+// LoadElem, StoreElem or AtomicAdd. The latency is the worst lane's and
+// the DRAM traffic one line per lane that filled from memory.
+func (e *Env) detSendRef(det *Detailed, msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred isa.PredMode, surfs []*Buffer, width, active int, freq float64, cycle uint64, ds *DetailedStats) (uint64, uint64, error) {
+	c := &e.Core
+	switch msg.Kind {
+	case isa.MsgEOT:
+		return 0, 0, nil
+	case isa.MsgTimer:
+		if det.Timer != nil {
+			c.GRF[dst][0] = det.Timer(cycle)
+		}
+		return 0, 0, nil
+	}
+	if int(msg.Surface) >= len(surfs) {
+		return 0, 0, fmt.Errorf("send %s: surface %d not bound: %w", msg.Kind, msg.Surface, faults.ErrInvalidDispatch)
+	}
+	if !msg.Kind.Reads() && !msg.Kind.Writes() {
+		return 0, 0, fmt.Errorf("send: unsupported message kind %s", msg.Kind)
+	}
+	surf := surfs[msg.Surface]
+	elem := int(msg.ElemBytes)
+	block := msg.Kind == isa.MsgLoadBlock || msg.Kind == isa.MsgStoreBlock
+	lanes := active
+	if block {
+		lanes = width
+	}
+	base := c.GRF[addrReg][0]
+	var worstNs float64
+	var missBytes uint64
+	for l := 0; l < lanes; l++ {
+		addr := base + uint32(l*elem)
+		if !block {
+			if !c.laneOn(pred, l) {
+				continue
+			}
+			addr = c.GRF[addrReg][l]
+		}
+		key := []uint64{uint64(msg.Surface)<<32 | uint64(addr)}
+		ns, fills := det.Caches.AccessLanes(key, msg.Kind.Writes())
+		if ns > worstNs {
+			worstNs = ns
+		}
+		missBytes += 64 * fills
+		ds.LaneOps++
+		switch msg.Kind {
+		case isa.MsgLoad, isa.MsgLoadBlock:
+			c.GRF[dst][l] = uint32(surf.LoadElem(addr, elem))
+		case isa.MsgStore, isa.MsgStoreBlock:
+			surf.StoreElem(addr, elem, uint64(c.GRF[dataReg][l]))
+		case isa.MsgAtomicAdd:
+			c.GRF[dst][l] = uint32(surf.AtomicAdd(addr, elem, uint64(c.GRF[dataReg][l])))
+		}
+	}
+	lat := uint64(worstNs * freq)
+	if lat == 0 {
+		lat = 1
+	}
+	return lat, missBytes, nil
 }

@@ -8,126 +8,132 @@ import (
 	"gtpin/internal/kernel"
 )
 
-// sendKey maps a (surface, byte address) pair into the flat address
-// space the cache hierarchy and warmup hooks observe.
-func sendKey(surface uint8, addr uint32) uint64 {
-	return uint64(surface)<<32 | uint64(addr)
-}
-
 // execSendMsg performs a send's memory message under functional
 // semantics. Only channels below active (the dispatch mask) and enabled
 // by predication participate in gather/scatter/atomic messages; block
-// messages move the full SIMD width addressed by channel 0.
+// messages move the full SIMD width addressed by channel 0. An
+// installed Touch hook observes the message's accesses in one call.
 func (e *Env) execSendMsg(msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred isa.PredMode, surfs []*Buffer, width, active int, groupCycles uint64, st *Stats) error {
 	st.Sends++
 	if e.SendFault != nil && e.SendFault(st.Sends) {
 		return fmt.Errorf("send %s (transaction %d): %w", msg.Kind, st.Sends, faults.ErrSendFault)
 	}
-	c := &e.Core
 	switch msg.Kind {
 	case isa.MsgEOT:
 		return nil
 	case isa.MsgTimer:
 		if e.Timer != nil {
-			c.GRF[dst][0] = e.Timer(groupCycles)
+			e.Core.GRF[dst][0] = e.Timer(groupCycles)
 		}
 		return nil
 	}
-
-	if int(msg.Surface) >= len(surfs) {
-		return fmt.Errorf("send %s: surface %d not bound: %w", msg.Kind, msg.Surface, faults.ErrInvalidDispatch)
+	n, err := e.moveLanes(msg, dst, addrReg, dataReg, pred, surfs, width, active, e.Touch != nil)
+	if err != nil {
+		return err
 	}
-	surf := surfs[msg.Surface]
-	elem := int(msg.ElemBytes)
-	addrs := &c.GRF[addrReg]
-
-	if pred == isa.PredNoneMode && e.Touch == nil {
-		// Every active lane runs and nothing observes the accesses: index
-		// the surface directly and count the bytes once per message. An
-		// element size the lane loops reject falls through to the
-		// per-lane path below.
-		a, n := addrs[:active], uint64(elem*active)
-		switch msg.Kind {
-		case isa.MsgLoad:
-			if surf.loadLanes(c.GRF[dst][:], a, elem) {
-				st.BytesRead += n
-				return nil
-			}
-		case isa.MsgStore:
-			if surf.storeLanes(a, c.GRF[dataReg][:], elem) {
-				st.BytesWritten += n
-				return nil
-			}
-		case isa.MsgAtomicAdd:
-			if surf.addLanes(c.GRF[dst][:], a, c.GRF[dataReg][:], elem) {
-				st.BytesRead += n
-				st.BytesWritten += n
-				return nil
-			}
-		}
+	moved := uint64(n) * uint64(msg.ElemBytes)
+	if msg.Kind.Reads() {
+		st.BytesRead += moved
 	}
-
-	switch msg.Kind {
-	case isa.MsgLoad:
-		d := &c.GRF[dst]
-		for i := 0; i < active; i++ {
-			if c.laneOn(pred, i) {
-				d[i] = uint32(surf.LoadElem(addrs[i], elem))
-				st.BytesRead += uint64(elem)
-				if e.Touch != nil {
-					e.Touch(sendKey(msg.Surface, addrs[i]), false)
-				}
-			}
-		}
-	case isa.MsgStore:
-		data := &c.GRF[dataReg]
-		for i := 0; i < active; i++ {
-			if c.laneOn(pred, i) {
-				surf.StoreElem(addrs[i], elem, uint64(data[i]))
-				st.BytesWritten += uint64(elem)
-				if e.Touch != nil {
-					e.Touch(sendKey(msg.Surface, addrs[i]), true)
-				}
-			}
-		}
-	case isa.MsgLoadBlock:
-		d := &c.GRF[dst]
-		base := addrs[0]
-		for i := 0; i < width; i++ {
-			d[i] = uint32(surf.LoadElem(base+uint32(i*elem), elem))
-			if e.Touch != nil {
-				e.Touch(sendKey(msg.Surface, base+uint32(i*elem)), false)
-			}
-		}
-		st.BytesRead += uint64(elem * width)
-	case isa.MsgStoreBlock:
-		data := &c.GRF[dataReg]
-		base := addrs[0]
-		for i := 0; i < width; i++ {
-			surf.StoreElem(base+uint32(i*elem), elem, uint64(data[i]))
-			if e.Touch != nil {
-				e.Touch(sendKey(msg.Surface, base+uint32(i*elem)), true)
-			}
-		}
-		st.BytesWritten += uint64(elem * width)
-	case isa.MsgAtomicAdd:
-		data := &c.GRF[dataReg]
-		d := &c.GRF[dst]
-		for i := 0; i < active; i++ {
-			if c.laneOn(pred, i) {
-				old := surf.AtomicAdd(addrs[i], elem, uint64(data[i]))
-				d[i] = uint32(old)
-				st.BytesRead += uint64(elem)
-				st.BytesWritten += uint64(elem)
-				if e.Touch != nil {
-					e.Touch(sendKey(msg.Surface, addrs[i]), true)
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("send: unsupported message kind %s", msg.Kind)
+	if msg.Kind.Writes() {
+		st.BytesWritten += moved
+	}
+	if e.Touch != nil {
+		e.Touch(e.keys[:n], msg.Kind.Writes())
 	}
 	return nil
+}
+
+// sendError reports a data send that cannot run: its binding-table
+// index is unbound, or its message kind moves no data (EOT and timer
+// sends are handled before it).
+func sendError(msg *isa.MsgDesc, bound int) error {
+	if int(msg.Surface) >= bound {
+		return fmt.Errorf("send %s: surface %d not bound: %w", msg.Kind, msg.Surface, faults.ErrInvalidDispatch)
+	}
+	return fmt.Errorf("send: unsupported message kind %s", msg.Kind)
+}
+
+// moveLanes moves the data of a gather, scatter, atomic add or block
+// message — the one body both send loops share — and returns how many
+// lanes it accessed, or sendError's error before touching anything. A
+// block message accesses lanes [0, width) at consecutive elements from
+// channel 0's address; the others access the lanes below active that
+// predication enables. An unpredicated message goes through the
+// direct-indexed lane loops (loadLanes, storeLanes, addLanes); a
+// predicated one, or an element size the lane loops reject (which
+// panics in the per-lane accessors, as it always has), goes lane by
+// lane in moveEach. Lanes run in order either way.
+//
+// With record set, moveLanes also stores each accessed lane's hierarchy
+// key, surface<<32|addr, in e.keys[:n] in lane order. A lane's key is
+// read before its access, so a destination that aliases the address
+// register cannot redirect the probe.
+func (e *Env) moveLanes(msg *isa.MsgDesc, dst, addrReg, dataReg isa.Reg, pred isa.PredMode, surfs []*Buffer, width, active int, record bool) (int, error) {
+	if int(msg.Surface) >= len(surfs) || !msg.Kind.Reads() && !msg.Kind.Writes() {
+		return 0, sendError(msg, len(surfs))
+	}
+	surf := surfs[msg.Surface]
+	c := &e.Core
+	elem := int(msg.ElemBytes)
+	addrs := c.GRF[addrReg][:active]
+	if msg.Kind == isa.MsgLoadBlock || msg.Kind == isa.MsgStoreBlock {
+		base := c.GRF[addrReg][0]
+		addrs = e.blockAddrs[:width]
+		for i := range addrs {
+			addrs[i] = base + uint32(i*elem)
+		}
+		pred = isa.PredNoneMode
+	}
+	if pred == isa.PredNoneMode {
+		if record {
+			sk, keys := uint64(msg.Surface)<<32, e.keys[:len(addrs)]
+			for i, a := range addrs {
+				keys[i] = sk | uint64(a)
+			}
+		}
+		var ok bool
+		switch msg.Kind {
+		case isa.MsgLoad, isa.MsgLoadBlock:
+			ok = surf.loadLanes(c.GRF[dst][:], addrs, elem)
+		case isa.MsgStore, isa.MsgStoreBlock:
+			ok = surf.storeLanes(addrs, c.GRF[dataReg][:], elem)
+		case isa.MsgAtomicAdd:
+			ok = surf.addLanes(c.GRF[dst][:], addrs, c.GRF[dataReg][:], elem)
+		}
+		if ok {
+			return len(addrs), nil
+		}
+	}
+	return e.moveEach(msg, dst, dataReg, pred, surf, addrs, record), nil
+}
+
+// moveEach is moveLanes' lane-by-lane path: each lane predication
+// enables reads its address, records its key when asked, and moves its
+// element through LoadElem, StoreElem or AtomicAdd.
+func (e *Env) moveEach(msg *isa.MsgDesc, dst, dataReg isa.Reg, pred isa.PredMode, surf *Buffer, addrs []uint32, record bool) int {
+	c := &e.Core
+	elem := int(msg.ElemBytes)
+	n := 0
+	for i := range addrs {
+		if !c.laneOn(pred, i) {
+			continue
+		}
+		a := addrs[i]
+		if record {
+			e.keys[n] = uint64(msg.Surface)<<32 | uint64(a)
+		}
+		n++
+		switch msg.Kind {
+		case isa.MsgLoad, isa.MsgLoadBlock:
+			c.GRF[dst][i] = uint32(surf.LoadElem(a, elem))
+		case isa.MsgStore, isa.MsgStoreBlock:
+			surf.StoreElem(a, elem, uint64(c.GRF[dataReg][i]))
+		case isa.MsgAtomicAdd:
+			c.GRF[dst][i] = uint32(surf.AtomicAdd(a, elem, uint64(c.GRF[dataReg][i])))
+		}
+	}
+	return n
 }
 
 // KernelReadsTimer reports whether any instruction in the kernel is a

@@ -25,25 +25,30 @@ func NewTouchSet(n int) *TouchSet {
 	return &TouchSet{read: make([]bool, n), written: make([]bool, n)}
 }
 
-// Observe records one element access. It has the Env.Touch signature:
-// key is surface<<32|addr, write distinguishes stores (and the store
-// half of atomics) from loads.
-func (t *TouchSet) Observe(key uint64, write bool) {
-	s := int(key >> 32)
-	if s >= len(t.read) {
-		grown := make([]bool, s+1)
-		copy(grown, t.read)
-		t.read = grown
-		grown = make([]bool, s+1)
-		copy(grown, t.written)
-		t.written = grown
+// Observe records one message's element accesses. It has the
+// Env.Touch signature: each key is surface<<32|addr, and write
+// distinguishes stores (and atomics, which also read) from loads.
+func (t *TouchSet) Observe(keys []uint64, write bool) {
+	for _, k := range keys {
+		s := int(k >> 32)
+		if s >= len(t.read) {
+			grown := make([]bool, s+1)
+			copy(grown, t.read)
+			t.read = grown
+			grown = make([]bool, s+1)
+			copy(grown, t.written)
+			t.written = grown
+		}
+		if write {
+			t.written[s] = true
+		} else {
+			t.read[s] = true
+		}
 	}
 	if write {
-		t.written[s] = true
-		t.writes++
+		t.writes += uint64(len(keys))
 	} else {
-		t.read[s] = true
-		t.reads++
+		t.reads += uint64(len(keys))
 	}
 }
 

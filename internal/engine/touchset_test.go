@@ -6,9 +6,9 @@ func key(surface, addr uint32) uint64 { return uint64(surface)<<32 | uint64(addr
 
 func TestTouchSetObserve(t *testing.T) {
 	ts := NewTouchSet(2)
-	ts.Observe(key(0, 16), false)
-	ts.Observe(key(1, 0), true)
-	ts.Observe(key(1, 8), true)
+	ts.Observe([]uint64{key(0, 16)}, false)
+	ts.Observe([]uint64{key(1, 0), key(1, 8)}, true)
+	ts.Observe(nil, true)
 
 	if !ts.Read(0) || ts.Written(0) {
 		t.Errorf("surface 0: read=%v written=%v, want read-only", ts.Read(0), ts.Written(0))
@@ -29,7 +29,7 @@ func TestTouchSetObserve(t *testing.T) {
 
 func TestTouchSetGrows(t *testing.T) {
 	ts := NewTouchSet(1)
-	ts.Observe(key(5, 4), true)
+	ts.Observe([]uint64{key(5, 4)}, true)
 	if ts.Len() != 6 {
 		t.Fatalf("len = %d, want 6", ts.Len())
 	}
@@ -49,7 +49,7 @@ func TestTouchSetAsEnvHook(t *testing.T) {
 	var env Env
 	ts := NewTouchSet(0)
 	env.Touch = ts.Observe
-	env.Touch(key(3, 12), false)
+	env.Touch([]uint64{key(3, 12)}, false)
 	if !ts.Read(3) {
 		t.Error("hook wiring lost the observation")
 	}
