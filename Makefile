@@ -63,7 +63,7 @@ snippets-smoke:
 #     native (the seeded workloads contain no W2, so the translation is a
 #     pure cross-dialect re-encode);
 #   - a -fleet of worker processes equals the in-process pool under GENX,
-#     so the dialect travels in the unit descriptor;
+#     so the dialect travels in the unit's lease;
 #   - -resume -dialect genx over a natively journaled state dir re-runs
 #     every unit (no "resumed" line) and equals a fresh GENX run, so the
 #     dialect is part of the journal key;

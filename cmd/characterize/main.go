@@ -100,11 +100,7 @@ func run(h *harness.Session) error {
 		for i, o := range outs {
 			switch {
 			case o.Err != nil:
-				class := faults.Kind(o.Err)
-				if class == "" {
-					class = faults.ClassOf(o.Err).String()
-				}
-				t.Row(specs[i].Name, "FAILED", class, "")
+				t.Row(specs[i].Name, "FAILED", faults.Label(o.Err), "")
 			case o.Artifact != nil:
 				t.Row(specs[i].Name, "ok", "", o.Artifact.FaultStats.Total())
 			default:

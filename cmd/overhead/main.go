@@ -95,7 +95,6 @@ func run(h *harness.Session) error {
 			return err
 		}
 		ctx := cl.NewContext(dev)
-		fo.Apply(ctx)
 		tr := cofluent.Attach(ctx)
 		t0 := time.Now()
 		if err := app.Run(ctx); err != nil {
@@ -122,7 +121,6 @@ func run(h *harness.Session) error {
 		t1 := time.Now()
 		var g *gtpin.GTPin
 		itr, err := rec.Replay(idev, func(rctx *cl.Context) error {
-			fo.Apply(rctx)
 			var aerr error
 			g, aerr = gtpin.Attach(rctx, gtpin.Options{})
 			return aerr
@@ -148,7 +146,6 @@ func run(h *harness.Session) error {
 		}
 		t1h := time.Now()
 		if _, err := rec.Replay(hdev, func(rctx *cl.Context) error {
-			fo.Apply(rctx)
 			_, aerr := gtpin.Attach(rctx, gtpin.Options{MemTrace: true, Latency: true})
 			return aerr
 		}); err != nil {

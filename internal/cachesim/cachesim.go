@@ -136,9 +136,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the level's access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -60,9 +60,6 @@ func (ctx *Context) EmitSetupCalls() {
 	ctx.emit(&APICall{Name: CallCreateContext})
 }
 
-// Device returns the underlying device.
-func (ctx *Context) Device() *device.Device { return ctx.dev }
-
 // AddInterceptor registers an API observer. Interceptors added before any
 // other call see the full stream.
 func (ctx *Context) AddInterceptor(i Interceptor) { ctx.interceptors = append(ctx.interceptors, i) }
@@ -139,9 +136,6 @@ func (ctx *Context) CreateProgram(ir *kernel.Program) *Program {
 	ctx.emit(&APICall{Name: CallCreateProgram, Program: p.ID})
 	return p
 }
-
-// IR returns the program's kernel IR.
-func (p *Program) IR() *kernel.Program { return p.ir }
 
 // Build JIT-compiles every kernel and runs the registered build hooks on
 // each binary, in order — the point where GT-Pin instruments the code.
@@ -240,9 +234,6 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	p.ctx.emit(&APICall{Name: CallCreateKernel, Program: p.ID, Kernel: name, KID: k.ID})
 	return k, nil
 }
-
-// Name returns the kernel's name.
-func (k *Kernel) Name() string { return k.name }
 
 // SetArg sets scalar argument i (the analogue of clSetKernelArg with a
 // scalar value).

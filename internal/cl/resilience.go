@@ -44,9 +44,6 @@ func DefaultResilience() Resilience {
 // SetResilience replaces the context's failure policy.
 func (ctx *Context) SetResilience(r Resilience) { ctx.resilience = r }
 
-// ResiliencePolicy returns the context's current failure policy.
-func (ctx *Context) ResiliencePolicy() Resilience { return ctx.resilience }
-
 // KernelExecError reports a kernel execution that failed past the
 // resilience policy during a queue drain. It identifies the failing
 // kernel and its position in the command stream; the wrapped error

@@ -256,10 +256,3 @@ func (b *Buffer) WriteU64(off int, v uint64) error {
 	binary.LittleEndian.PutUint64(b.data[off:], v)
 	return nil
 }
-
-// Fill sets every byte to v.
-func (b *Buffer) Fill(v byte) {
-	for i := range b.data {
-		b.data[i] = v
-	}
-}

@@ -34,7 +34,6 @@ const (
 	ClassEnd
 	ClassSend
 	ClassCmp
-	NumClasses
 )
 
 // OpClass maps each opcode to its dispatch class.

@@ -31,9 +31,6 @@ func (w *Watchdog) Reset(budget uint64) {
 	w.used = 0
 }
 
-// Used returns the instructions committed by retired groups so far.
-func (w *Watchdog) Used() uint64 { return w.used }
-
 // check enforces the budgets given the in-flight group's instruction
 // count (the current instruction included).
 func (w *Watchdog) check(groupInstrs uint64) error {

@@ -157,17 +157,6 @@ var (
 	// service. Transient: the queue drains, retrying later can succeed.
 	ErrQueueFull = NewSentinel("queue full", Transient)
 
-	// ErrCircuitOpen marks work refused by a tripped circuit breaker:
-	// enough consecutive failures accumulated that continuing would
-	// waste the queue's capacity on a job that keeps failing.
-	ErrCircuitOpen = NewSentinel("circuit breaker open", Permanent)
-
-	// ErrLeaseExpired marks a fleet work-unit lease whose worker stopped
-	// heartbeating or blew its completion deadline before producing a
-	// result. Transient: the coordinator re-dispatches the unit to a
-	// healthy worker, and on a healthy fleet the retry succeeds.
-	ErrLeaseExpired = NewSentinel("lease expired", Transient)
-
 	// ErrPoisonUnit marks a work unit quarantined by the fleet
 	// coordinator because it killed (or hung) several consecutive
 	// workers. The unit itself is the common factor, so re-dispatching
@@ -216,4 +205,13 @@ func Kind(err error) string {
 		return s.name
 	}
 	return ""
+}
+
+// Label names err's failure for journals, result files and run-status
+// tables: its Kind, or its Class when it wraps no sentinel.
+func Label(err error) string {
+	if k := Kind(err); k != "" {
+		return k
+	}
+	return ClassOf(err).String()
 }

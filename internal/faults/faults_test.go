@@ -74,12 +74,28 @@ func TestContextCancellationNeverTransient(t *testing.T) {
 	}
 }
 
+// transientErr is classified without wrapping a sentinel.
+type transientErr struct{}
+
+func (transientErr) Error() string { return "transient, no kind" }
+func (transientErr) Class() Class  { return Transient }
+
 func TestKind(t *testing.T) {
 	if k := Kind(fmt.Errorf("x: %w", ErrCorruptResult)); k != "corrupted result" {
 		t.Errorf("Kind = %q", k)
 	}
 	if k := Kind(errors.New("plain")); k != "" {
 		t.Errorf("Kind of unclassified = %q, want empty", k)
+	}
+	// Label falls back from the kind to the class.
+	for err, want := range map[error]string{
+		fmt.Errorf("x: %w", ErrCorruptResult): "corrupted result",
+		fmt.Errorf("x: %w", transientErr{}):   "transient",
+		errors.New("plain"):                   "permanent",
+	} {
+		if got := Label(err); got != want {
+			t.Errorf("Label(%v) = %q, want %q", err, got, want)
+		}
 	}
 }
 

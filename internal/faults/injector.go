@@ -86,14 +86,6 @@ func NewInjector(seed int64, rates Rates) (*Injector, error) {
 	}, nil
 }
 
-// Rates returns the injector's configured rates.
-func (inj *Injector) Rates() Rates {
-	if inj == nil {
-		return Rates{}
-	}
-	return inj.rates
-}
-
 // Stats returns how many faults have fired so far, by site.
 func (inj *Injector) Stats() Stats {
 	if inj == nil {

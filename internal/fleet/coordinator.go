@@ -20,7 +20,6 @@ import (
 type unitState struct {
 	idx        int
 	key        string
-	desc       workloads.UnitDescriptor
 	settled    bool
 	leasedTo   *workerState // nil when unleased
 	epoch      uint64       // epoch of the current lease, valid when leasedTo != nil
@@ -503,7 +502,7 @@ func (c *coordinator) dispatch() error {
 		}
 		c.epoch++
 		path, err := writeLease(w.dir, leaseFile{
-			UnitIdx: u.idx, Key: u.key, Epoch: c.epoch, Descriptor: u.desc,
+			UnitIdx: u.idx, Key: u.key, Epoch: c.epoch, Unit: c.outcomes[u.idx].Unit,
 		})
 		if err != nil {
 			return err

@@ -9,8 +9,8 @@
 //
 //   - The coordinator (Run) shards the sweep's units across N worker
 //     processes. Each worker is handed one unit at a time as a lease:
-//     an atomically-written file carrying the unit's self-contained
-//     descriptor (workloads.UnitDescriptor) and a fencing epoch.
+//     an atomically-written file carrying the unit itself (a
+//     workloads.Unit is its own JSON wire form) and a fencing epoch.
 //   - Workers are plain re-executions of the current binary
 //     (GTPIN_FLEET_WORKER=<dir>, see MaybeWorker). Each owns a private
 //     runstate.Dir — flock-fenced, journaled, atomic artifacts — and
@@ -123,7 +123,7 @@ type Options struct {
 	Stats *Stats
 	// Spawn overrides how worker processes are started — the test seam
 	// that lets the suite inject crashing or hanging workers without a
-	// real binary. Nil uses SpawnSelf.
+	// real binary. Nil re-executes the current binary as a worker.
 	Spawn func(workerDir string) (Process, error)
 	// WorkerEnv appends environment entries ("K=V") to spawned workers,
 	// e.g. a chaos schedule.
@@ -156,15 +156,11 @@ func Run(ctx context.Context, units []workloads.Unit, opts Options) ([]workloads
 	table := make([]*unitState, len(units))
 	byKey := make(map[string]*unitState, len(units))
 	for i, u := range units {
-		d, err := u.Descriptor()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: unit %d is not dispatchable: %w", i, err)
-		}
 		key := u.Key()
 		if dup, ok := byKey[key]; ok {
 			return nil, fmt.Errorf("fleet: units %d and %d share key %s", dup.idx, i, key)
 		}
-		us := &unitState{idx: i, key: key, desc: d}
+		us := &unitState{idx: i, key: key}
 		table[i] = us
 		byKey[key] = us
 	}

@@ -45,33 +45,77 @@ func fleetUnits(t testing.TB, trials int) []workloads.Unit {
 	return units
 }
 
-// TestLeaseRoundTrip: a lease carries a self-contained unit — fault
-// model and ISA configuration included — that a worker rebuilds under
-// the same journal key.
+// TestLeaseRoundTrip: a lease carries a self-contained unit that a
+// worker decodes to the roster's Spec and the same journal key. Every
+// field of Unit and FaultOptions has a mutation below, and each one
+// yields a key of its own, so a field that changes results but misses
+// the key or the wire form fails here. The field counts make a new
+// field fail the test until it is listed.
 func TestLeaseRoundTrip(t *testing.T) {
+	for typ, want := range map[reflect.Type]int{
+		reflect.TypeOf(workloads.Unit{}):         7,
+		reflect.TypeOf(workloads.FaultOptions{}): 3,
+		reflect.TypeOf(faults.Rates{}):           4,
+	} {
+		if n := typ.NumField(); n != want {
+			t.Fatalf("%s has %d fields, want %d: add a mutation for the new field below", typ, n, want)
+		}
+	}
+
 	gen, genx := isa.DialectGEN, isa.DialectGENX
 	base := fleetUnits(t, 1)[0]
-	withISA := func(d isa.Dialect, tr *isa.Dialect, fo *workloads.FaultOptions) workloads.Unit {
+	other, err := workloads.ByName("sandra-proc-gpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(mutate func(*workloads.Unit)) workloads.Unit {
 		u := base
-		u.Dialect, u.Translate, u.Faults = d, tr, fo
+		mutate(&u)
 		return u
 	}
-	chaos := &workloads.FaultOptions{Rates: faults.Uniform(0.05), Seed: 11, Watchdog: 1 << 20}
-	for i, u := range []workloads.Unit{
-		base,
-		withISA(genx, nil, nil),
-		withISA(genx, &gen, nil),
-		withISA(genx, &gen, chaos),
-	} {
+	withFaults := func(mutate func(*workloads.FaultOptions)) workloads.Unit {
+		fo := workloads.FaultOptions{Rates: faults.Uniform(0.05), Seed: 11, Watchdog: 1 << 20}
+		mutate(&fo)
+		return with(func(u *workloads.Unit) { u.Faults = &fo })
+	}
+	chaos := withFaults(func(*workloads.FaultOptions) {})
+	chaosISA := chaos
+	chaosISA.Dialect, chaosISA.Translate = genx, &gen
+	cases := []struct {
+		name string
+		unit workloads.Unit
+	}{
+		{"base", base},
+		{"app", with(func(u *workloads.Unit) { u.Spec = other })},
+		{"scale", with(func(u *workloads.Unit) { u.Scale = workloads.ScaleSmall })},
+		{"config EUs", with(func(u *workloads.Unit) { u.Cfg = u.Cfg.WithEUs(8) })},
+		{"config frequency", with(func(u *workloads.Unit) { u.Cfg = u.Cfg.WithFrequency(650) })},
+		{"trial seed", with(func(u *workloads.Unit) { u.TrialSeed = 2 })},
+		{"faults", chaos},
+		{"hang rate", withFaults(func(fo *workloads.FaultOptions) { fo.Rates.Hang = 0.5 })},
+		{"send rate", withFaults(func(fo *workloads.FaultOptions) { fo.Rates.Send = 0.5 })},
+		{"jit rate", withFaults(func(fo *workloads.FaultOptions) { fo.Rates.JIT = 0.5 })},
+		{"corrupt rate", withFaults(func(fo *workloads.FaultOptions) { fo.Rates.Corrupt = 0.5 })},
+		{"fault seed", withFaults(func(fo *workloads.FaultOptions) { fo.Seed = 12 })},
+		{"watchdog", withFaults(func(fo *workloads.FaultOptions) { fo.Watchdog = 1 << 21 })},
+		{"dialect", with(func(u *workloads.Unit) { u.Dialect = genx })},
+		{"translate", with(func(u *workloads.Unit) { u.Translate = &genx })},
+		{"dialect, translate and faults", chaosISA},
+	}
+
+	seen := make(map[string]string, len(cases))
+	for _, c := range cases {
+		u := c.unit
+		if prev, dup := seen[u.Key()]; dup {
+			t.Fatalf("%s and %s share key %s", prev, c.name, u.Key())
+		}
+		seen[u.Key()] = c.name
+
 		wdir := t.TempDir()
 		if err := os.MkdirAll(inboxDir(wdir), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		desc, err := u.Descriptor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := leaseFile{UnitIdx: 3, Key: u.Key(), Epoch: 17, Descriptor: desc}
+		want := leaseFile{UnitIdx: 3, Key: u.Key(), Epoch: 17, Unit: u}
 		path, err := writeLease(wdir, want)
 		if err != nil {
 			t.Fatal(err)
@@ -84,14 +128,13 @@ func TestLeaseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("unit %d: lease did not round-trip:\n got %+v\nwant %+v", i, got, want)
+			t.Fatalf("%s: lease did not round-trip:\n got %+v\nwant %+v", c.name, got, want)
 		}
-		back, err := got.Descriptor.Unit()
-		if err != nil {
-			t.Fatal(err)
+		if got.Unit.Spec != u.Spec {
+			t.Fatalf("%s: decoded spec %p is not the roster's %p", c.name, got.Unit.Spec, u.Spec)
 		}
-		if back.Key() != u.Key() || got.Descriptor.Key() != u.Key() {
-			t.Fatalf("unit %d: rebuilt key %s (descriptor %s) != %s", i, back.Key(), got.Descriptor.Key(), u.Key())
+		if got.Unit.Key() != u.Key() {
+			t.Fatalf("%s: decoded key %s != %s", c.name, got.Unit.Key(), u.Key())
 		}
 	}
 }
@@ -105,16 +148,17 @@ func TestScanInboxNacksTornLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := fleetUnits(t, 1)[0]
-	desc, err := u.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := writeLease(wdir, leaseFile{UnitIdx: 0, Key: u.Key(), Epoch: 1, Descriptor: desc})
+	good, err := writeLease(wdir, leaseFile{UnitIdx: 0, Key: u.Key(), Epoch: 1, Unit: u})
 	if err != nil {
 		t.Fatal(err)
 	}
 	torn := filepath.Join(inboxDir(wdir), "2.lease")
 	if err := os.WriteFile(torn, []byte(`{"unit_idx":0,"key":"x"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Well-formed JSON naming an app the roster lacks cannot be run.
+	unknown := filepath.Join(inboxDir(wdir), "3.lease")
+	if err := os.WriteFile(unknown, []byte(`{"unit_idx":0,"key":"x","epoch":3,"unit":{"app":"no-such-app"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,8 +172,8 @@ func TestScanInboxNacksTornLease(t *testing.T) {
 	if len(leases) != 1 || leases[0] != good {
 		t.Fatalf("scanInbox = %v, want only %s", leases, good)
 	}
-	if !leaseNacked(torn) {
-		t.Fatal("torn lease was not nacked (no .corrupt twin)")
+	if !leaseNacked(torn) || !leaseNacked(unknown) {
+		t.Fatal("torn or unknown-app lease was not nacked (no .corrupt twin)")
 	}
 	if leaseNacked(good) {
 		t.Fatal("healthy lease reported nacked")
@@ -144,12 +188,8 @@ func TestScanInboxEpochOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := fleetUnits(t, 1)[0]
-	desc, err := u.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, ep := range []uint64{10, 2, 9} {
-		if _, err := writeLease(wdir, leaseFile{Key: u.Key(), Epoch: ep, Descriptor: desc}); err != nil {
+		if _, err := writeLease(wdir, leaseFile{Key: u.Key(), Epoch: ep, Unit: u}); err != nil {
 			t.Fatal(err)
 		}
 	}

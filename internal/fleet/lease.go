@@ -19,10 +19,10 @@ import (
 // none — the corrupt-lease path below only triggers when the file
 // itself was damaged after publication.
 type leaseFile struct {
-	UnitIdx    int                      `json:"unit_idx"`
-	Key        string                   `json:"key"`
-	Epoch      uint64                   `json:"epoch"`
-	Descriptor workloads.UnitDescriptor `json:"descriptor"`
+	UnitIdx int            `json:"unit_idx"`
+	Key     string         `json:"key"`
+	Epoch   uint64         `json:"epoch"`
+	Unit    workloads.Unit `json:"unit"`
 }
 
 const (
@@ -57,7 +57,7 @@ func readLease(path string) (leaseFile, error) {
 	if err := json.Unmarshal(data, &lf); err != nil {
 		return leaseFile{}, fmt.Errorf("fleet: parse lease %s: %w", filepath.Base(path), err)
 	}
-	if lf.Key == "" || lf.Descriptor.App == "" {
+	if lf.Key == "" || lf.Unit.Spec == nil {
 		return leaseFile{}, fmt.Errorf("fleet: lease %s is incomplete", filepath.Base(path))
 	}
 	return lf, nil

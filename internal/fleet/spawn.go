@@ -55,15 +55,10 @@ func (p *execProcess) Kill() error { return p.cmd.Process.Kill() }
 
 func (p *execProcess) Exited() <-chan struct{} { return p.exited }
 
-// SpawnSelf starts a worker by re-executing the current binary with
-// EnvWorker pointing at workerDir. The worker's stdout/stderr go to
-// <workerDir>/log for post-mortems. This is the default Options.Spawn;
-// Options.WorkerEnv is honored by wrapping this with spawnSelfEnv.
-func SpawnSelf(workerDir string) (Process, error) {
-	return spawnSelfEnv(workerDir, nil)
-}
-
-// spawnSelfEnv is SpawnSelf with extra environment entries appended.
+// spawnSelfEnv starts a worker by re-executing the current binary with
+// EnvWorker pointing at workerDir and extraEnv (Options.WorkerEnv)
+// appended. The worker's stdout/stderr go to <workerDir>/log for
+// post-mortems. This is the default Options.Spawn.
 func spawnSelfEnv(workerDir string, extraEnv []string) (Process, error) {
 	exe := os.Args[0]
 	if p, err := os.Executable(); err == nil {

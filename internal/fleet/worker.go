@@ -156,22 +156,14 @@ func (w *worker) processLease(path string) error {
 // lease's epoch.
 func (w *worker) execute(lf leaseFile) error {
 	journalFailed := func(attempts int, uerr error) error {
-		class := faults.Kind(uerr)
-		if class == "" {
-			class = faults.ClassOf(uerr).String()
-		}
-		return w.state.Journal.FailedEpoch(lf.Key, attempts, uerr.Error(), class, lf.Epoch)
+		return w.state.Journal.FailedEpoch(lf.Key, attempts, uerr.Error(), faults.Label(uerr), lf.Epoch)
 	}
 
-	unit, err := lf.Descriptor.Unit()
-	if err != nil {
-		return journalFailed(0, err)
-	}
-	if got := unit.Key(); got != lf.Key {
+	if got := lf.Unit.Key(); got != lf.Key {
 		return journalFailed(0, fmt.Errorf("fleet: lease key %s rebuilt as %s", lf.Key, got))
 	}
 
-	outs, err := workloads.RunPool(context.Background(), []workloads.Unit{unit}, workloads.PoolOptions{
+	outs, err := workloads.RunPool(context.Background(), []workloads.Unit{lf.Unit}, workloads.PoolOptions{
 		Workers:     1,
 		MaxRestarts: w.cfg.MaxRestarts,
 		UnitTimeout: time.Duration(w.cfg.UnitTimeoutMs) * time.Millisecond,

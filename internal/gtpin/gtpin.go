@@ -51,7 +51,6 @@ type GTPin struct {
 	records    []*InvocationRecord
 	epoch      int   // sync calls seen so far
 	epochQueue []int // sync epoch per pending enqueue, FIFO
-	apiCounts  [3]int
 	ringDrops  uint64
 	lastRing   uint64
 	memTrace   []MemAccess
@@ -182,7 +181,6 @@ type InvocationRecord struct {
 // OnAPICall implements cl.Interceptor: GT-Pin tracks synchronization
 // boundaries so each invocation records its sync epoch.
 func (g *GTPin) OnAPICall(call *cl.APICall) {
-	g.apiCounts[call.Kind]++
 	switch call.Kind {
 	case cl.KindKernel:
 		g.epochQueue = append(g.epochQueue, g.epoch)
@@ -337,9 +335,4 @@ func (g *GTPin) Kernels() map[string]KernelInfo {
 		}
 	}
 	return out
-}
-
-// APICallCounts returns how many API calls of each kind GT-Pin observed.
-func (g *GTPin) APICallCounts() (kernelCalls, syncCalls, otherCalls int) {
-	return g.apiCounts[cl.KindKernel], g.apiCounts[cl.KindSync], g.apiCounts[cl.KindOther]
 }

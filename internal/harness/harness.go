@@ -141,7 +141,7 @@ func (s *Session) start() error {
 	if s.Scale, err = workloads.ParseScale(f.scale); err != nil {
 		return err
 	}
-	if f.faultRate < 0 || f.faultRate > 1 {
+	if !(f.faultRate >= 0 && f.faultRate <= 1) { // also rejects NaN
 		return fmt.Errorf("-fault-rate %v outside [0,1]", f.faultRate)
 	}
 	if f.faultRate > 0 || f.watchdog > 0 {

@@ -65,6 +65,26 @@ func sweep(t *testing.T, args ...string) (digests []string, resumed int) {
 	return digests, resumed
 }
 
+// TestFaultRateOutOfRange: a -fault-rate outside [0,1], NaN included,
+// fails the session before any work runs.
+func TestFaultRateOutOfRange(t *testing.T) {
+	c := Config{Name: "test", Scale: "tiny", Faults: true}
+	for _, rate := range []string{"NaN", "-0.1", "1.5"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := c.register(fs)
+		if err := fs.Parse([]string{"-fault-rate", rate}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.run(f, func(*Session) error {
+			t.Errorf("-fault-rate %s: session started", rate)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("-fault-rate %s: err = %v, want outside [0,1]", rate, err)
+		}
+	}
+}
+
 // TestDialectTravelsWithTheUnit is the byte-identity matrix over
 // topology × ISA configuration × history: every topology and every
 // resume yields the same artifacts for the same configuration, a resume

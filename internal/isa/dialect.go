@@ -181,18 +181,6 @@ func (d Dialect) Decode(buf []byte) (Instruction, error) {
 	return Instruction{}, fmt.Errorf("decode: invalid dialect %d", uint8(d))
 }
 
-// EncodeSlice encodes a sequence of instructions under the dialect into
-// a fresh byte slice.
-func (d Dialect) EncodeSlice(instrs []Instruction) ([]byte, error) {
-	out := make([]byte, len(instrs)*InstrBytes)
-	for i, in := range instrs {
-		if err := d.Encode(in, out[i*InstrBytes:]); err != nil {
-			return nil, fmt.Errorf("instruction %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // DecodeSlice decodes a sequence of instruction words under the
 // dialect. The input length must be a multiple of InstrBytes.
 func (d Dialect) DecodeSlice(data []byte) ([]Instruction, error) {

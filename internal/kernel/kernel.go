@@ -51,9 +51,6 @@ func (b *Block) Succs() []int {
 	return nil
 }
 
-// NumInstrs returns the block's static instruction count.
-func (b *Block) NumInstrs() int { return len(b.Instrs) }
-
 // Kernel is a named GPU procedure: a list of basic blocks, executed from
 // block 0 until an end-of-thread, once per SIMD channel-group of the
 // dispatch.

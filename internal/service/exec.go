@@ -322,9 +322,7 @@ func writeResult(j *Job, sd *runstate.Dir, final []workloads.Outcome) error {
 			ru.Digest = runstate.Digest(data)
 		case o.Err != nil:
 			ru.Status = "failed"
-			if ru.Class = faults.Kind(o.Err); ru.Class == "" {
-				ru.Class = faults.ClassOf(o.Err).String()
-			}
+			ru.Class = faults.Label(o.Err)
 		default:
 			ru.Status = "skipped"
 			ru.Attempts = 0

@@ -322,9 +322,6 @@ func (s *Server) Close() error {
 	return s.Drain()
 }
 
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // flushMetrics writes the process metrics snapshot next to the job
 // directories, the same artifact the sweep harnesses leave in their
 // state dirs.

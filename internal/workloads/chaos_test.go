@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"gtpin/internal/cl"
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
 )
@@ -52,13 +51,15 @@ func TestChaosSweep(t *testing.T) {
 		}
 		baseAgg := base.Profile.Aggregate()
 		for _, rate := range []float64{0, 0.01, 0.1} {
-			fo := &FaultOptions{Rates: faults.Uniform(rate), Seed: 12345}
-			r1, err1 := RunWithFaults(spec, ScaleTiny, cfg, 1, fo)
+			fo := FaultOptions{Rates: faults.Uniform(rate), Seed: 12345}
+			u := Unit{Spec: spec, Scale: ScaleTiny, Cfg: cfg, TrialSeed: 1, Faults: &fo}
+			r1, err1 := runPipeline(u, nil)
 
 			// Determinism: an identical second run must reproduce the first
 			// byte-for-byte, success or failure.
-			fo2 := &FaultOptions{Rates: faults.Uniform(rate), Seed: 12345}
-			r2, err2 := RunWithFaults(spec, ScaleTiny, cfg, 1, fo2)
+			fo2 := fo
+			u.Faults = &fo2
+			r2, err2 := runPipeline(u, nil)
 			f1, f2 := chaosFingerprint(r1, err1), chaosFingerprint(r2, err2)
 			if f1 != f2 {
 				t.Fatalf("%s rate %v: two identical runs diverged:\n--- run 1\n%s\n--- run 2\n%s", name, rate, f1, f2)
@@ -118,7 +119,8 @@ func TestChaosSeedsDecorrelate(t *testing.T) {
 	}
 	cfg := device.IvyBridgeHD4000()
 	sig := func(seed int64) string {
-		res, rerr := RunWithFaults(spec, ScaleTiny, cfg, 1, &FaultOptions{Rates: faults.Uniform(0.2), Seed: seed})
+		res, rerr := runPipeline(Unit{Spec: spec, Scale: ScaleTiny, Cfg: cfg, TrialSeed: 1,
+			Faults: &FaultOptions{Rates: faults.Uniform(0.2), Seed: seed}}, nil)
 		if rerr != nil {
 			return "ERR|" + rerr.Error()
 		}
@@ -142,29 +144,12 @@ func TestChaosWatchdogGenerousBudgetHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := RunWithFaults(spec, ScaleTiny, cfg, 1, &FaultOptions{Watchdog: 1 << 40})
+	guarded, err := runPipeline(Unit{Spec: spec, Scale: ScaleTiny, Cfg: cfg, TrialSeed: 1,
+		Faults: &FaultOptions{Watchdog: 1 << 40}}, nil)
 	if err != nil {
 		t.Fatalf("generous watchdog failed the run: %v", err)
 	}
 	if chaosFingerprint(guarded, nil) != chaosFingerprint(base, nil) {
 		t.Error("a generous watchdog budget changed the pipeline output")
-	}
-}
-
-// TestChaosResilienceDisabled: with retries and degradation off, a
-// rate-1 corruption must surface as a typed error, not a panic or hang.
-func TestChaosResilienceDisabled(t *testing.T) {
-	spec, err := ByName("cb-throughput-juliaset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := cl.Resilience{MaxRetries: 0, Degrade: false}
-	_, rerr := RunWithFaults(spec, ScaleTiny, device.IvyBridgeHD4000(), 1, &FaultOptions{
-		Rates:      faults.Rates{Corrupt: 1},
-		Seed:       7,
-		Resilience: &off,
-	})
-	if !errors.Is(rerr, faults.ErrCorruptResult) {
-		t.Fatalf("err = %v, want ErrCorruptResult surfaced unretried", rerr)
 	}
 }

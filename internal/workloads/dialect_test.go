@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"gtpin/internal/device"
@@ -30,8 +31,8 @@ func TestParseScale(t *testing.T) {
 
 // TestUnitKeyISASignature pins the journal identity: native units keep
 // the key journals have always used, and every other ISA configuration
-// gets a key of its own, including on the descriptor a fleet worker
-// rebuilds it from.
+// gets a key of its own, including on the unit a fleet worker decodes
+// from the unit's JSON.
 func TestUnitKeyISASignature(t *testing.T) {
 	spec, err := ByName("cb-throughput-juliaset")
 	if err != nil {
@@ -55,12 +56,36 @@ func TestUnitKeyISASignature(t *testing.T) {
 		if got := u.Key(); got != want {
 			t.Errorf("key %q, want %q", got, want)
 		}
-		d, err := u.Descriptor()
+		data, err := json.Marshal(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.Key(); got != want {
-			t.Errorf("descriptor key %q, want %q", got, want)
+		var back Unit
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Key(); got != want {
+			t.Errorf("decoded key %q, want %q", got, want)
+		}
+	}
+}
+
+// TestUnitJSONNeedsRosterApp: a unit travels by application name, so
+// only a roster Spec encodes, and a name the roster lacks does not
+// decode.
+func TestUnitJSONNeedsRosterApp(t *testing.T) {
+	u := poolUnits(t)[0]
+	for name, bad := range map[string]*Spec{"nil": nil, "copy": {Name: u.Spec.Name, Build: u.Spec.Build}} {
+		v := u
+		v.Spec = bad
+		if _, err := json.Marshal(v); err == nil {
+			t.Errorf("%s spec: encoded, want an error", name)
+		}
+	}
+	for _, data := range []string{`{"app":"no-such-app"}`, `{"scale":{"Name":"tiny"}}`} {
+		var back Unit
+		if err := json.Unmarshal([]byte(data), &back); err == nil {
+			t.Errorf("%s: decoded, want an error", data)
 		}
 	}
 }

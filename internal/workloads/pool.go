@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -29,20 +30,66 @@ const (
 // one trial seed, one fault model, and one ISA configuration. Its Key
 // identifies it across processes, which is what lets a resumed sweep
 // recognize work the previous run completed.
+//
+// A Unit is also its own wire format: the fleet hands workers
+// json.Marshal(unit), so every field reaches them unless tagged
+// otherwise. Spec is the one exception, and it travels by roster name
+// (see MarshalJSON).
 type Unit struct {
-	Spec      *Spec
-	Scale     Scale
-	Cfg       device.Config
-	TrialSeed int64
-	Faults    *FaultOptions
+	Spec      *Spec         `json:"-"`
+	Scale     Scale         `json:"scale"`
+	Cfg       device.Config `json:"config"`
+	TrialSeed int64         `json:"trial_seed"`
+	Faults    *FaultOptions `json:"faults,omitempty"`
 	// Dialect retargets the application's programs to this ISA dialect
 	// before they reach the driver. The zero value, GEN, is every
 	// roster application's native dialect and leaves them untouched.
-	Dialect isa.Dialect
+	Dialect isa.Dialect `json:"dialect,omitempty"`
 	// Translate, when set, binary-translates every compiled kernel to
 	// this dialect below GT-Pin's rewriter, so instrumentation lands on
 	// the bytes the device runs.
-	Translate *isa.Dialect
+	Translate *isa.Dialect `json:"translate,omitempty"`
+}
+
+// unitJSON is Unit's wire form: the application by roster name, then
+// the unit's tagged fields. plainUnit has none of Unit's methods, so
+// encoding it does not recurse into MarshalJSON.
+type unitJSON struct {
+	App string `json:"app"`
+	plainUnit
+}
+
+type plainUnit Unit
+
+// MarshalJSON writes the unit with its application by name. Only a
+// roster Spec can be resolved again from its name, so any other Spec is
+// refused here rather than at the decoding end.
+func (u Unit) MarshalJSON() ([]byte, error) {
+	if u.Spec == nil {
+		return nil, errors.New("workloads: encode unit: nil Spec")
+	}
+	if spec, _ := ByName(u.Spec.Name); spec != u.Spec {
+		return nil, fmt.Errorf("workloads: encode unit: %s is not the roster's spec", u.Spec.Name)
+	}
+	return json.Marshal(unitJSON{App: u.Spec.Name, plainUnit: plainUnit(u)})
+}
+
+// UnmarshalJSON rebuilds a unit written by MarshalJSON, resolving the
+// application name to the roster's Spec. The round trip preserves Key,
+// which is what lands a re-dispatched unit on the same journal identity
+// wherever it runs.
+func (u *Unit) UnmarshalJSON(data []byte) error {
+	var w unitJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	spec, err := ByName(w.App)
+	if err != nil {
+		return fmt.Errorf("workloads: decode unit: %w", err)
+	}
+	*u = Unit(w.plainUnit)
+	u.Spec = spec
+	return nil
 }
 
 // Key returns the stable journal identity of the unit:
@@ -95,9 +142,6 @@ type Outcome struct {
 	// service's adaptive Retry-After hint is derived from.
 	WallNs int64
 }
-
-// Ran reports whether the unit reached a usable artifact.
-func (o *Outcome) Ran() bool { return o.Artifact != nil }
 
 // PoolOptions configures a supervised sweep.
 type PoolOptions struct {
@@ -257,11 +301,7 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 		// (started without a terminal record) so a resume re-executes
 		// it, and don't journal a terminal state.
 		if opts.State != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			class := faults.Kind(err)
-			if class == "" {
-				class = faults.ClassOf(err).String()
-			}
-			if jerr := opts.State.Journal.Failed(key, o.Attempts, err.Error(), class); jerr != nil {
+			if jerr := opts.State.Journal.Failed(key, o.Attempts, err.Error(), faults.Label(err)); jerr != nil {
 				o.Err = errors.Join(err, jerr)
 			}
 		}

@@ -52,7 +52,7 @@ func TestPoolMatchesDirectRun(t *testing.T) {
 		if o.Resumed || o.Result == nil || o.Attempts != 1 {
 			t.Fatalf("unit %s: unexpected outcome shape %+v", units[i].Spec.Name, o)
 		}
-		res, derr := RunWithFaults(units[i].Spec, units[i].Scale, units[i].Cfg, units[i].TrialSeed, units[i].Faults)
+		res, derr := runPipeline(units[i], nil)
 		if derr != nil {
 			t.Fatal(derr)
 		}
@@ -67,7 +67,7 @@ func TestPoolMatchesDirectRun(t *testing.T) {
 // makes resumed reports byte-identical).
 func TestArtifactRoundTrip(t *testing.T) {
 	u := poolUnits(t)[0]
-	res, err := RunWithFaults(u.Spec, u.Scale, u.Cfg, u.TrialSeed, u.Faults)
+	res, err := runPipeline(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPoolPanicRestart(t *testing.T) {
 	if hit.Attempts != 2 || hit.BackoffNs != RestartBackoffBaseNs {
 		t.Fatalf("panicked unit: attempts=%d backoff=%v, want 2 attempts with base backoff", hit.Attempts, hit.BackoffNs)
 	}
-	res, err := RunWithFaults(units[1].Spec, units[1].Scale, units[1].Cfg, units[1].TrialSeed, nil)
+	res, err := runPipeline(units[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

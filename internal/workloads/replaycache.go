@@ -80,9 +80,5 @@ func (rc *ReplayCache) Stats() ReplayCacheStats {
 // the replay phase, and the cache is what enforces that economy. The
 // ISA configuration is present: it changes the code that runs.
 func replayKey(u Unit, fo *FaultOptions) string {
-	key := fmt.Sprintf("%s|%+v|%+v|%s%s", u.Spec.Name, u.Cfg, u.Scale, faultSig(fo), u.isaSig())
-	if fo != nil && fo.Resilience != nil {
-		key += fmt.Sprintf("|%+v", *fo.Resilience)
-	}
-	return key
+	return fmt.Sprintf("%s|%+v|%+v|%s%s", u.Spec.Name, u.Cfg, u.Scale, faultSig(fo), u.isaSig())
 }

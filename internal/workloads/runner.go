@@ -38,26 +38,25 @@ type Result struct {
 }
 
 // FaultOptions enables chaos-mode profiling: deterministic fault
-// injection at the given rates, an optional per-enqueue watchdog budget,
-// and an optional resilience-policy override. Each pipeline phase
-// (native run, instrumented replay) draws from its own injector, seeded
-// from Seed and the application name, so parallel sweeps stay
-// reproducible.
+// injection at the given rates and an optional per-enqueue watchdog
+// budget. Each pipeline phase (native run, instrumented replay) draws
+// from its own injector, seeded from Seed and the application name, so
+// parallel sweeps stay reproducible. Every field is part of the unit's
+// Key and of its wire form.
 type FaultOptions struct {
-	Rates faults.Rates
-	Seed  int64
+	Rates faults.Rates `json:"rates"`
+	Seed  int64        `json:"seed"`
 	// Watchdog is the per-enqueue instruction budget (0 = disabled),
 	// metered by the shared engine accounting — the same budget trips at
 	// the same dynamic instruction under detsim (see docs/architecture.md).
-	Watchdog uint64
-	// Resilience overrides the context policy; nil keeps
-	// cl.DefaultResilience().
-	Resilience *cl.Resilience
+	Watchdog uint64 `json:"watchdog"`
 }
 
-// arm configures one phase's device (and, via the returned function, its
-// cl context) for fault injection.
-func (fo *FaultOptions) arm(dev *device.Device, app, phase string) (*faults.Injector, error) {
+// Arm configures one phase's device for fault injection under this
+// fault model — for the packaged pipeline and for harnesses that drive
+// the pipeline phases manually (cmd/overhead). A nil receiver arms
+// nothing and returns a nil injector.
+func (fo *FaultOptions) Arm(dev *device.Device, app, phase string) (*faults.Injector, error) {
 	if fo == nil {
 		return nil, nil
 	}
@@ -74,25 +73,6 @@ func (fo *FaultOptions) arm(dev *device.Device, app, phase string) (*faults.Inje
 	return inj, nil
 }
 
-func (fo *FaultOptions) apply(ctx *cl.Context) {
-	if fo != nil && fo.Resilience != nil {
-		ctx.SetResilience(*fo.Resilience)
-	}
-}
-
-// Arm configures a caller-owned device for fault injection under this
-// fault model — how harnesses that drive the pipeline phases manually
-// (cmd/overhead) get the same flags as the packaged pipeline. A nil
-// receiver arms nothing and returns a nil injector.
-func (fo *FaultOptions) Arm(dev *device.Device, app, phase string) (*faults.Injector, error) {
-	return fo.arm(dev, app, phase)
-}
-
-// Apply applies the fault model's resilience-policy override to a
-// caller-owned context; nil receivers and nil overrides keep the
-// context's default policy.
-func (fo *FaultOptions) Apply(ctx *cl.Context) { fo.apply(ctx) }
-
 // Run executes the paper's profiling pipeline for one benchmark:
 //
 //  1. Run the application natively with the CoFluent tracer attached,
@@ -106,14 +86,7 @@ func (fo *FaultOptions) Apply(ctx *cl.Context) { fo.apply(ctx) }
 // trialSeed seeds the timing jitter; different seeds model different
 // trials on the same machine.
 func Run(spec *Spec, sc Scale, cfg device.Config, trialSeed int64) (*Result, error) {
-	return RunWithFaults(spec, sc, cfg, trialSeed, nil)
-}
-
-// RunWithFaults is Run under a fault model: fo configures deterministic
-// fault injection, the kernel watchdog, and the resilience policy for
-// both pipeline phases. A nil fo is identical to Run.
-func RunWithFaults(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *FaultOptions) (*Result, error) {
-	return runPipeline(Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: trialSeed, Faults: fo}, nil)
+	return runPipeline(Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: trialSeed}, nil)
 }
 
 // runPipeline is the pipeline with an optional replay cache: when rc is
@@ -137,7 +110,7 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
 		dev.SetJitter(jitter)
-		natInj, err := fo.arm(dev, spec.Name, "native")
+		natInj, err := fo.Arm(dev, spec.Name, "native")
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
@@ -192,13 +165,12 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 		if err != nil {
 			return replayEntry{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
-		repInj, err := fo.arm(idev, spec.Name, "replay")
+		repInj, err := fo.Arm(idev, spec.Name, "replay")
 		if err != nil {
 			return replayEntry{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
 		var g *gtpin.GTPin
 		if _, err := rec.Replay(idev, func(rctx *cl.Context) error {
-			fo.apply(rctx)
 			var aerr error
 			g, aerr = gtpin.Attach(rctx, gtpin.Options{})
 			return aerr
@@ -259,7 +231,6 @@ func (u Unit) record(dev *device.Device) (*App, *cofluent.Recording, *cofluent.T
 		return nil, nil, nil, err
 	}
 	ctx := cl.NewContext(dev)
-	u.Faults.apply(ctx)
 	if u.Translate != nil {
 		ctx.AddBuildHook(xlate.BuildHook(*u.Translate))
 	}
