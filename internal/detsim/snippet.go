@@ -8,7 +8,8 @@
 // prefix — as a standalone Snippet: the launch state of every enqueue
 // in the window (kernel binary, scalar args, surface bindings, global
 // work size), a memory image of the surfaces the window actually
-// touches (trimmed via the engine's Touch observer), the host events
+// touches (trimmed via the engine's Touch observer, and carried as the
+// surfaces' non-zero 4 KiB pages), the host events
 // that interleave with the window's launches, and the device-clock seed
 // at the window's start. RunSnippet then replays one snippet in
 // isolation — cache warmup first, then the detailed range — producing
@@ -17,16 +18,21 @@
 // simulation embarrassingly parallel over intervals (cmd/subsets).
 //
 // Snippets are digest-verified twice over: the runstate store seals the
-// serialized bytes, and the snippet itself records SHA-256 digests of
+// serialized bytes, and the snippet itself records a SHA-256 digest of
 // every touched surface at window close, which RunSnippet checks after
-// replay (faults.ErrSnippetDiverged on mismatch).
+// replay (faults.ErrSnippetDiverged on mismatch). Images and digests
+// both skip all-zero pages, so a snippet costs what its surfaces hold,
+// not what they span.
 package detsim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -43,8 +49,15 @@ import (
 )
 
 // SnippetVersion is the serialization version Encode writes and Decode
-// requires.
-const SnippetVersion = 1
+// requires. Version 2 carries memory images as page lists and digests
+// surfaces page by page (surfaceDigest).
+const SnippetVersion = 2
+
+// pageSize is the granularity of memory images and post-digests: a
+// page of zeros is neither carried nor hashed.
+const pageSize = 4096
+
+var zeroPage [pageSize]byte
 
 // Snippet is one captured interval: everything needed to replay the
 // invocation window [max(0, From-Warmup), To) on a fresh simulator,
@@ -72,7 +85,7 @@ type Snippet struct {
 	Buffers []SnippetBuffer `json:"buffers"`
 	Events  []SnippetEvent  `json:"events"`
 
-	// PostDigests records the SHA-256 of every touched buffer's bytes at
+	// PostDigests records surfaceDigest of every touched buffer at
 	// window close, sorted by buffer ID — the capture-time ground truth
 	// RunSnippet verifies its replay against.
 	PostDigests []BufferDigest `json:"post_digests"`
@@ -89,13 +102,22 @@ type SnippetKernel struct {
 }
 
 // SnippetBuffer is one surface that exists when the window opens. Image
-// is its contents at window open; surfaces that are bound but never
+// is its contents at window open: its non-zero pages in ascending
+// offset order, every other byte zero. Surfaces that are bound but never
 // touched by the window carry only their size (replay recreates them
 // zeroed — the window never observes their bytes).
 type SnippetBuffer struct {
-	ID    int    `json:"id"`
-	Size  int    `json:"size"`
-	Image []byte `json:"image,omitempty"`
+	ID    int           `json:"id"`
+	Size  int           `json:"size"`
+	Image []SnippetPage `json:"image,omitempty"`
+}
+
+// SnippetPage is one page of a memory image: the surface's bytes at
+// [Offset, Offset+len(Bytes)). Offset is a multiple of the page size,
+// and Bytes is a whole page unless it ends the surface.
+type SnippetPage struct {
+	Offset int    `json:"offset"`
+	Bytes  []byte `json:"bytes"`
 }
 
 // SnippetEvent is one window event in recording order: a kernel launch
@@ -120,7 +142,7 @@ type SnippetEvent struct {
 	Payload []byte `json:"payload,omitempty"`
 }
 
-// BufferDigest binds a buffer ID to the hex SHA-256 of its bytes.
+// BufferDigest binds a buffer ID to the hex surfaceDigest of its bytes.
 type BufferDigest struct {
 	ID     int    `json:"id"`
 	SHA256 string `json:"sha256"`
@@ -167,7 +189,11 @@ func (sn *Snippet) encodedLen() (int, error) {
 	}
 	cp.Buffers = slices.Clone(sn.Buffers)
 	for i := range cp.Buffers {
-		cp.Buffers[i].Image = stub(cp.Buffers[i].Image)
+		img := slices.Clone(cp.Buffers[i].Image)
+		for j := range img {
+			img[j].Bytes = stub(img[j].Bytes)
+		}
+		cp.Buffers[i].Image = img
 	}
 	cp.Events = slices.Clone(sn.Events)
 	for i := range cp.Events {
@@ -184,7 +210,13 @@ func (sn *Snippet) encodedLen() (int, error) {
 func DecodeSnippet(data []byte) (*Snippet, error) {
 	sn := &Snippet{}
 	if err := json.Unmarshal(data, sn); err != nil {
-		return nil, fmt.Errorf("detsim: decode snippet: %w: %w", faults.ErrBadRecording, err)
+		// A type error leaves the other fields decoded, so a snippet of
+		// another version, whose images have another shape, reports its
+		// version below.
+		var te *json.UnmarshalTypeError
+		if !errors.As(err, &te) || sn.Version == SnippetVersion {
+			return nil, fmt.Errorf("detsim: decode snippet: %w: %w", faults.ErrBadRecording, err)
+		}
 	}
 	if sn.Version != SnippetVersion {
 		return nil, fmt.Errorf("detsim: snippet version %d (want %d): %w", sn.Version, SnippetVersion, faults.ErrBadRecording)
@@ -195,13 +227,26 @@ func DecodeSnippet(data []byte) (*Snippet, error) {
 	return sn, nil
 }
 
-// validate checks referential integrity: every event points at a kernel
-// and buffers the snippet defines before use.
+// validate checks referential integrity — every event points at a
+// kernel and buffers the snippet defines before use — and that every
+// memory image is a list of in-bounds pages in strictly ascending order.
 func (sn *Snippet) validate() error {
 	have := make(map[int]bool, len(sn.Buffers))
 	for _, b := range sn.Buffers {
 		if b.Size <= 0 {
 			return fmt.Errorf("detsim: snippet buffer %d has size %d: %w", b.ID, b.Size, faults.ErrBadRecording)
+		}
+		next := 0 // the lowest offset the next page may have
+		for _, p := range b.Image {
+			if p.Offset < next || p.Offset >= b.Size || p.Offset%pageSize != 0 {
+				return fmt.Errorf("detsim: snippet buffer %d: image page at offset %d is misaligned, out of bounds or out of order (%d-byte surface): %w",
+					b.ID, p.Offset, b.Size, faults.ErrBadRecording)
+			}
+			if want := min(pageSize, b.Size-p.Offset); len(p.Bytes) != want {
+				return fmt.Errorf("detsim: snippet buffer %d: image page at offset %d is %d bytes, want %d: %w",
+					b.ID, p.Offset, len(p.Bytes), want, faults.ErrBadRecording)
+			}
+			next = p.Offset + pageSize
 		}
 		have[b.ID] = true
 	}
@@ -250,10 +295,10 @@ type capWindow struct {
 	done   bool
 	sn     *Snippet
 
-	images  map[int][]byte // buffer ID -> contents at window open
-	sizes   map[int]int    // buffer ID -> size (every referenced buffer)
-	touched map[int]bool   // buffer ID -> read/written/host-referenced
-	kidx    map[string]int // kernel fingerprint -> index into sn.Kernels
+	images  map[int][]SnippetPage // buffer ID -> contents at window open
+	sizes   map[int]int           // buffer ID -> size (every referenced buffer)
+	touched map[int]bool          // buffer ID -> read/written/host-referenced
+	kidx    map[string]int        // kernel fingerprint -> index into sn.Kernels
 }
 
 // reference snapshots a buffer the window is about to observe or
@@ -263,7 +308,7 @@ type capWindow struct {
 func (w *capWindow) reference(id int, b *device.Buffer, touch bool) {
 	if _, ok := w.sizes[id]; !ok {
 		w.sizes[id] = b.Size()
-		w.images[id] = append([]byte(nil), b.Bytes()...)
+		w.images[id] = imagePages(b.Bytes())
 	}
 	if touch {
 		w.touched[id] = true
@@ -293,7 +338,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 		windows[i] = &capWindow{
 			r: r, wstart: wstart,
 			sn:      &Snippet{Version: SnippetVersion, App: rec.App, Range: r},
-			images:  make(map[int][]byte),
+			images:  make(map[int][]SnippetPage),
 			sizes:   make(map[int]int),
 			touched: make(map[int]bool),
 			kidx:    make(map[string]int),
@@ -478,12 +523,51 @@ func (w *capWindow) finalize(buffers map[int]*device.Buffer) {
 		// Buffers created inside the window are defined by their create
 		// events, not the buffer table.
 		if w.touched[id] {
-			sum := sha256.Sum256(buffers[id].Bytes())
-			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: hex.EncodeToString(sum[:])})
+			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id].Bytes())})
 		}
 	}
 	w.done = true
 	w.open = false
+}
+
+// nonZeroPages calls f with each page of data that holds a non-zero
+// byte, in offset order. The last page is short when len(data) is not a
+// multiple of the page size.
+func nonZeroPages(data []byte, f func(off int, page []byte)) {
+	for off := 0; off < len(data); off += pageSize {
+		page := data[off:min(off+pageSize, len(data))]
+		if !bytes.Equal(page, zeroPage[:len(page)]) {
+			f(off, page)
+		}
+	}
+}
+
+// imagePages copies the non-zero pages of a surface into a memory image.
+func imagePages(data []byte) []SnippetPage {
+	var img []SnippetPage
+	nonZeroPages(data, func(off int, page []byte) {
+		img = append(img, SnippetPage{Offset: off, Bytes: bytes.Clone(page)})
+	})
+	return img
+}
+
+// surfaceDigest is the hex SHA-256 post-digest of a surface: its size
+// (uint64 LE), then the offset (uint64 LE) and bytes of each non-zero
+// page in offset order. Size and offset fix every page's length, so the
+// encoding is injective on the surface's bytes: two surfaces share a
+// digest exactly when a whole-surface SHA-256 would say they are equal
+// (up to a collision), while the zero pages cost a compare, not a hash.
+func surfaceDigest(data []byte) string {
+	h := sha256.New()
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], uint64(len(data)))
+	h.Write(word[:])
+	nonZeroPages(data, func(off int, page []byte) {
+		binary.LittleEndian.PutUint64(word[:], uint64(off))
+		h.Write(word[:])
+		h.Write(page)
+	})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // RunSnippet replays one snippet in isolation: rebuild the window's
@@ -531,12 +615,9 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("detsim: snippet buffer %d: %w", sb.ID, err)
 		}
-		if len(sb.Image) > 0 {
-			if len(sb.Image) != b.Size() {
-				return nil, fmt.Errorf("detsim: snippet buffer %d: image is %d bytes, buffer is %d: %w",
-					sb.ID, len(sb.Image), b.Size(), faults.ErrBadRecording)
-			}
-			copy(b.Bytes(), sb.Image)
+		// validate bounded every page by sb.Size, and b is no smaller.
+		for _, p := range sb.Image {
+			copy(b.Bytes()[p.Offset:], p.Bytes)
 		}
 		buffers[sb.ID] = b
 	}
@@ -613,8 +694,7 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 
 	if !sn.HasTimer || s.timerHook != nil {
 		for _, d := range sn.PostDigests {
-			sum := sha256.Sum256(buffers[d.ID].Bytes())
-			if got := hex.EncodeToString(sum[:]); got != d.SHA256 {
+			if got := surfaceDigest(buffers[d.ID].Bytes()); got != d.SHA256 {
 				return nil, fmt.Errorf("detsim: snippet %s range [%d, %d): buffer %d: sha256 %s != captured %s: %w",
 					sn.App, sn.Range.From, sn.Range.To, d.ID, got, d.SHA256, faults.ErrSnippetDiverged)
 			}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"gtpin/internal/cl"
@@ -26,6 +28,16 @@ import (
 // shared hook.
 func recordCfg(t testing.TB, seed int64, steps int, cfg testgen.Config, timer func(uint64) uint32) (*cofluent.Recording, int) {
 	t.Helper()
+	return recordOut(t, seed, steps, cfg, timer, 1<<12, nil)
+}
+
+// recordOut is recordCfg with an output surface (recording buffer ID 1)
+// of outSize bytes, into which the host writes outInit, when given,
+// before the first launch. The kernels store to the output's first 512
+// bytes only (four bytes per global ID, and no launch is wider than
+// 128), so the rest of a larger surface holds outInit throughout.
+func recordOut(t testing.TB, seed int64, steps int, cfg testgen.Config, timer func(uint64) uint32, outSize int, outInit []byte) (*cofluent.Recording, int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := testgen.Program(rng, fmt.Sprintf("snip%d", seed), cfg)
 	sched := testgen.Driver(rng, p, steps, cfg)
@@ -39,13 +51,18 @@ func recordCfg(t testing.TB, seed int64, steps int, cfg testgen.Config, timer fu
 	tr := cofluent.Attach(ctx)
 	q := ctx.CreateQueue()
 	in, _ := ctx.CreateBuffer(1 << 12)
-	out, _ := ctx.CreateBuffer(1 << 12)
+	out, _ := ctx.CreateBuffer(outSize)
 	data := make([]byte, 1<<12)
 	for i := range data {
 		data[i] = byte(i*13 + 5)
 	}
 	if err := q.EnqueueWriteBuffer(in, 0, data); err != nil {
 		t.Fatal(err)
+	}
+	if outInit != nil {
+		if err := q.EnqueueWriteBuffer(out, 0, outInit); err != nil {
+			t.Fatal(err)
+		}
 	}
 	prog := ctx.CreateProgram(p)
 	if err := prog.Build(); err != nil {
@@ -93,6 +110,24 @@ func recordCfg(t testing.TB, seed int64, steps int, cfg testgen.Config, timer fu
 // skip the prefix's timer reads, so only a hook with no cross-call
 // state produces identical values on the serial and snippet paths.
 func constTimer(uint64) uint32 { return 0x51C0FFEE }
+
+// pageSize is the page granularity of snippet memory images.
+const pageSize = 4096
+
+// pagedOut is an output surface for recordOut of four pages and a
+// partial fifth (4·4096+8 bytes) that the host fills with non-zero bytes
+// in pages 2 and 4 only: the kernels write page 0, pages 1 and 3 stay
+// zero, and pages 2 and 4 are non-zero pages no kernel writes.
+func pagedOut() (size int, init []byte) {
+	size = 4*pageSize + 8
+	init = make([]byte, size)
+	for i := range init {
+		if page := i / pageSize; page == 2 || page == 4 {
+			init[i] = byte(i*29 + 7)
+		}
+	}
+	return size, init
+}
 
 // snippetRanges picks a representative sampling plan for an n-invocation
 // recording: an early range with warmup clamping at program start, a
@@ -148,19 +183,25 @@ func comparable(rep *detsim.Report) comparableReport {
 // through their serialized form on the way, so the portability format
 // is under the same microscope.
 func TestSnippetReplayMatchesSerial(t *testing.T) {
+	outSize, outInit := pagedOut()
 	cases := []struct {
-		name  string
-		cfg   testgen.Config
-		timer func(uint64) uint32
+		name    string
+		cfg     testgen.Config
+		timer   func(uint64) uint32
+		outSize int
+		outInit []byte
 	}{
-		{"default", testgen.DefaultConfig(), nil},
-		{"fidelity", testgen.FidelityConfig(), constTimer},
+		{"default", testgen.DefaultConfig(), nil, 1 << 12, nil},
+		{"fidelity", testgen.FidelityConfig(), constTimer, 1 << 12, nil},
+		// An output surface of several pages, some never written and
+		// some all zeros, ending in a partial page.
+		{"pages", testgen.DefaultConfig(), nil, outSize, outInit},
 	}
 	for _, tc := range cases {
 		for trial := 0; trial < 4; trial++ {
 			tc, trial := tc, trial
 			t.Run(fmt.Sprintf("%s/trial%d", tc.name, trial), func(t *testing.T) {
-				rec, n := recordCfg(t, int64(8600+trial), 8, tc.cfg, tc.timer)
+				rec, n := recordOut(t, int64(8600+trial), 8, tc.cfg, tc.timer, tc.outSize, tc.outInit)
 				ranges := snippetRanges(n)
 
 				// Serial baseline: one full fast-forwarding Run per range,
@@ -264,9 +305,29 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 	}
 }
 
+// checkImage fails unless every page of a buffer's memory image is
+// aligned, exactly sized, non-zero and in strictly ascending order.
+func checkImage(t *testing.T, b detsim.SnippetBuffer) {
+	t.Helper()
+	next := 0
+	for _, p := range b.Image {
+		if p.Offset < next || p.Offset%pageSize != 0 {
+			t.Errorf("buffer %d: page at offset %d is misaligned or out of order", b.ID, p.Offset)
+		}
+		if want := min(pageSize, b.Size-p.Offset); len(p.Bytes) != want {
+			t.Errorf("buffer %d: page at offset %d is %d bytes, want %d", b.ID, p.Offset, len(p.Bytes), want)
+		}
+		if !slices.ContainsFunc(p.Bytes, func(c byte) bool { return c != 0 }) {
+			t.Errorf("buffer %d: image carries the all-zero page at offset %d", b.ID, p.Offset)
+		}
+		next = p.Offset + pageSize
+	}
+}
+
 // TestSnippetTrimsUntouchedBuffers: a snippet must not carry images (or
 // digests) for buffers its window never touches — the size savings that
-// make snippets shippable.
+// make snippets shippable — and an image carries exactly the surface's
+// non-zero pages.
 func TestSnippetTrimsUntouchedBuffers(t *testing.T) {
 	rec, n := recordCfg(t, 8701, 6, testgen.DefaultConfig(), nil)
 	sim, err := detsim.New(detsim.DefaultConfig())
@@ -278,33 +339,106 @@ func TestSnippetTrimsUntouchedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := snips[0]
+	if len(sn.PostDigests) == 0 {
+		t.Fatal("no post-digests recorded")
+	}
+	digested := make(map[int]bool)
+	for _, d := range sn.PostDigests {
+		if len(d.SHA256) != 64 {
+			t.Errorf("buffer %d: malformed digest %q", d.ID, d.SHA256)
+		}
+		digested[d.ID] = true
+	}
 	imaged := 0
 	for _, b := range sn.Buffers {
 		if len(b.Image) > 0 {
 			imaged++
-			if len(b.Image) != b.Size {
-				t.Errorf("buffer %d: image %d bytes, size %d", b.ID, len(b.Image), b.Size)
+			if !digested[b.ID] {
+				t.Errorf("buffer %d: carries an image but the window never touches it", b.ID)
 			}
+			checkImage(t, b)
 		}
 	}
 	if imaged == 0 {
 		t.Fatal("no buffer carried an image — the window must touch something")
 	}
-	if len(sn.PostDigests) == 0 {
-		t.Fatal("no post-digests recorded")
+
+	// A window opening at the first launch sees the output surface as
+	// the host left it: exactly pages 2 and 4 non-zero.
+	outSize, outInit := pagedOut()
+	rec, _ = recordOut(t, 8701, 6, testgen.DefaultConfig(), nil, outSize, outInit)
+	if snips, err = sim.Capture(rec, []detsim.Range{{From: 0, To: 1}}); err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range sn.PostDigests {
-		if len(d.SHA256) != 64 {
-			t.Errorf("buffer %d: malformed digest %q", d.ID, d.SHA256)
+	var out *detsim.SnippetBuffer
+	for i, b := range snips[0].Buffers {
+		if b.ID == 1 {
+			out = &snips[0].Buffers[i]
 		}
+	}
+	if out == nil || out.Size != outSize {
+		t.Fatalf("output surface missing or mis-sized in %+v", snips[0].Buffers)
+	}
+	checkImage(t, *out)
+	var offsets []int
+	for _, p := range out.Image {
+		offsets = append(offsets, p.Offset)
+		if !bytes.Equal(p.Bytes, outInit[p.Offset:p.Offset+len(p.Bytes)]) {
+			t.Errorf("page at offset %d does not hold the host's bytes", p.Offset)
+		}
+	}
+	if want := []int{2 * pageSize, 4 * pageSize}; !slices.Equal(offsets, want) {
+		t.Errorf("output image pages at %v, want %v", offsets, want)
 	}
 }
 
 // TestSnippetDivergenceDetected: corrupting a snippet's memory image
 // must surface as faults.ErrSnippetDiverged at replay, not as silently
-// wrong results.
+// wrong results — wherever in a surface of several pages the corruption
+// sits, including pages the window never writes and pages the image
+// leaves out because they were zero.
 func TestSnippetDivergenceDetected(t *testing.T) {
-	rec, n := recordCfg(t, 8702, 6, testgen.DefaultConfig(), nil)
+	replay := func(t *testing.T, sn *detsim.Snippet) error {
+		t.Helper()
+		rsim, err := detsim.New(detsim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rsim.RunSnippet(sn)
+		return err
+	}
+
+	t.Run("byte0", func(t *testing.T) {
+		rec, n := recordCfg(t, 8702, 6, testgen.DefaultConfig(), nil)
+		sim, err := detsim.New(detsim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snips, err := sim.Capture(rec, []detsim.Range{{From: n - 1, To: n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := snips[0]
+		flipped := false
+		for i := range sn.Buffers {
+			if len(sn.Buffers[i].Image) > 0 {
+				sn.Buffers[i].Image[0].Bytes[0] ^= 0xFF
+				flipped = true
+				break
+			}
+		}
+		if !flipped {
+			t.Fatal("no image to corrupt")
+		}
+		if err := replay(t, sn); !errors.Is(err, faults.ErrSnippetDiverged) {
+			t.Fatalf("corrupted snippet: want ErrSnippetDiverged, got %v", err)
+		}
+	})
+
+	// The output surface's image holds page 0 (written by the prefix's
+	// kernels) and pages 2 and 4 (the host's, which no kernel writes).
+	outSize, outInit := pagedOut()
+	rec, n := recordOut(t, 8702, 6, testgen.DefaultConfig(), nil, outSize, outInit)
 	sim, err := detsim.New(detsim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -313,24 +447,54 @@ func TestSnippetDivergenceDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := snips[0]
-	flipped := false
-	for i := range sn.Buffers {
-		if len(sn.Buffers[i].Image) > 0 {
-			sn.Buffers[i].Image[0] ^= 0xFF
-			flipped = true
-			break
-		}
-	}
-	if !flipped {
-		t.Fatal("no image to corrupt")
-	}
-	rsim, err := detsim.New(detsim.DefaultConfig())
+	captured, err := snips[0].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rsim.RunSnippet(sn); !errors.Is(err, faults.ErrSnippetDiverged) {
-		t.Fatalf("corrupted snippet: want ErrSnippetDiverged, got %v", err)
+	// fresh decodes an uncorrupted copy and returns it with its output
+	// surface and the index of that surface's page at offset 2·4096.
+	fresh := func(t *testing.T) (*detsim.Snippet, *detsim.SnippetBuffer, int) {
+		t.Helper()
+		sn, err := detsim.DecodeSnippet(captured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sn.Buffers {
+			if b := &sn.Buffers[i]; b.ID == 1 {
+				for j, p := range b.Image {
+					if p.Offset == 2*pageSize {
+						return sn, b, j
+					}
+				}
+			}
+		}
+		t.Fatalf("no output page at offset %d in %+v", 2*pageSize, sn.Buffers)
+		return nil, nil, 0
+	}
+	sn, _, _ := fresh(t)
+	if err := replay(t, sn); err != nil {
+		t.Fatalf("uncorrupted multi-page snippet: %v", err)
+	}
+	corruptions := []struct {
+		name string
+		do   func(b *detsim.SnippetBuffer, j int)
+	}{
+		{"unwritten-page-flip", func(b *detsim.SnippetBuffer, j int) { b.Image[j].Bytes[100] ^= 0x01 }},
+		{"zero-page-added", func(b *detsim.SnippetBuffer, j int) {
+			page := make([]byte, pageSize)
+			page[pageSize-1] = 1
+			b.Image = slices.Insert(b.Image, j, detsim.SnippetPage{Offset: pageSize, Bytes: page})
+		}},
+		{"page-dropped", func(b *detsim.SnippetBuffer, j int) { b.Image = slices.Delete(b.Image, j, j+1) }},
+	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			sn, b, j := fresh(t)
+			c.do(b, j)
+			if err := replay(t, sn); !errors.Is(err, faults.ErrSnippetDiverged) {
+				t.Fatalf("want ErrSnippetDiverged, got %v", err)
+			}
+		})
 	}
 }
 
@@ -355,6 +519,62 @@ func TestSnippetRejectsMalformed(t *testing.T) {
 	}
 	if _, err := detsim.DecodeSnippet(data); !errors.Is(err, faults.ErrBadRecording) {
 		t.Errorf("undefined surface: got %v", err)
+	}
+
+	// A version-1 snippet carried each image as one base64 string.
+	v1 := `{"version":1,"range":{"From":0,"To":1},"buffers":[{"id":0,"size":8,"image":"AQIDBAUGBwg="}]}`
+	if _, err := detsim.DecodeSnippet([]byte(v1)); !errors.Is(err, faults.ErrBadRecording) || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 snippet: got %v", err)
+	}
+
+	// Page lists of a 3·4096+8-byte surface. The valid one decodes and
+	// replays; each malformed one must be refused by both DecodeSnippet
+	// and RunSnippet before anything runs.
+	const size = 3*pageSize + 8
+	page := func(off, n int) detsim.SnippetPage {
+		return detsim.SnippetPage{Offset: off, Bytes: bytes.Repeat([]byte{0x5A}, n)}
+	}
+	pages := []struct {
+		name  string
+		image []detsim.SnippetPage
+	}{
+		{"valid", []detsim.SnippetPage{page(0, pageSize), page(2*pageSize, pageSize), page(3*pageSize, 8)}},
+		{"misaligned", []detsim.SnippetPage{page(8, pageSize)}},
+		{"negative", []detsim.SnippetPage{page(-pageSize, pageSize)}},
+		{"past-end", []detsim.SnippetPage{page(0, pageSize), page(4*pageSize, pageSize)}},
+		{"short", []detsim.SnippetPage{page(pageSize, pageSize-1)}},
+		{"long", []detsim.SnippetPage{page(3*pageSize, 9)}},
+		{"repeated", []detsim.SnippetPage{page(pageSize, pageSize), page(pageSize, pageSize)}},
+		{"decreasing", []detsim.SnippetPage{page(2*pageSize, pageSize), page(pageSize, pageSize)}},
+	}
+	for _, pc := range pages {
+		sn := &detsim.Snippet{
+			Version: detsim.SnippetVersion,
+			Range:   detsim.Range{From: 0, To: 1},
+			Buffers: []detsim.SnippetBuffer{{ID: 0, Size: size, Image: pc.image}},
+		}
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, decErr := detsim.DecodeSnippet(data)
+		sim, err := detsim.New(detsim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := sim.RunSnippet(sn)
+		if pc.name == "valid" {
+			if decErr != nil || runErr != nil {
+				t.Errorf("valid page list: decode %v, replay %v", decErr, runErr)
+			}
+			continue
+		}
+		if !errors.Is(decErr, faults.ErrBadRecording) {
+			t.Errorf("%s page list: DecodeSnippet got %v", pc.name, decErr)
+		}
+		if !errors.Is(runErr, faults.ErrBadRecording) {
+			t.Errorf("%s page list: RunSnippet got %v", pc.name, runErr)
+		}
 	}
 }
 
@@ -447,11 +667,22 @@ func TestSnippetEncodedLen(t *testing.T) {
 	var kernels []detsim.SnippetKernel
 	var buffers []detsim.SnippetBuffer
 	var events []detsim.SnippetEvent
-	for i, b := range [][]byte{nil, {}, {0}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}, bytes.Repeat([]byte{0xFF}, 1001)} {
+	fields := [][]byte{nil, {}, {0}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}, bytes.Repeat([]byte{0xFF}, 1001)}
+	for i, b := range fields {
 		kernels = append(kernels, detsim.SnippetKernel{Name: fmt.Sprint("k", i), Code: b})
-		buffers = append(buffers, detsim.SnippetBuffer{ID: i, Size: 1 + len(b), Image: b})
+		buffers = append(buffers, detsim.SnippetBuffer{ID: i, Size: 1 + len(b), Image: []detsim.SnippetPage{{Bytes: b}}})
 		events = append(events, detsim.SnippetEvent{Kind: "write", Buffer: i, Size: len(b), Payload: b})
 	}
+	// Images of several pages, of none, and an empty page list.
+	var multi []detsim.SnippetPage
+	for i, b := range fields {
+		multi = append(multi, detsim.SnippetPage{Offset: i * pageSize, Bytes: b})
+	}
+	buffers = append(buffers,
+		detsim.SnippetBuffer{ID: 100, Size: len(fields) * pageSize, Image: multi},
+		detsim.SnippetBuffer{ID: 101, Size: 8},
+		detsim.SnippetBuffer{ID: 102, Size: 8, Image: []detsim.SnippetPage{}},
+	)
 	snips = append(snips,
 		&detsim.Snippet{},
 		&detsim.Snippet{Kernels: []detsim.SnippetKernel{}, Buffers: []detsim.SnippetBuffer{}, Events: []detsim.SnippetEvent{}, PostDigests: []detsim.BufferDigest{}},
