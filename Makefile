@@ -182,14 +182,18 @@ bench-baseline:
 # and a tiny traced sweep whose -trace/-metrics artifacts are
 # schema-validated by cmd/obscheck. The engine line carries the
 # predecode differential fuzz (threaded-code loops vs the reference
-# interpreter) and the oracle tests of the lane bodies both loops share
-# under the race detector. The cachesim line holds the paged cache to
-# the flat-array reference and AccessLanes to per-key walks under the
-# race detector; the allocation checks (a detailed group and a hooked
+# interpreter) and the oracle tests of the lane bodies and the
+# pre-decoded ALU and compare handlers under the race detector. The
+# GT-Pin trace-buffer line runs Detach and the buffer pool, including
+# concurrent Attach/replay/Detach, ten times under the race detector.
+# The cachesim line holds the paged cache to the flat-array reference
+# and AccessLanes to per-key walks under the race detector; the
+# allocation checks (a functional group, a detailed group and a hooked
 # send allocate nothing, detsim.New stays under 64 KiB) run without it,
 # because the race detector allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
+	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle' ./internal/engine
 	$(GO) test -race ./internal/cachesim
 	$(GO) test -run Allocs ./internal/engine ./internal/detsim

@@ -28,6 +28,63 @@ func allocSurfaces(t *testing.T) []*Buffer {
 	return surfs
 }
 
+// TestRunGroupAllocs runs one functional group, with nil hooks, whose
+// ALU and compare records reach a handler of every width — the scalar
+// move, the W8 and W16 tables and the generic handlers at W2, W4 and
+// under predication — and requires that it allocate nothing once its
+// kernel is pre-decoded.
+func TestRunGroupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	a := asm.NewKernel("allocs", isa.W16)
+	in, out := a.Surface(0), a.Surface(1)
+	addr, v, s := a.Temp(), a.Temp(), a.Temp()
+	a.Shl(addr, asm.R(kernel.GIDReg), asm.I(2))
+	a.Load(v, addr, in, 4)
+	a.SetWidth(isa.W1)
+	a.MovI(s, 7)
+	a.Add(s, asm.R(s), asm.R(v))
+	a.SetWidth(isa.W2)
+	a.Mul(v, asm.R(v), asm.R(s))
+	a.SetWidth(isa.W4)
+	a.Xor(v, asm.R(v), asm.I(0x55))
+	a.SetWidth(isa.W8)
+	a.Mad(v, asm.R(v), asm.R(s), asm.I(3))
+	a.CmpI(isa.CondLT, v, 1<<20)
+	a.SetWidth(0)
+	a.Avg(v, asm.R(v), asm.R(s))
+	a.CmpI(isa.CondGTS, v, 9)
+	a.SetPred(isa.PredOn)
+	a.Sub(v, asm.R(v), asm.I(1))
+	a.SetPred(isa.PredNoneMode)
+	a.Store(out, addr, v, 4)
+	a.End()
+	k := a.MustBuild()
+
+	e := &Env{}
+	e.Watchdog.Reset(0)
+	surfs := allocSurfaces(t)
+	var st Stats
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := e.RunGroup(k, nil, surfs, 1, 16, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RunGroup allocates %v times per group, want 0", allocs)
+	}
+	widths := map[int]bool{}
+	for _, p := range e.predecoded(k).blocks[0].ops {
+		if p.run != nil {
+			widths[p.width] = true
+		}
+	}
+	if len(widths) != len(isa.Widths) {
+		t.Fatalf("the group's handlers run at widths %v, want every width", widths)
+	}
+}
+
 // TestRunGroupDetailedAllocs runs one cycle-level group whose sends
 // cover every data message kind, predicated and not, and requires that
 // it allocate nothing once its kernel is pre-decoded and the cache pages

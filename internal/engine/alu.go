@@ -3,116 +3,16 @@ package engine
 import "gtpin/internal/isa"
 
 // execALUVec executes one ALU-class operation over pre-resolved source
-// vectors. The per-opcode loops are the vectorized form of isa.Eval —
-// TestOracleALU holds the two to identical lanes — so the compiler
-// keeps the lane loop free of per-lane dispatch. s2 is consulted only by
-// mad.
+// vectors, each lane gated by the predication mode. The per-opcode loops
+// are the vectorized form of isa.Eval — TestOracleALU holds the two to
+// identical lanes — so the compiler keeps the lane loop free of
+// per-lane opcode dispatch. s2 is consulted only by mad. The production
+// loops reach it only through aluGeneric, for the records no
+// straight-line handler covers (predicated ops, W2 and W4, scalar ops
+// other than moves); the functional reference loop runs it for every
+// ALU instruction.
 func (c *Core) execALUVec(op isa.Opcode, fn isa.MathFn, pred isa.PredMode, dstReg isa.Reg, s0, s1, s2 *[isa.MaxWidth]uint32, width int) {
 	dst := &c.GRF[dstReg]
-
-	if pred == isa.PredNoneMode {
-		// Unpredicated (the common case): dense lane loops with no
-		// per-channel enable check, over operands re-sliced to the
-		// execution width so the compiler drops the per-lane bounds
-		// checks. Must mirror the predicated switch below exactly, minus
-		// the laneOn gate.
-		d, a, b := dst[:width], s0[:width], s1[:width]
-		switch op {
-		case isa.OpMov, isa.OpMovi:
-			copy(d, a)
-		case isa.OpSel:
-			f := c.Flag[:width]
-			for i := range d {
-				if f[i] {
-					d[i] = a[i]
-				} else {
-					d[i] = b[i]
-				}
-			}
-		case isa.OpAnd:
-			for i := range d {
-				d[i] = a[i] & b[i]
-			}
-		case isa.OpOr:
-			for i := range d {
-				d[i] = a[i] | b[i]
-			}
-		case isa.OpXor:
-			for i := range d {
-				d[i] = a[i] ^ b[i]
-			}
-		case isa.OpNot:
-			for i := range d {
-				d[i] = ^a[i]
-			}
-		case isa.OpShl:
-			for i := range d {
-				d[i] = a[i] << (b[i] & 31)
-			}
-		case isa.OpShr:
-			for i := range d {
-				d[i] = a[i] >> (b[i] & 31)
-			}
-		case isa.OpAsr:
-			for i := range d {
-				d[i] = uint32(int32(a[i]) >> (b[i] & 31))
-			}
-		case isa.OpAdd:
-			for i := range d {
-				d[i] = a[i] + b[i]
-			}
-		case isa.OpSub:
-			for i := range d {
-				d[i] = a[i] - b[i]
-			}
-		case isa.OpMul:
-			for i := range d {
-				d[i] = a[i] * b[i]
-			}
-		case isa.OpMach:
-			for i := range d {
-				d[i] = uint32((uint64(a[i]) * uint64(b[i])) >> 32)
-			}
-		case isa.OpMad:
-			m := s2[:width]
-			for i := range d {
-				d[i] = a[i]*b[i] + m[i]
-			}
-		case isa.OpMin:
-			for i := range d {
-				if b[i] < a[i] {
-					d[i] = b[i]
-				} else {
-					d[i] = a[i]
-				}
-			}
-		case isa.OpMax:
-			for i := range d {
-				if b[i] > a[i] {
-					d[i] = b[i]
-				} else {
-					d[i] = a[i]
-				}
-			}
-		case isa.OpAbs:
-			for i := range d {
-				v := int32(a[i])
-				if v < 0 {
-					v = -v
-				}
-				d[i] = uint32(v)
-			}
-		case isa.OpAvg:
-			for i := range d {
-				d[i] = uint32((uint64(a[i]) + uint64(b[i]) + 1) >> 1)
-			}
-		case isa.OpMath:
-			for i := range d {
-				d[i] = isa.EvalMath(fn, a[i], b[i])
-			}
-		}
-		return
-	}
 
 	switch op {
 	case isa.OpMov, isa.OpMovi:

@@ -228,7 +228,7 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 				}
 				break body
 			case ClassCmp:
-				c.execCmp(p.cond, c.vec(&p.src0), c.vec(&p.src1), iw)
+				p.runDet(c, p, iw)
 				ds.LaneOps += uint64(iw)
 				cycle = issue(start, 0)
 				det.flagReady = cycle + depth
@@ -261,11 +261,7 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 					cycle = issue(start, 0)
 					continue
 				}
-				var s2 *[isa.MaxWidth]uint32
-				if p.op == isa.OpMad {
-					s2 = c.vec(&p.src2)
-				}
-				c.execALUVec(p.op, p.fn, p.pred, p.dst, c.vec(&p.src0), c.vec(&p.src1), s2, iw)
+				p.runDet(c, p, iw)
 				ds.LaneOps += uint64(exec)
 				cycle = issue(start, p.hold)
 				det.regReady[p.dst] = cycle + depth

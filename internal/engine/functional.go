@@ -109,14 +109,8 @@ func (e *Env) RunGroup(k *kernel.Kernel, args []uint32, surfs []*Buffer, group, 
 			}
 
 			switch p.class {
-			case ClassALU:
-				var s2 *[isa.MaxWidth]uint32
-				if p.op == isa.OpMad {
-					s2 = c.vec(&p.src2)
-				}
-				c.execALUVec(p.op, p.fn, p.pred, p.dst, c.vec(&p.src0), c.vec(&p.src1), s2, p.width)
-			case ClassCmp:
-				c.execCmp(p.cond, c.vec(&p.src0), c.vec(&p.src1), p.width)
+			case ClassALU, ClassCmp:
+				p.run(c, p, p.width)
 			case ClassSend:
 				sendActive := active
 				if p.width < sendActive {

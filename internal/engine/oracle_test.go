@@ -4,18 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"gtpin/internal/isa"
+	"gtpin/internal/kernel"
 )
 
-// The oracle tests check the lane bodies that every functional loop
-// shares — execALUVec, execCmp and the send body moveLanes, which both
-// send paths run — against definitions written independently of them.
-// The differential tests cannot: the functional reference loop in
-// reference_test.go runs these same bodies, so a bug inside one of them
-// would be on both sides of the comparison.
+// The oracle tests check the engine's lane bodies against definitions
+// written independently of them: execALUVec and execCmp, which the
+// functional reference loop in reference_test.go runs and the
+// production loops reach through the generic handlers; every handler
+// Predecode selects (handlers.go); and the send body moveLanes, which
+// both send paths run. The differential tests cannot check a body the
+// reference loop shares, since a bug inside it would be on both sides
+// of the comparison.
 
 // oracleValue draws an operand that often lands on an edge case: zero, one,
 // all ones, the sign bit, a shift amount around 31, or a small divisor.
@@ -62,11 +67,54 @@ func firstDiff(got, want *Core) string {
 
 var oracleWidths = []int{1, 2, 4, 8, 16}
 
-// TestOracleALU holds execALUVec to isa.Eval lane by lane: every data
-// opcode and math function, every width, every predication mode, with
-// the destination distinct from the sources or aliasing src0 or src1.
-// Lanes at or beyond the width and lanes predicated off must keep their
-// value, and no other register or flag may change.
+var oraclePreds = []isa.PredMode{isa.PredNoneMode, isa.PredOn, isa.PredOff}
+
+// oracleRecord pre-decodes in as the body of a SIMD16 kernel and returns
+// its record, carrying the handlers Predecode selected for both loops.
+func oracleRecord(in isa.Instruction) *pOp {
+	k := &kernel.Kernel{Name: "oracle", SIMD: isa.W16, Blocks: []*kernel.Block{
+		{Instrs: []isa.Instruction{in, {Op: isa.OpEnd, Width: isa.W16}}},
+	}}
+	return &Predecode(k).blocks[0].ops[0]
+}
+
+// oracleLeg is one way of executing an oracle record: its name and a
+// function running it on a core.
+type oracleLeg struct {
+	name string
+	run  func(c *Core)
+}
+
+// handlerLegs returns the legs that run p through the handlers Predecode
+// selected, at the widths each loop passes, and records every handler
+// they call in seen.
+func handlerLegs(p *pOp, seen map[uintptr]bool) []oracleLeg {
+	seen[reflect.ValueOf(p.run).Pointer()] = true
+	seen[reflect.ValueOf(p.runDet).Pointer()] = true
+	return []oracleLeg{
+		{"run", func(c *Core) { p.run(c, p, p.width) }},
+		{"runDet", func(c *Core) { p.runDet(c, p, p.widthDet) }},
+	}
+}
+
+// requireHandlers fails t unless seen holds every handler in tables.
+func requireHandlers(t *testing.T, seen map[uintptr]bool, tables ...[]handler) {
+	t.Helper()
+	for _, tab := range tables {
+		for i, h := range tab {
+			if pc := reflect.ValueOf(h).Pointer(); h != nil && !seen[pc] {
+				t.Errorf("handler %s (table entry %d) is never selected", runtime.FuncForPC(pc).Name(), i)
+			}
+		}
+	}
+}
+
+// TestOracleALU holds execALUVec, and the handlers Predecode selects for
+// each loop, to isa.Eval lane by lane: every data opcode and math
+// function, every width, every predication mode, with the destination
+// distinct from the sources or aliasing src0 or src1. Lanes at or beyond
+// the width and lanes predicated off must keep their value, and no other
+// register or flag may change. Every ALU handler must be selected.
 func TestOracleALU(t *testing.T) {
 	type alu struct {
 		op isa.Opcode
@@ -86,10 +134,20 @@ func TestOracleALU(t *testing.T) {
 	}
 	const r0, r1, r2, rd = 11, 12, 13, 14
 	rng := rand.New(rand.NewSource(15))
+	seen := map[uintptr]bool{}
 	for _, o := range ops {
 		for _, width := range oracleWidths {
-			for _, pred := range []isa.PredMode{isa.PredNoneMode, isa.PredOn, isa.PredOff} {
+			for _, pred := range oraclePreds {
 				for _, dst := range []isa.Reg{rd, r0, r1} {
+					p := oracleRecord(isa.Instruction{Op: o.op, Fn: o.fn, Pred: pred, Dst: dst, Width: isa.Width(width),
+						Src0: isa.R(r0), Src1: isa.R(r1), Src2: isa.R(r2)})
+					legs := append(handlerLegs(p, seen), oracleLeg{"execALUVec", func(c *Core) {
+						var s2 *[isa.MaxWidth]uint32
+						if o.op == isa.OpMad {
+							s2 = &c.GRF[r2]
+						}
+						c.execALUVec(o.op, o.fn, pred, dst, &c.GRF[r0], &c.GRF[r1], s2, width)
+					}})
 					for trial := 0; trial < 4; trial++ {
 						c := oracleCore(rng)
 						want := *c
@@ -98,45 +156,60 @@ func TestOracleALU(t *testing.T) {
 								want.GRF[dst][l] = isa.Eval(o.op, o.fn, c.GRF[r0][l], c.GRF[r1][l], c.GRF[r2][l], c.Flag[l])
 							}
 						}
-						var s2 *[isa.MaxWidth]uint32
-						if o.op == isa.OpMad {
-							s2 = &c.GRF[r2]
-						}
-						c.execALUVec(o.op, o.fn, pred, dst, &c.GRF[r0], &c.GRF[r1], s2, width)
-						if d := firstDiff(c, &want); d != "" {
-							t.Fatalf("%s fn %d, width %d, pred %d, dst r%d: %s", o.op, o.fn, width, pred, dst, d)
+						for _, leg := range legs {
+							got := *c
+							leg.run(&got)
+							if d := firstDiff(&got, &want); d != "" {
+								t.Fatalf("%s: %s fn %d, width %d, pred %d, dst r%d: %s", leg.name, o.op, o.fn, width, pred, dst, d)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+	requireHandlers(t, seen, alu8[:], alu16[:], []handler{mov1, aluGeneric})
 }
 
-// TestOracleCmp holds execCmp to isa.EvalCmp lane by lane for every
-// condition (and an undefined one, which compares false) at every width,
-// with distinct and with identical source registers. Flags at or beyond
-// the width and every register must keep their value.
+// TestOracleCmp holds execCmp, and the handlers Predecode selects for
+// each loop, to isa.EvalCmp lane by lane for every condition (and two
+// undefined ones, which compare false) at every width and under every
+// predication mode, which a compare ignores, with distinct and with
+// identical source registers. Flags at or beyond the width and every
+// register must keep their value. Every compare handler must be
+// selected.
 func TestOracleCmp(t *testing.T) {
 	const r0, r1 = 11, 12
 	rng := rand.New(rand.NewSource(16))
+	seen := map[uintptr]bool{}
 	for cond := isa.CondNone; cond <= isa.CondGTS+1; cond++ {
 		for _, width := range oracleWidths {
-			for _, src1 := range []isa.Reg{r1, r0} {
-				for trial := 0; trial < 4; trial++ {
-					c := oracleCore(rng)
-					want := *c
-					for l := 0; l < width; l++ {
-						want.Flag[l] = isa.EvalCmp(cond, c.GRF[r0][l], c.GRF[src1][l])
-					}
-					c.execCmp(cond, &c.GRF[r0], &c.GRF[src1], width)
-					if d := firstDiff(c, &want); d != "" {
-						t.Fatalf("cond %d, width %d, src1 r%d: %s", cond, width, src1, d)
+			for _, pred := range oraclePreds {
+				for _, src1 := range []isa.Reg{r1, r0} {
+					p := oracleRecord(isa.Instruction{Op: isa.OpCmp, Cond: cond, Pred: pred, Width: isa.Width(width),
+						Src0: isa.R(r0), Src1: isa.R(src1)})
+					legs := append(handlerLegs(p, seen), oracleLeg{"execCmp", func(c *Core) {
+						c.execCmp(cond, &c.GRF[r0], &c.GRF[src1], width)
+					}})
+					for trial := 0; trial < 4; trial++ {
+						c := oracleCore(rng)
+						want := *c
+						for l := 0; l < width; l++ {
+							want.Flag[l] = isa.EvalCmp(cond, c.GRF[r0][l], c.GRF[src1][l])
+						}
+						for _, leg := range legs {
+							got := *c
+							leg.run(&got)
+							if d := firstDiff(&got, &want); d != "" {
+								t.Fatalf("%s: cond %d, width %d, pred %d, src1 r%d: %s", leg.name, cond, width, pred, src1, d)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	requireHandlers(t, seen, cmp8[:], cmp16[:], []handler{cmpGeneric})
 }
 
 // sendModel is the send oracle: gather, scatter, atomic add and block

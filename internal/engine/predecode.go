@@ -10,8 +10,9 @@ import (
 // stream once, so the hot loops never re-derive per-instruction facts on
 // every dynamic execution. Each pOp record fuses the opcode's dispatch
 // class with fully resolved operand sources (immediates pre-broadcast
-// into shared channel vectors), the issue cost and execute-stage hold,
-// and the precomputed scoreboard source/dest sets the cycle-level loop
+// into shared channel vectors), an ALU or compare record's handler for
+// each loop (handlers.go), the issue cost and execute-stage hold, and
+// the precomputed scoreboard source/dest sets the cycle-level loop
 // consults. Streams are cached process-wide, content-addressed by
 // kernel.Fingerprint the way the GT-Pin rewrite cache is keyed by binary
 // bytes — so every device and simulator in a sweep shares one stream per
@@ -25,7 +26,7 @@ import (
 // every cache key, so changing the pOp lowering in any way must bump it —
 // otherwise streams pre-decoded by an older generation would execute as
 // current.
-const PredecodeVersion = "engine-predecode/2"
+const PredecodeVersion = "engine-predecode/3"
 
 // pSrc is a pre-resolved instruction source: either a register (vec is
 // nil, read through the live GRF) or a pre-broadcast constant vector
@@ -53,6 +54,11 @@ type pOp struct {
 	// cycle-level loop executes (group width is always the kernel SIMD).
 	width    int
 	widthDet int
+
+	// run and runDet execute an ALU or compare record in the functional
+	// and the cycle-level loop, chosen for width and widthDet; nil for
+	// every other class.
+	run, runDet handler
 
 	src0, src1, src2 pSrc
 
@@ -138,6 +144,8 @@ func Predecode(k *kernel.Kernel) *Predecoded {
 			if p.widthDet > width {
 				p.widthDet = width
 			}
+			p.run = handlerFor(in.Op, in.Cond, in.Pred, p.width)
+			p.runDet = handlerFor(in.Op, in.Cond, in.Pred, p.widthDet)
 			for _, s := range [3]isa.Operand{in.Src0, in.Src1, in.Src2} {
 				if s.Kind == isa.OperandReg {
 					p.srcRegs[p.nSrc] = s.Reg

@@ -9,14 +9,17 @@ import (
 
 	"gtpin/internal/cachesim"
 	"gtpin/internal/engine"
+	"gtpin/internal/isa"
+	"gtpin/internal/kernel"
 	"gtpin/internal/testgen"
 )
 
 // This file is the predecode differential fuzz: the pre-decoded
 // threaded-code production loops (RunGroup, RunGroupDetailed) are run
 // against the straight-from-IR reference loops in reference_test.go on
-// randomly generated kernels — with timer sends and fully-predicated-off
-// regions enabled — and every observable must agree: architectural
+// randomly generated kernels — with timer sends, fully-predicated-off
+// regions, scalar ops and ops wider than the kernel enabled — and every
+// observable must agree: architectural
 // registers, memory images, dynamic block traces, work counters,
 // returned cycles, DRAM traffic, and cache statistics. A bug in the predecode lowering
 // (operand resolution, scoreboard source sets, issue costs, watchdog
@@ -73,17 +76,42 @@ func cacheState(det *engine.Detailed) ([]cachesim.Stats, uint64) {
 	return st, h.MemAccesses
 }
 
+// widthMix records whether any generated kernel held a scalar (W1)
+// instruction, the width of GT-Pin's counter moves, and one wider than
+// its kernel's SIMD width, for which the two loops select handlers at
+// different widths.
+type widthMix struct{ scalar, wide bool }
+
+func (m *widthMix) add(k *kernel.Kernel) {
+	for _, b := range k.Blocks {
+		for _, in := range b.Instrs {
+			m.scalar = m.scalar || in.Width == isa.W1
+			m.wide = m.wide || in.Width > k.SIMD
+		}
+	}
+}
+
+// require fails t unless the trials covered both kinds of instruction.
+func (m *widthMix) require(t *testing.T) {
+	t.Helper()
+	if !m.scalar || !m.wide {
+		t.Fatalf("generated kernels cover scalar ops %v and ops wider than the kernel %v, want both", m.scalar, m.wide)
+	}
+}
+
 // TestPredecodeDifferentialFunctional fuzzes RunGroup against RunGroupRef.
 func TestPredecodeDifferentialFunctional(t *testing.T) {
 	trials := 12
 	if testing.Short() {
 		trials = 4
 	}
+	var mix widthMix
 	for trial := 0; trial < trials; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9500 + trial)))
 			cfg := testgen.FidelityConfig()
 			k := testgen.Kernel(rng, fmt.Sprintf("pdf%d", trial), cfg)
+			mix.add(k)
 			width := int(k.SIMD)
 			args := []uint32{uint32(1 + trial%5)}
 
@@ -117,6 +145,7 @@ func TestPredecodeDifferentialFunctional(t *testing.T) {
 			}
 		})
 	}
+	mix.require(t)
 }
 
 // TestPredecodeDifferentialDetailed fuzzes RunGroupDetailed against
@@ -129,11 +158,13 @@ func TestPredecodeDifferentialDetailed(t *testing.T) {
 	if testing.Short() {
 		trials = 4
 	}
+	var mix widthMix
 	for trial := 0; trial < trials; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9600 + trial)))
 			cfg := testgen.FidelityConfig()
 			k := testgen.Kernel(rng, fmt.Sprintf("pdd%d", trial), cfg)
+			mix.add(k)
 			width := int(k.SIMD)
 			args := []uint32{uint32(1 + trial%5)}
 			const freq = 1.15
@@ -184,6 +215,7 @@ func TestPredecodeDifferentialDetailed(t *testing.T) {
 			}
 		})
 	}
+	mix.require(t)
 }
 
 // TestPredecodeFunctionalDetailedAgree closes the triangle: on the same

@@ -21,12 +21,17 @@ import (
 // and work counters. The loops live in a test file, so production
 // binaries do not carry them.
 //
-// RunGroupRef shares two bodies with RunGroup: the ALU lane loops
-// (execALUVec, through execALU below) and the send body (execSendMsg
-// and its lane mover, moveLanes). A bug inside a shared body would be in
-// both sides of a differential test, so oracle_test.go checks execALUVec
-// and execCmp against isa.Eval and isa.EvalCmp, and both send paths
-// against a byte-slice model. RunGroupDetailedRef shares no send code
+// RunGroupRef runs every ALU and compare instruction through execALUVec
+// (via execALU below) and execCmp. RunGroup reaches those bodies only
+// through its generic handlers, for predicated ops, W2 and W4 ops,
+// scalar ops other than moves and undefined conditions; its scalar
+// moves and unpredicated W8 and W16 ops run the specialized handlers in
+// handlers.go, so the differential fuzz checks those against an
+// independent body. The two loops still share the send body
+// (execSendMsg and its lane mover, moveLanes). A bug inside a shared
+// body would be in both sides of a differential test, so oracle_test.go
+// checks execALUVec, execCmp and every handler against isa.Eval and
+// isa.EvalCmp, and both send paths against a byte-slice model. RunGroupDetailedRef shares no send code
 // with RunGroupDetailed: detSendRef below moves each lane through
 // LoadElem, StoreElem or AtomicAdd and walks the cache model one key at
 // a time, so the differential fuzz also checks how detSendMsg groups a

@@ -3,6 +3,7 @@ package gtpin
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/device"
@@ -40,7 +41,8 @@ type Options struct {
 // context's API stream is single-threaded.
 type GTPin struct {
 	opts        Options
-	traceBuf    *device.Buffer
+	ctx         *cl.Context
+	traceBuf    *device.Buffer // nil once detached
 	ringEntries int
 	cache       *RewriteCache // nil when caching is disabled
 
@@ -56,6 +58,12 @@ type GTPin struct {
 	memTrace   []MemAccess
 }
 
+// tracePool recycles DefaultTraceBufBytes trace buffers: Detach clears a
+// buffer and puts it back, and Attach takes one before allocating, so a
+// sweep of replays holds one buffer per replay in flight rather than one
+// per replay it has run.
+var tracePool sync.Pool
+
 // Attach hooks GT-Pin into a context: it allocates the trace buffer,
 // notifies the driver to bind it on every dispatch, registers the binary
 // re-writer with the JIT, and begins observing the API stream. It must be
@@ -67,10 +75,6 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 	}
 	if size < counterRegionBytes+8 {
 		return nil, fmt.Errorf("gtpin: trace buffer %d bytes is below the %d-byte minimum", size, counterRegionBytes+8)
-	}
-	buf, err := device.NewBuffer(size)
-	if err != nil {
-		return nil, fmt.Errorf("gtpin: %w", err)
 	}
 	ringEntries := opts.RingEntries
 	if ringEntries == 0 {
@@ -95,12 +99,23 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 		return nil, fmt.Errorf("gtpin: trace ring too small for memory tracing (%d entries): %w",
 			ringEntries, faults.ErrBadConfig)
 	}
+	var buf *device.Buffer
+	if size == DefaultTraceBufBytes {
+		buf, _ = tracePool.Get().(*device.Buffer)
+	}
+	if buf == nil {
+		var err error
+		if buf, err = device.NewBuffer(size); err != nil {
+			return nil, fmt.Errorf("gtpin: %w", err)
+		}
+	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = DefaultRewriteCache()
 	}
 	g := &GTPin{
 		opts:        opts,
+		ctx:         ctx,
 		traceBuf:    buf,
 		ringEntries: ringEntries,
 		cache:       cache,
@@ -111,6 +126,26 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 	ctx.AddBuildHook(g.rewrite)
 	ctx.AddInterceptor(g)
 	return g, nil
+}
+
+// Detach ends the instance's use of its trace buffer once the
+// application's kernels have completed. It unbinds the buffer from the
+// context, so an instrumented kernel dispatched afterwards fails with
+// faults.ErrInvalidDispatch instead of writing it, and returns a
+// DefaultTraceBufBytes buffer, cleared, to the pool Attach takes from.
+// The records, kernels and memory trace collected so far stay readable.
+// A second call does nothing.
+func (g *GTPin) Detach() {
+	buf := g.traceBuf
+	if buf == nil {
+		return
+	}
+	g.traceBuf = nil
+	g.ctx.SetTraceBuffer(nil)
+	if buf.Size() == DefaultTraceBufBytes {
+		clear(buf.Bytes())
+		tracePool.Put(buf)
+	}
 }
 
 // maxImmSlot is the highest counter slot whose byte address (slot*8) still
@@ -194,8 +229,9 @@ func (g *GTPin) OnAPICall(call *cl.APICall) {
 // resetting this kernel's counters — into an InvocationRecord.
 func (g *GTPin) OnKernelComplete(comp *cl.KernelCompletion) {
 	ik, ok := g.kernels[comp.Kernel]
-	if !ok {
-		// Kernel was built before Attach; nothing was instrumented.
+	if !ok || g.traceBuf == nil {
+		// Kernel was built before Attach, so nothing was instrumented, or
+		// the instance is detached and has no counters to read.
 		return
 	}
 	epoch := 0

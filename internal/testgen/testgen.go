@@ -28,20 +28,32 @@ type Config struct {
 	// including a predicated load — exercising the
 	// no-write/no-scoreboard-update paths.
 	PredOff bool
+	// MixedWidths emits scalar (W1) data ops, the width of GT-Pin's
+	// injected counter moves, among the kernel-width ones, and in a
+	// SIMD8 kernel two W16 ops wider than the kernel, a non-zero
+	// immediate move and a random data op: the functional loop executes
+	// all 16 of their lanes and the cycle-level loop the kernel's 8, so
+	// the two loops run them through different handlers. Lanes at or
+	// beyond the kernel's width never reach memory, so backends still
+	// agree on every stored result.
+	MixedWidths bool
 }
 
-// DefaultConfig returns moderate bounds. Timers and PredOff stay off so
-// seeded workloads (benchmarks, committed baselines) are unchanged.
+// DefaultConfig returns moderate bounds. Timers, PredOff and MixedWidths
+// stay off so seeded workloads (benchmarks, committed baselines) are
+// unchanged.
 func DefaultConfig() Config {
 	return Config{MaxKernels: 3, MaxBlockOps: 8, MaxLoopIters: 6}
 }
 
 // FidelityConfig returns DefaultConfig with the interpreter-fidelity
-// stressors (timer sends, fully-predicated-off regions) enabled.
+// stressors (timer sends, fully-predicated-off regions, scalar and
+// wider-than-kernel ops) enabled.
 func FidelityConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Timers = true
 	cfg.PredOff = true
+	cfg.MixedWidths = true
 	return cfg
 }
 
@@ -55,7 +67,8 @@ var dataOps = []isa.Opcode{
 // data-dependent branches, and memory traffic over two surfaces.
 func Kernel(rng *rand.Rand, name string, cfg Config) *kernel.Kernel {
 	widths := []isa.Width{isa.W8, isa.W16}
-	a := asm.NewKernel(name, widths[rng.Intn(len(widths))])
+	simd := widths[rng.Intn(len(widths))]
+	a := asm.NewKernel(name, simd)
 	iters := a.Arg(0)
 	in := a.Surface(0)
 	out := a.Surface(1)
@@ -71,56 +84,80 @@ func Kernel(rng *rand.Rand, name string, cfg Config) *kernel.Kernel {
 	a.MovI(regs[4], rng.Uint32()|1)
 	a.MovI(regs[5], 0)
 
-	emitOps := func(n int) {
-		for i := 0; i < n; i++ {
-			op := dataOps[rng.Intn(len(dataOps))]
-			dst := regs[rng.Intn(len(regs))]
-			s0 := asm.R(regs[rng.Intn(len(regs))])
-			var s1 isa.Operand
-			if rng.Intn(3) == 0 {
-				s1 = asm.I(rng.Uint32())
-			} else {
-				s1 = asm.R(regs[rng.Intn(len(regs))])
-			}
+	// emitOp emits one random data op at the current width.
+	emitOp := func() {
+		op := dataOps[rng.Intn(len(dataOps))]
+		dst := regs[rng.Intn(len(regs))]
+		s0 := asm.R(regs[rng.Intn(len(regs))])
+		var s1 isa.Operand
+		if rng.Intn(3) == 0 {
+			s1 = asm.I(rng.Uint32())
+		} else {
+			s1 = asm.R(regs[rng.Intn(len(regs))])
+		}
+		switch op {
+		case isa.OpMov, isa.OpNot, isa.OpAbs:
+			a.Mov(dst, s0)
+		case isa.OpMad:
+			a.Mad(dst, s0, s1, asm.R(regs[rng.Intn(len(regs))]))
+		case isa.OpMath:
+			fns := []isa.MathFn{isa.MathInv, isa.MathSqrt, isa.MathIDiv, isa.MathLog2, isa.MathSin}
+			a.Math(fns[rng.Intn(len(fns))], dst, s0, s1)
+		default:
 			switch op {
-			case isa.OpMov, isa.OpNot, isa.OpAbs:
-				a.Mov(dst, s0)
-			case isa.OpMad:
-				a.Mad(dst, s0, s1, asm.R(regs[rng.Intn(len(regs))]))
-			case isa.OpMath:
-				fns := []isa.MathFn{isa.MathInv, isa.MathSqrt, isa.MathIDiv, isa.MathLog2, isa.MathSin}
-				a.Math(fns[rng.Intn(len(fns))], dst, s0, s1)
-			default:
-				switch op {
-				case isa.OpAnd:
-					a.And(dst, s0, s1)
-				case isa.OpOr:
-					a.Or(dst, s0, s1)
-				case isa.OpXor:
-					a.Xor(dst, s0, s1)
-				case isa.OpShl:
-					a.Shl(dst, s0, s1)
-				case isa.OpShr:
-					a.Shr(dst, s0, s1)
-				case isa.OpAsr:
-					a.Asr(dst, s0, s1)
-				case isa.OpAdd:
-					a.Add(dst, s0, s1)
-				case isa.OpSub:
-					a.Sub(dst, s0, s1)
-				case isa.OpMul:
-					a.Mul(dst, s0, s1)
-				case isa.OpMach:
-					a.Mach(dst, s0, s1)
-				case isa.OpMin:
-					a.Min(dst, s0, s1)
-				case isa.OpMax:
-					a.Max(dst, s0, s1)
-				case isa.OpAvg:
-					a.Avg(dst, s0, s1)
-				}
+			case isa.OpAnd:
+				a.And(dst, s0, s1)
+			case isa.OpOr:
+				a.Or(dst, s0, s1)
+			case isa.OpXor:
+				a.Xor(dst, s0, s1)
+			case isa.OpShl:
+				a.Shl(dst, s0, s1)
+			case isa.OpShr:
+				a.Shr(dst, s0, s1)
+			case isa.OpAsr:
+				a.Asr(dst, s0, s1)
+			case isa.OpAdd:
+				a.Add(dst, s0, s1)
+			case isa.OpSub:
+				a.Sub(dst, s0, s1)
+			case isa.OpMul:
+				a.Mul(dst, s0, s1)
+			case isa.OpMach:
+				a.Mach(dst, s0, s1)
+			case isa.OpMin:
+				a.Min(dst, s0, s1)
+			case isa.OpMax:
+				a.Max(dst, s0, s1)
+			case isa.OpAvg:
+				a.Avg(dst, s0, s1)
 			}
 		}
+	}
+	emitOps := func(n int) {
+		for i := 0; i < n; i++ {
+			if cfg.MixedWidths && rng.Intn(4) == 0 {
+				a.SetWidth(isa.W1)
+				emitOp()
+				a.SetWidth(0)
+				continue
+			}
+			emitOp()
+		}
+	}
+	if cfg.MixedWidths {
+		// A scalar immediate move, as GT-Pin injects, and in a SIMD8
+		// kernel ops wider than the kernel: a non-zero move, so a loop
+		// that executes it past the kernel's width leaves a register
+		// the other loop's spec does not, then a random op.
+		a.SetWidth(isa.W1)
+		a.MovI(regs[5], rng.Uint32())
+		if simd < isa.W16 {
+			a.SetWidth(isa.W16)
+			a.MovI(regs[2], rng.Uint32()|1)
+			emitOp()
+		}
+		a.SetWidth(0)
 	}
 
 	// Optional counted loop with a memory access and predicated update.

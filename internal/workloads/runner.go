@@ -170,11 +170,18 @@ func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
 			return replayEntry{}, fmt.Errorf("workloads: %s: %w", spec.Name, err)
 		}
 		var g *gtpin.GTPin
-		if _, err := rec.Replay(idev, func(rctx *cl.Context) error {
+		_, err = rec.Replay(idev, func(rctx *cl.Context) error {
 			var aerr error
 			g, aerr = gtpin.Attach(rctx, gtpin.Options{})
 			return aerr
-		}); err != nil {
+		})
+		// The replay has run every kernel it will, and the profile reads
+		// only what GT-Pin collected: hand the trace buffer back, so
+		// cached replays do not each keep one.
+		if g != nil {
+			g.Detach()
+		}
+		if err != nil {
 			return replayEntry{}, fmt.Errorf("workloads: instrumented replay of %s: %w", spec.Name, err)
 		}
 		return replayEntry{g: g, stats: repInj.Stats()}, nil
