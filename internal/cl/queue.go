@@ -14,6 +14,9 @@ import (
 type Queue struct {
 	ctx     *Context
 	pending []pendingExec
+	// snap is the pre-dispatch memory snapshot storage (resilience.go),
+	// one slice per surface slot, reused by every armed dispatch.
+	snap [][]byte
 }
 
 type pendingExec struct {

@@ -112,10 +112,7 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 	var snap [][]byte
 	if (pol.MaxRetries > 0 || pol.Degrade) &&
 		(dev.FaultInjector() != nil || dev.WatchdogBudget() > 0) {
-		snap = make([][]byte, len(surfs))
-		for i, s := range surfs {
-			snap[i] = append([]byte(nil), s.Bytes()...)
-		}
+		snap = q.snapshot(surfs)
 	}
 	restore := func() {
 		for i, s := range surfs {
@@ -165,4 +162,19 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 			return st, err
 		}
 	}
+}
+
+// snapshot copies every surface into the queue's snapshot storage and
+// returns it, one slice per surface. The storage is reused: each slot
+// keeps the largest copy it has held, so an armed dispatch allocates
+// only when a surface outgrows its slot. The result is valid until the
+// next call.
+func (q *Queue) snapshot(surfs []*device.Buffer) [][]byte {
+	for len(q.snap) < len(surfs) {
+		q.snap = append(q.snap, nil)
+	}
+	for i, s := range surfs {
+		q.snap[i] = append(q.snap[i][:0], s.Bytes()...)
+	}
+	return q.snap[:len(surfs)]
 }

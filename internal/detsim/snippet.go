@@ -315,16 +315,23 @@ func (w *capWindow) reference(id int, b *device.Buffer, touch bool) {
 	}
 }
 
+// errCaptured ends a capture walk once every window is sealed.
+var errCaptured = errors.New("detsim: every window captured")
+
 // Capture replays the recording once functionally and extracts one
 // snippet per requested range. Ranges are validated individually (each
 // snippet replays alone, so cross-range overlap is allowed — warmup
 // windows of different snippets may cover the same invocations). The
 // returned snippets align with the input ranges.
 //
-// The capture pass executes every invocation on a fresh fast-forward
-// device configured like Run's (same watchdog budget, same timer hook),
-// so the clock seeds recorded at each window's start equal the values a
-// real fast-forwarding replay reaches.
+// The capture pass executes invocations on a fresh fast-forward device
+// configured like Run's (same watchdog budget, same timer hook), so the
+// clock seeds recorded at each window's start equal the values a real
+// fast-forwarding replay reaches. It stops after the last window's last
+// invocation: every image and digest is sealed by then, and host events
+// after a window's last launch are ignored, so nothing later can change
+// a snippet. The recording past that point is neither executed nor
+// validated; Run, which walks all of it, still fails on a fault there.
 func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet, error) {
 	windows := make([]*capWindow, len(ranges))
 	for i, r := range ranges {
@@ -344,6 +351,10 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 			kidx:    make(map[string]int),
 		}
 	}
+	if len(windows) == 0 {
+		return []*Snippet{}, nil
+	}
+	pending := len(windows) // windows not yet finalized
 
 	dev, err := device.New(s.cfg.Device)
 	if err != nil {
@@ -358,8 +369,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 		}
 	})
 
-	// Per-walk memo of kernel fingerprints and timer scans.
-	fps := make(map[*kernel.Kernel]string)
+	// Per-walk memo of timer scans.
 	timers := make(map[*kernel.Kernel]bool)
 
 	openAt := func(inv int) []*capWindow {
@@ -429,14 +439,11 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 				for si, b := range l.Surfaces {
 					w.reference(l.SurfIDs[si], b, false)
 				}
-				fp, ok := fps[l.IR]
-				if !ok {
-					var ferr error
-					fp, ferr = l.IR.Fingerprint()
-					if ferr != nil {
-						return fmt.Errorf("detsim: capture invocation %d: %w", l.Invocation, ferr)
-					}
-					fps[l.IR] = fp
+				fp, ferr := l.IR.Fingerprint()
+				if ferr != nil {
+					return fmt.Errorf("detsim: capture invocation %d: %w", l.Invocation, ferr)
+				}
+				if _, ok := timers[l.IR]; !ok {
 					timers[l.IR] = engine.KernelReadsTimer(l.IR)
 				}
 				ki, ok := w.kidx[fp]
@@ -477,12 +484,16 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 				}
 				if l.Invocation == w.r.To-1 {
 					w.finalize(buffers)
+					pending--
 				}
+			}
+			if pending == 0 {
+				return errCaptured
 			}
 			return nil
 		},
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errCaptured) {
 		return nil, err
 	}
 

@@ -180,8 +180,8 @@ func PredecodeFor(k *kernel.Kernel) *Predecoded {
 }
 
 // predecoded memoizes PredecodeFor per kernel object, so the per-group
-// hot paths pay one map hit per dispatch loop instead of a fingerprint
-// hash. The memo lives on the Env and dies with its backend.
+// hot paths pay one map hit per dispatch loop instead of a shared-cache
+// lookup. The memo lives on the Env and dies with its backend.
 func (e *Env) predecoded(k *kernel.Kernel) *Predecoded {
 	if pk, ok := e.pre[k]; ok {
 		return pk

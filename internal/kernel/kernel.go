@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"gtpin/internal/isa"
 )
@@ -54,6 +55,13 @@ func (b *Block) Succs() []int {
 // Kernel is a named GPU procedure: a list of basic blocks, executed from
 // block 0 until an end-of-thread, once per SIMD channel-group of the
 // dispatch.
+//
+// A kernel does not change once it has been fingerprinted or executed:
+// Fingerprint keeps its first result, the engine's per-Env stream memo
+// and the device's per-binary decode memo hold kernels by pointer, and
+// the predecode and detsim compile caches key on the fingerprint. Code
+// that edits IR (the GT-Pin rewriter, retargeting) works on a fresh
+// jit.Decode result or builds new kernels, never on one that has run.
 type Kernel struct {
 	Name string
 	// Dialect is the ISA surface the kernel targets: which widths are
@@ -75,6 +83,15 @@ type Kernel struct {
 	// binds. Surface s in a send descriptor refers to the s-th buffer
 	// argument set on the kernel.
 	NumSurfaces int
+
+	// fp is the first Fingerprint result, shared by every later call.
+	fp atomic.Pointer[fingerprint]
+}
+
+// fingerprint is one computed Fingerprint result.
+type fingerprint struct {
+	sum string
+	err error
 }
 
 // ABI register conventions shared by the assembler, the device, and the
@@ -109,7 +126,21 @@ func ArgReg(i int) isa.Reg { return FirstArgReg + isa.Reg(i) }
 // the same instruction stream executes with different issue costs under
 // different dialects, so derived artifacts must not be shared across
 // them.
+//
+// The digest is computed on the first call and kept, so later calls
+// cost a load; concurrent first calls each compute the same value.
 func (k *Kernel) Fingerprint() (string, error) {
+	f := k.fp.Load()
+	if f == nil {
+		f = &fingerprint{}
+		f.sum, f.err = k.fingerprint()
+		k.fp.Store(f)
+	}
+	return f.sum, f.err
+}
+
+// fingerprint computes the kernel's digest without the stored result.
+func (k *Kernel) fingerprint() (string, error) {
 	h := sha256.New()
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(k.Dialect))
