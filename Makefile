@@ -189,20 +189,24 @@ bench-baseline:
 # The capture line runs, ten times under the race detector, the checks
 # that Capture stops at its last window (exactly that many dispatches,
 # and faults after it change no snippet) and that a kernel's stored
-# fingerprint equals a fresh one, concurrent first calls included.
-# The cachesim line holds the paged cache to the flat-array reference
-# and AccessLanes to per-key walks under the race detector; the
-# allocation checks (a functional group, a detailed group and a hooked
-# send allocate nothing, detsim.New stays under 64 KiB, a stored kernel
-# fingerprint allocates nothing) run without it, because the race
-# detector allocates.
+# fingerprint equals a fresh one, concurrent first calls included; the
+# jit line runs the same checks on a binary's stored decoded kernel
+# (one kernel per binary, whatever the calls race, and a malformed
+# binary keeps its error). The cachesim line holds the paged cache to
+# the flat-array reference and AccessLanes to per-key walks under the
+# race detector; the allocation checks (a functional group, a detailed
+# group and a hooked send allocate nothing, detsim.New stays under
+# 64 KiB, a snippet replay makes at most its pinned count, and a stored
+# kernel fingerprint, a stored decoded kernel and a memo hit allocate
+# nothing) run without it, because the race detector allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
 	$(GO) test -race -count=10 -run 'CaptureStops|Fingerprint' ./internal/detsim ./internal/kernel
+	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle' ./internal/engine
 	$(GO) test -race ./internal/cachesim
-	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel
+	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel ./internal/jit ./internal/memo
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
 	mkdir -p .bench

@@ -27,3 +27,32 @@ func TestNewAllocs(t *testing.T) {
 		t.Fatalf("detsim.New allocates %d bytes, want under %d", got, 64<<10)
 	}
 }
+
+// TestRunSnippetAllocs pins what replaying one snippet allocates: its
+// surfaces, one decode of each kernel, a fast-forward device and the
+// report. The window runs two warmup launches and two detailed ones of
+// one kernel. The count was 67 when the device decoded the kernel a
+// second time and each launch built its own surface slice and touch
+// hook.
+func TestRunSnippetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	rec, _, _ := record(t, 8801, 12)
+	sim, err := detsim.New(detsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snips, err := sim.Capture(rec, []detsim.Range{{From: 4, To: 6, Warmup: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := sim.RunSnippet(snips[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 49 {
+		t.Fatalf("RunSnippet allocates %.0f times per snippet, want at most 49", n)
+	}
+}

@@ -33,9 +33,6 @@ type Config struct {
 	// Caches lists cache levels nearest-first; when empty, the HD 4000
 	// L3+LLC pair is used.
 	Caches []cachesim.Config
-	// PipelineDepth is the in-order pipeline's result latency in cycles
-	// for single-cycle ops (dependent instructions stall on it).
-	PipelineDepth int
 	// WatchdogInstrs is the per-enqueue dynamic-instruction budget,
 	// surfaced as faults.ErrWatchdogTimeout when exceeded — the same
 	// engine accounting the functional device uses, so a budget trips at
@@ -44,12 +41,15 @@ type Config struct {
 	WatchdogInstrs uint64
 }
 
+// pipelineDepth is the in-order pipeline's result latency in cycles for
+// single-cycle ops (dependent instructions stall on it).
+const pipelineDepth = 4
+
 // DefaultConfig returns a detailed model of the paper's HD 4000 system.
 func DefaultConfig() Config {
 	return Config{
-		Device:        device.IvyBridgeHD4000(),
-		Caches:        []cachesim.Config{cachesim.HD4000L3(), cachesim.HD4000LLC()},
-		PipelineDepth: 4,
+		Device: device.IvyBridgeHD4000(),
+		Caches: []cachesim.Config{cachesim.HD4000L3(), cachesim.HD4000LLC()},
 	}
 }
 
@@ -144,9 +144,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Device.Validate(); err != nil {
 		return nil, fmt.Errorf("detsim: %w", err)
 	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 4
-	}
 	caches := cfg.Caches
 	if len(caches) == 0 {
 		caches = []cachesim.Config{cachesim.HD4000L3(), cachesim.HD4000LLC()}
@@ -157,7 +154,7 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	cfg.Caches = caches
 	s := &Simulator{cfg: cfg, caches: h}
-	s.det.Depth = uint64(cfg.PipelineDepth)
+	s.det.Depth = pipelineDepth
 	s.det.Caches = h
 	return s, nil
 }
@@ -220,109 +217,119 @@ func validateRanges(ranges []Range) error {
 // modelled time lands in WarmupTimeNs and the device clock advances as
 // it would without warmup) with the cache-touch hook installed.
 func (s *Simulator) Run(rec *cofluent.Recording, detailed []Range) (*Report, error) {
-	s.caches.Reset()
 	ranges := append([]Range(nil), detailed...)
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].From < ranges[j].From })
 	if err := validateRanges(ranges); err != nil {
 		return nil, err
 	}
-
-	dev, err := device.New(s.cfg.Device)
+	rp, err := s.newReplay(ranges, 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("detsim: %w", err)
+		return nil, err
 	}
-	// The fast-forward device shares the per-enqueue budget and probe, so
-	// watchdog trips and block counts are identical whether an invocation
-	// lands inside or outside a detailed range.
-	dev.SetWatchdog(s.cfg.WatchdogInstrs)
-	dev.SetProbe(s.probe)
-	dev.SetTimerHook(s.timerHook)
-
-	rep := &Report{}
 	buffers := make(map[int]*device.Buffer)
 	s.buffers = buffers
 
-	rep.Ranges = make([]RangeReport, len(ranges))
-	for i, r := range ranges {
-		rep.Ranges[i].Range = r
-	}
-	// Sorted, validated ranges are disjoint — and so are their warmup
-	// windows — so first match is the only match.
-	rangeOf := func(seq int) int {
+	err = walkRecording(rec, buffers, walkHooks{onLaunch: func(l *launch) error {
+		// Sorted, validated ranges and their warmup windows are all
+		// disjoint, so the first match is the only match.
+		seq := l.Invocation
 		for i, r := range ranges {
 			if seq >= r.From && seq < r.To {
-				return i
+				return rp.launch(l, i, false)
 			}
-		}
-		return -1
-	}
-	inWarmup := func(seq int) bool {
-		for _, r := range ranges {
 			if r.Warmup > 0 && seq >= r.From-r.Warmup && seq < r.From {
-				return true
+				return rp.launch(l, -1, true)
 			}
 		}
-		return false
-	}
-
-	err = walkRecording(rec, buffers, walkHooks{onLaunch: func(l *launch) error {
-		if ri := rangeOf(l.Invocation); ri >= 0 {
-			beforeT, beforeI := rep.DetailedTimeNs, rep.DetailedInstrs
-			if err := s.runDetailed(l.IR, l.Args, l.Surfaces, l.GWS, ranges[ri].SampleGroups, rep); err != nil {
-				return fmt.Errorf("detsim: invocation %d (%s): %w", l.Invocation, l.IR.Name, err)
-			}
-			rr := &rep.Ranges[ri]
-			rr.Invocations++
-			rr.DetailedTimeNs += rep.DetailedTimeNs - beforeT
-			rr.DetailedInstrs += rep.DetailedInstrs - beforeI
-			rep.Detailed++
-			return nil
-		}
-		touch := inWarmup(l.Invocation)
-		if touch {
-			dev.SetTouchHook(s.touchCache)
-		}
-		st, derr := dev.Run(device.Dispatch{
-			Binary: l.Bin, Args: l.Args, Surfaces: l.Surfaces, GlobalWorkSize: l.GWS,
-		})
-		if touch {
-			dev.SetTouchHook(nil)
-			if derr != nil {
-				return fmt.Errorf("detsim: warmup invocation %d: %w", l.Invocation, derr)
-			}
-			rep.WarmupTimeNs += st.TimeNs
-			rep.Warmed++
-			return nil
-		}
-		if derr != nil {
-			return fmt.Errorf("detsim: fast-forward invocation %d: %w", l.Invocation, derr)
-		}
-		rep.FastForwardTimeNs += st.TimeNs
-		rep.FastForwarded++
-		return nil
+		return rp.launch(l, -1, false)
 	}})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range s.caches.Levels() {
-		rep.Cache = append(rep.Cache, c.Stats())
-	}
-	rep.MemAccesses = s.caches.MemAccesses
-	observeReport(rep, recordingDialect(rec))
-	return rep, nil
+	return rp.finish(), nil
 }
 
-// recordingDialect reports the ISA dialect a recording's programs were
-// authored in (recordings are single-dialect: one application builds
-// against one device generation). Zero-program recordings report the
-// default dialect.
-func recordingDialect(rec *cofluent.Recording) isa.Dialect {
-	for _, p := range rec.Programs {
-		for _, k := range p.Kernels {
-			return k.Dialect
-		}
+// replay is the launch path Run and RunSnippet share: it runs each
+// invocation and books it in the report.
+type replay struct {
+	s       *Simulator
+	dev     *device.Device
+	rep     *Report
+	dialect isa.Dialect                     // of the kernels run in detail
+	touch   func(keys []uint64, write bool) // s.touchCache, bound once
+}
+
+// newReplay empties the caches and starts a replay with one range
+// report per range. Its fast-forward device starts at the given clock
+// with the simulator's watchdog budget, probe and timer hook, which the
+// detailed loop uses too.
+func (s *Simulator) newReplay(ranges []Range, cycles, dispatches uint64) (*replay, error) {
+	dev, err := device.New(s.cfg.Device)
+	if err != nil {
+		return nil, fmt.Errorf("detsim: %w", err)
 	}
-	return 0
+	dev.SetWatchdog(s.cfg.WatchdogInstrs)
+	dev.SetProbe(s.probe)
+	dev.SetTimerHook(s.timerHook)
+	dev.SeedClock(cycles, dispatches)
+	s.caches.Reset()
+	rep := &Report{Ranges: make([]RangeReport, len(ranges))}
+	for i, r := range ranges {
+		rep.Ranges[i].Range = r
+	}
+	return &replay{s: s, dev: dev, rep: rep, touch: s.touchCache}, nil
+}
+
+// launch runs one invocation: in detail, booked in range report ri,
+// when ri >= 0, and otherwise on the fast-forward device, warming the
+// caches when warm.
+func (r *replay) launch(l *launch, ri int, warm bool) error {
+	rep := r.rep
+	if ri >= 0 {
+		rr := &rep.Ranges[ri]
+		beforeT, beforeI := rep.DetailedTimeNs, rep.DetailedInstrs
+		if err := r.s.runDetailed(l.Kernel, l.Args, l.Surfaces, l.GWS, rr.Range.SampleGroups, rep); err != nil {
+			return fmt.Errorf("detsim: invocation %d (%s): %w", l.Invocation, l.Kernel.Name, err)
+		}
+		rr.Invocations++
+		rr.DetailedTimeNs += rep.DetailedTimeNs - beforeT
+		rr.DetailedInstrs += rep.DetailedInstrs - beforeI
+		rep.Detailed++
+		r.dialect = l.Kernel.Dialect
+		return nil
+	}
+	if warm {
+		r.dev.SetTouchHook(r.touch)
+	}
+	st, err := r.dev.Run(device.Dispatch{
+		Binary: l.Bin, Args: l.Args, Surfaces: l.Surfaces, GlobalWorkSize: l.GWS,
+	})
+	if warm {
+		r.dev.SetTouchHook(nil)
+		if err != nil {
+			return fmt.Errorf("detsim: warmup invocation %d: %w", l.Invocation, err)
+		}
+		rep.WarmupTimeNs += st.TimeNs
+		rep.Warmed++
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("detsim: fast-forward invocation %d: %w", l.Invocation, err)
+	}
+	rep.FastForwardTimeNs += st.TimeNs
+	rep.FastForwarded++
+	return nil
+}
+
+// finish books the caches' statistics and publishes the metrics;
+// recordings and snippets are single-dialect, so r.dialect covers all.
+func (r *replay) finish() *Report {
+	for _, c := range r.s.caches.Levels() {
+		r.rep.Cache = append(r.rep.Cache, c.Stats())
+	}
+	r.rep.MemAccesses = r.s.caches.MemAccesses
+	observeReport(r.rep, r.dialect)
+	return r.rep
 }
 
 // Buffer returns the last run's buffer with the given recording ID, or

@@ -14,7 +14,7 @@ import (
 // loop, and the per-enqueue watchdog budget is armed per invocation so
 // it trips at the same dynamic instruction as the functional device.
 // (Warmup invocations run on the fast-forward device with the
-// cache-touch hook installed — see Run and RunSnippet.) All ISA
+// cache-touch hook installed — see replay.launch.) All ISA
 // interpretation lives in internal/engine; this package contributes the
 // sampling, warmup, extrapolation, and wall-time modelling.
 
@@ -116,9 +116,9 @@ func (s *Simulator) runDetailed(k *kernel.Kernel, args []uint32, surfs []*device
 // touchCache is the warmup hook, installed on the fast-forward device
 // while a warmup invocation runs: every send's accesses walk the
 // simulated hierarchy so microarchitectural state stays warm. (Warmup
-// execution itself moved onto the device — see Run — so warmup time is
-// modelled and the device clock advances exactly as it would without
-// warmup.)
+// execution itself runs on the device — see replay.launch — so warmup
+// time is modelled and the device clock advances exactly as it would
+// without warmup.)
 func (s *Simulator) touchCache(keys []uint64, write bool) {
 	s.caches.AccessLanes(keys, write)
 }

@@ -43,7 +43,6 @@ import (
 	"gtpin/internal/device"
 	"gtpin/internal/engine"
 	"gtpin/internal/faults"
-	"gtpin/internal/isa"
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
 )
@@ -439,23 +438,23 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 				for si, b := range l.Surfaces {
 					w.reference(l.SurfIDs[si], b, false)
 				}
-				fp, ferr := l.IR.Fingerprint()
+				fp, ferr := l.Kernel.Fingerprint()
 				if ferr != nil {
 					return fmt.Errorf("detsim: capture invocation %d: %w", l.Invocation, ferr)
 				}
-				if _, ok := timers[l.IR]; !ok {
-					timers[l.IR] = engine.KernelReadsTimer(l.IR)
+				if _, ok := timers[l.Kernel]; !ok {
+					timers[l.Kernel] = engine.KernelReadsTimer(l.Kernel)
 				}
 				ki, ok := w.kidx[fp]
 				if !ok {
 					ki = len(w.sn.Kernels)
 					w.kidx[fp] = ki
 					w.sn.Kernels = append(w.sn.Kernels, SnippetKernel{
-						Name: l.IR.Name, Fingerprint: fp,
+						Name: l.Kernel.Name, Fingerprint: fp,
 						Code: append([]byte(nil), l.Bin.Code...),
 					})
 				}
-				if timers[l.IR] {
+				if timers[l.Kernel] {
 					w.sn.HasTimer = true
 				}
 				w.sn.Events = append(w.sn.Events, SnippetEvent{
@@ -474,7 +473,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 			ts := cur
 			cur = nil
 			if derr != nil {
-				return fmt.Errorf("detsim: capture invocation %d (%s): %w", l.Invocation, l.IR.Name, derr)
+				return fmt.Errorf("detsim: capture invocation %d (%s): %w", l.Invocation, l.Kernel.Name, derr)
 			}
 			for _, w := range open {
 				for si, id := range l.SurfIDs {
@@ -603,20 +602,15 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 	if err := sn.validate(); err != nil {
 		return nil, err
 	}
-	s.caches.Reset()
-
-	type snipKernel struct {
-		ir  *kernel.Kernel
-		bin *jit.Binary
-	}
-	kernels := make([]snipKernel, len(sn.Kernels))
+	// One decode per kernel, shared by its detailed and warmup launches.
+	kernels := make([]launch, len(sn.Kernels))
 	for i, sk := range sn.Kernels {
 		bin := &jit.Binary{Code: sk.Code}
-		ir, err := jit.Decode(bin)
+		k, err := bin.Kernel()
 		if err != nil {
 			return nil, fmt.Errorf("detsim: snippet kernel %s: %w", sk.Name, err)
 		}
-		kernels[i] = snipKernel{ir: ir, bin: bin}
+		kernels[i] = launch{Kernel: k, Bin: bin}
 	}
 
 	buffers := make(map[int]*device.Buffer, len(sn.Buffers))
@@ -633,18 +627,11 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 		buffers[sb.ID] = b
 	}
 
-	dev, err := device.New(s.cfg.Device)
+	rp, err := s.newReplay([]Range{sn.Range}, sn.StartCycles, sn.StartDispatches)
 	if err != nil {
-		return nil, fmt.Errorf("detsim: %w", err)
+		return nil, err
 	}
-	dev.SetWatchdog(s.cfg.WatchdogInstrs)
-	dev.SetProbe(s.probe)
-	dev.SetTimerHook(s.timerHook)
-	dev.SeedClock(sn.StartCycles, sn.StartDispatches)
-
-	rep := &Report{Ranges: []RangeReport{{Range: sn.Range}}}
-	rr := &rep.Ranges[0]
-	invocation := 0
+	invocation := max(0, sn.Range.From-sn.Range.Warmup) // numbered as in the recording
 	for ei, ev := range sn.Events {
 		switch ev.Kind {
 		case evCreate:
@@ -654,54 +641,30 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 			}
 			buffers[ev.Buffer] = b
 		case evWrite:
-			b := buffers[ev.Buffer]
-			if ev.Offset < 0 || ev.Offset > b.Size() || len(ev.Payload) > b.Size()-ev.Offset {
-				return nil, fmt.Errorf("detsim: snippet event %d: write [%d, %d+%d) out of bounds (buffer %d is %d bytes): %w",
-					ei, ev.Offset, ev.Offset, len(ev.Payload), ev.Buffer, b.Size(), faults.ErrBadRecording)
+			if err := hostWrite(buffers[ev.Buffer], ev.Offset, ev.Payload); err != nil {
+				return nil, fmt.Errorf("detsim: snippet event %d: buffer %d: %w", ei, ev.Buffer, err)
 			}
-			copy(b.Bytes()[ev.Offset:], ev.Payload)
 		case evCopy:
-			src, dst := buffers[ev.Buffer], buffers[ev.Buffer2]
-			if ev.Size < 0 ||
-				ev.Offset < 0 || ev.Offset > src.Size() || ev.Size > src.Size()-ev.Offset ||
-				ev.Offset2 < 0 || ev.Offset2 > dst.Size() || ev.Size > dst.Size()-ev.Offset2 {
-				return nil, fmt.Errorf("detsim: snippet event %d: copy out of bounds: %w", ei, faults.ErrBadRecording)
+			if err := hostCopy(buffers[ev.Buffer], buffers[ev.Buffer2], ev.Offset, ev.Offset2, ev.Size); err != nil {
+				return nil, fmt.Errorf("detsim: snippet event %d: buffers %d to %d: %w", ei, ev.Buffer, ev.Buffer2, err)
 			}
-			copy(dst.Bytes()[ev.Offset2:ev.Offset2+ev.Size], src.Bytes()[ev.Offset:ev.Offset+ev.Size])
 		case evLaunch:
-			k := kernels[ev.Kernel]
-			surfs := make([]*device.Buffer, len(ev.Surfaces))
-			for si, id := range ev.Surfaces {
-				surfs[si] = buffers[id]
+			l := &kernels[ev.Kernel]
+			l.Invocation, l.Args, l.GWS = invocation, ev.Args, ev.GWS
+			l.Surfaces = l.Surfaces[:0]
+			for _, id := range ev.Surfaces {
+				l.Surfaces = append(l.Surfaces, buffers[id])
 			}
+			ri := -1
 			if ev.Detailed {
-				beforeT, beforeI := rep.DetailedTimeNs, rep.DetailedInstrs
-				if err := s.runDetailed(k.ir, ev.Args, surfs, ev.GWS, sn.Range.SampleGroups, rep); err != nil {
-					return nil, fmt.Errorf("detsim: snippet invocation %d (%s): %w", invocation, k.ir.Name, err)
-				}
-				rr.Invocations++
-				rr.DetailedTimeNs += rep.DetailedTimeNs - beforeT
-				rr.DetailedInstrs += rep.DetailedInstrs - beforeI
-				rep.Detailed++
-			} else {
-				dev.SetTouchHook(s.touchCache)
-				st, derr := dev.Run(device.Dispatch{
-					Binary: k.bin, Args: ev.Args, Surfaces: surfs, GlobalWorkSize: ev.GWS,
-				})
-				dev.SetTouchHook(nil)
-				if derr != nil {
-					return nil, fmt.Errorf("detsim: snippet warmup invocation %d: %w", invocation, derr)
-				}
-				rep.WarmupTimeNs += st.TimeNs
-				rep.Warmed++
+				ri = 0
+			}
+			if err := rp.launch(l, ri, !ev.Detailed); err != nil {
+				return nil, err
 			}
 			invocation++
 		}
 	}
-	for _, c := range s.caches.Levels() {
-		rep.Cache = append(rep.Cache, c.Stats())
-	}
-	rep.MemAccesses = s.caches.MemAccesses
 
 	if !sn.HasTimer || s.timerHook != nil {
 		for _, d := range sn.PostDigests {
@@ -712,12 +675,7 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 		}
 	}
 	mSnippetReplays.Inc()
-	var snd isa.Dialect
-	if len(kernels) > 0 {
-		snd = kernels[0].ir.Dialect
-	}
-	observeReport(rep, snd)
-	return rep, nil
+	return rp.finish(), nil
 }
 
 // MergeReports folds per-interval reports — one per selected interval,

@@ -14,20 +14,20 @@ import (
 
 // This file is the single recording walk both Run (simulate) and
 // Capture (checkpoint) drive: it owns the object tables (buffers,
-// programs, kernels, live argument bindings), validates every
-// host-side data movement against buffer bounds, and compiles recorded
-// programs through a process-wide content-addressed cache. The drivers
+// programs, kernel objects and their live argument bindings), validates
+// every host-side data movement against buffer bounds (as snippet replay
+// does, through the same functions), and compiles recorded programs
+// through a process-wide content-addressed cache. The drivers
 // differ only in their hooks — how an enqueue is executed and whether
 // host events are recorded.
 
-// launch describes one kernel enqueue the walker is about to execute.
-// Args and Surfaces are the kernel object's live binding slices — a
-// later SetKernelArg mutates them in place, so hooks that retain launch
-// state must copy.
+// launch is one kernel object: its binary, the binary's shared decoded
+// kernel, and its live argument bindings, which a SetKernelArg updates
+// in place. The walker sets Invocation and GWS before each enqueue's
+// onLaunch call, so a hook that retains launch state must copy it.
 type launch struct {
 	Invocation int // enqueue sequence number, starting at 0
-	CallIdx    int // index into rec.Calls
-	IR         *kernel.Kernel
+	Kernel     *kernel.Kernel
 	Bin        *jit.Binary
 	Args       []uint32
 	Surfaces   []*device.Buffer
@@ -37,10 +37,10 @@ type launch struct {
 
 // walkHooks customizes a recording walk. The walker maintains object
 // state and applies host-side data movement itself; beforeWrite and
-// beforeCopy fire after bounds validation but before the bytes move,
-// onCreate fires after a buffer exists, and onLaunch must execute the
-// dispatch (the walker never runs kernels itself). Nil hooks are
-// skipped, except onLaunch, which is required.
+// beforeCopy fire before the bytes move (a move out of bounds then
+// fails the walk), onCreate fires after a buffer exists, and onLaunch
+// must execute the dispatch (the walker never runs kernels itself). Nil
+// hooks are skipped, except onLaunch, which is required.
 type walkHooks struct {
 	onCreate    func(id int, b *device.Buffer, c *cl.APICall) error
 	beforeWrite func(c *cl.APICall, dst *device.Buffer) error
@@ -60,11 +60,7 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 			rec.App, *rec.Translate, faults.ErrBadConfig)
 	}
 	programs := make(map[int]map[string]*jit.Binary)
-	kernelIR := make(map[int]*kernel.Kernel) // kernel object ID -> IR
-	kernelBin := make(map[int]*jit.Binary)   // kernel object ID -> binary
-	kargs := make(map[int][]uint32)          // kernel object ID -> scalar args
-	ksurfs := make(map[int][]*device.Buffer) // kernel object ID -> surfaces
-	ksurfIDs := make(map[int][]int)          // kernel object ID -> surface buffer IDs
+	kernels := make(map[int]*launch) // kernel object ID -> kernel object
 
 	invocation := 0
 	for i := range rec.Calls {
@@ -95,90 +91,80 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 			if !ok {
 				return fmt.Errorf("detsim: call %d: kernel %s of unbuilt program %d: %w", i, c.Kernel, c.Program, faults.ErrBadRecording)
 			}
-			ir := rec.Programs[c.Program].Kernel(c.Kernel)
-			if ir == nil || bins[c.Kernel] == nil {
+			bin := bins[c.Kernel]
+			if bin == nil {
 				return fmt.Errorf("detsim: call %d: unknown kernel %s: %w", i, c.Kernel, faults.ErrBadRecording)
 			}
-			kernelIR[c.KID] = ir
-			kernelBin[c.KID] = bins[c.Kernel]
-			kargs[c.KID] = make([]uint32, ir.NumArgs)
-			ksurfs[c.KID] = make([]*device.Buffer, ir.NumSurfaces)
-			ksurfIDs[c.KID] = make([]int, ir.NumSurfaces)
+			k, err := bin.Kernel()
+			if err != nil {
+				return fmt.Errorf("detsim: call %d: %w", i, err)
+			}
+			kernels[c.KID] = &launch{
+				Kernel:   k,
+				Bin:      bin,
+				Args:     make([]uint32, k.NumArgs),
+				Surfaces: make([]*device.Buffer, k.NumSurfaces),
+				SurfIDs:  make([]int, k.NumSurfaces),
+			}
 		case cl.CallSetKernelArg:
-			ir, ok := kernelIR[c.KID]
+			l, ok := kernels[c.KID]
 			if !ok {
 				return fmt.Errorf("detsim: call %d: arg on unknown kernel %d: %w", i, c.KID, faults.ErrBadRecording)
 			}
-			if c.ArgIdx >= ir.NumArgs {
+			if c.ArgIdx >= l.Kernel.NumArgs {
 				b, ok := buffers[c.Buffer]
 				if !ok {
 					return fmt.Errorf("detsim: call %d: unknown buffer %d: %w", i, c.Buffer, faults.ErrBadRecording)
 				}
-				slot := c.ArgIdx - ir.NumArgs
-				if slot < 0 || slot >= len(ksurfs[c.KID]) {
+				slot := c.ArgIdx - l.Kernel.NumArgs
+				if slot < 0 || slot >= len(l.Surfaces) {
 					return fmt.Errorf("detsim: call %d: surface slot %d out of range (%d bound): %w",
-						i, slot, len(ksurfs[c.KID]), faults.ErrBadRecording)
+						i, slot, len(l.Surfaces), faults.ErrBadRecording)
 				}
-				ksurfs[c.KID][slot] = b
-				ksurfIDs[c.KID][slot] = c.Buffer
+				l.Surfaces[slot] = b
+				l.SurfIDs[slot] = c.Buffer
 			} else {
 				if c.ArgIdx < 0 {
 					return fmt.Errorf("detsim: call %d: negative arg index %d: %w", i, c.ArgIdx, faults.ErrBadRecording)
 				}
-				kargs[c.KID][c.ArgIdx] = c.ArgVal
+				l.Args[c.ArgIdx] = c.ArgVal
 			}
 		case cl.CallEnqueueWriteBuffer:
 			b, ok := buffers[c.Buffer]
 			if !ok {
 				return fmt.Errorf("detsim: call %d: write to unknown buffer %d: %w", i, c.Buffer, faults.ErrBadRecording)
 			}
-			// A hostile or torn recording can carry any offset; reject
-			// instead of panicking on the slice (or silently truncating).
-			if c.Offset < 0 || c.Offset > b.Size() || len(c.Payload) > b.Size()-c.Offset {
-				return fmt.Errorf("detsim: call %d: write [%d, %d+%d) out of bounds (buffer %d is %d bytes): %w",
-					i, c.Offset, c.Offset, len(c.Payload), c.Buffer, b.Size(), faults.ErrBadRecording)
-			}
 			if h.beforeWrite != nil {
 				if err := h.beforeWrite(c, b); err != nil {
 					return err
 				}
 			}
-			copy(b.Bytes()[c.Offset:], c.Payload)
+			if err := hostWrite(b, c.Offset, c.Payload); err != nil {
+				return fmt.Errorf("detsim: call %d: buffer %d: %w", i, c.Buffer, err)
+			}
 		case cl.CallEnqueueCopyBuffer, cl.CallEnqueueCopyImgToBuf:
 			src, dst := buffers[c.Buffer], buffers[c.Buffer2]
 			if src == nil || dst == nil {
 				return fmt.Errorf("detsim: call %d: copy with unknown buffer: %w", i, faults.ErrBadRecording)
-			}
-			if c.Size < 0 ||
-				c.Offset < 0 || c.Offset > src.Size() || c.Size > src.Size()-c.Offset ||
-				c.Offset2 < 0 || c.Offset2 > dst.Size() || c.Size > dst.Size()-c.Offset2 {
-				return fmt.Errorf("detsim: call %d: copy src [%d, %d+%d) dst [%d, %d+%d) out of bounds (src %d, dst %d bytes): %w",
-					i, c.Offset, c.Offset, c.Size, c.Offset2, c.Offset2, c.Size, src.Size(), dst.Size(), faults.ErrBadRecording)
 			}
 			if h.beforeCopy != nil {
 				if err := h.beforeCopy(c, src, dst); err != nil {
 					return err
 				}
 			}
-			copy(dst.Bytes()[c.Offset2:c.Offset2+c.Size], src.Bytes()[c.Offset:c.Offset+c.Size])
+			if err := hostCopy(src, dst, c.Offset, c.Offset2, c.Size); err != nil {
+				return fmt.Errorf("detsim: call %d: buffers %d to %d: %w", i, c.Buffer, c.Buffer2, err)
+			}
 		case cl.CallEnqueueNDRangeKernel:
-			ir, ok := kernelIR[c.KID]
+			l, ok := kernels[c.KID]
 			if !ok {
 				return fmt.Errorf("detsim: call %d: enqueue of unknown kernel %d: %w", i, c.KID, faults.ErrBadRecording)
 			}
 			// Dispatch is synchronous and the interpreters never append to
-			// these slices, so the kernel's live bindings are passed
-			// directly instead of copied per enqueue.
-			if err := h.onLaunch(&launch{
-				Invocation: invocation,
-				CallIdx:    i,
-				IR:         ir,
-				Bin:        kernelBin[c.KID],
-				Args:       kargs[c.KID],
-				Surfaces:   ksurfs[c.KID],
-				SurfIDs:    ksurfIDs[c.KID],
-				GWS:        c.GWS,
-			}); err != nil {
+			// the binding slices, so the kernel object itself is the
+			// launch, not a copy of it.
+			l.Invocation, l.GWS = invocation, c.GWS
+			if err := h.onLaunch(l); err != nil {
 				return err
 			}
 			invocation++
@@ -189,12 +175,37 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 	return nil
 }
 
+// hostWrite copies payload into b at offset off. A hostile or torn
+// recording or snippet can carry any offset, so a write that does not
+// fit is refused instead of panicking (or silently truncating).
+func hostWrite(b *device.Buffer, off int, payload []byte) error {
+	if off < 0 || off > b.Size() || len(payload) > b.Size()-off {
+		return fmt.Errorf("write [%d, %d+%d) out of bounds (%d-byte buffer): %w",
+			off, off, len(payload), b.Size(), faults.ErrBadRecording)
+	}
+	copy(b.Bytes()[off:], payload)
+	return nil
+}
+
+// hostCopy copies n bytes from src at offset off to dst at offset off2,
+// refusing a copy that does not fit either buffer.
+func hostCopy(src, dst *device.Buffer, off, off2, n int) error {
+	if n < 0 ||
+		off < 0 || off > src.Size() || n > src.Size()-off ||
+		off2 < 0 || off2 > dst.Size() || n > dst.Size()-off2 {
+		return fmt.Errorf("copy src [%d, %d+%d) dst [%d, %d+%d) out of bounds (src %d, dst %d bytes): %w",
+			off, off, n, off2, off2, n, src.Size(), dst.Size(), faults.ErrBadRecording)
+	}
+	copy(dst.Bytes()[off2:off2+n], src.Bytes()[off:off+n])
+	return nil
+}
+
 // progCache memoizes jit.CompileProgram results across Run and Capture
 // calls, keyed by program content (kernel names + executable
-// fingerprints) — the detsim-side analogue of the device's
-// decoded-binary cache. Compiled binaries are immutable, so entries are
-// shared freely, including by the parallel snippet-replay workers, each
-// of which owns a private Simulator but shares this process-wide memo.
+// fingerprints). Compiled binaries are immutable, so entries are shared
+// freely, including by the parallel snippet-replay workers, each of
+// which owns a private Simulator but shares this process-wide memo; a
+// shared binary decodes once (jit.Binary.Kernel) for all of them.
 var progCache = memo.New[map[string]*jit.Binary]("detsim_compile_cache")
 
 // programKey content-addresses a program: each kernel's name and

@@ -6,7 +6,6 @@ import (
 	"gtpin/internal/engine"
 	"gtpin/internal/faults"
 	"gtpin/internal/jit"
-	"gtpin/internal/kernel"
 )
 
 // Dispatch describes one kernel invocation: the compiled binary, scalar
@@ -46,9 +45,9 @@ type ExecStats struct {
 // the analytic timing model (timing.go) and the device's queue
 // semantics. All ISA interpretation happens in internal/engine; the
 // device contributes validation, fault-injection policy, and timing.
-// It owns a decoded-binary cache and the engine's interpreter scratch;
-// it is not safe for concurrent use, matching a single in-order command
-// queue.
+// It runs each binary's shared decoded kernel (jit.Binary.Kernel) and
+// owns the engine's interpreter scratch; it is not safe for concurrent
+// use, matching a single in-order command queue.
 type Device struct {
 	cfg        Config
 	cycles     uint64 // device timestamp counter, advanced per dispatch
@@ -70,8 +69,6 @@ type Device struct {
 
 	probe *engine.Probe // attached analysis probe, or nil
 
-	decoded map[*jit.Binary]*kernel.Kernel
-
 	// eng is the shared execution engine: interpreter scratch state,
 	// watchdog accounting, and the device's hooks (timer, memory stall
 	// charge, and send faults while a dispatch with a fault plan runs).
@@ -84,9 +81,8 @@ func New(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:     cfg,
-		id:      deviceIDs.Add(1) - 1,
-		decoded: make(map[*jit.Binary]*kernel.Kernel),
+		cfg: cfg,
+		id:  deviceIDs.Add(1) - 1,
 	}
 	// memory stall: the per-send latency charged to a thread — the
 	// wall-clock latency in cycles, divided by the EU's SMT depth
@@ -175,18 +171,6 @@ func (d *Device) budget() uint64 {
 	return engine.MaxGroupInstrs
 }
 
-func (d *Device) kernelFor(bin *jit.Binary) (*kernel.Kernel, error) {
-	if k, ok := d.decoded[bin]; ok {
-		return k, nil
-	}
-	k, err := jit.Decode(bin)
-	if err != nil {
-		return nil, fmt.Errorf("device: %w", err)
-	}
-	d.decoded[bin] = k
-	return k, nil
-}
-
 // fill copies the engine's accumulated counters into the dispatch stats.
 func (st *ExecStats) fill(es *engine.Stats) {
 	st.Instrs = es.Instrs
@@ -202,9 +186,9 @@ func (d *Device) Run(disp Dispatch) (ExecStats, error) {
 	if disp.Binary == nil {
 		return st, fmt.Errorf("device: dispatch has no binary: %w", faults.ErrInvalidDispatch)
 	}
-	k, err := d.kernelFor(disp.Binary)
+	k, err := disp.Binary.Kernel()
 	if err != nil {
-		return st, err
+		return st, fmt.Errorf("device: %w", err)
 	}
 	if disp.GlobalWorkSize <= 0 {
 		return st, fmt.Errorf("device: kernel %s: global work size %d: %w", k.Name, disp.GlobalWorkSize, faults.ErrInvalidDispatch)

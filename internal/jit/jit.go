@@ -9,14 +9,16 @@
 // that it is the interception point for the GT-Pin binary rewriter
 // (gtpin/internal/gtpin), which decodes, instruments, and re-encodes the
 // binary before the driver hands it to the device — exactly the flow in
-// Figure 1 of the paper. Downstream, a dispatched binary is decoded
-// once (and memoized) by its backend and interpreted by the shared
-// execution engine (gtpin/internal/engine).
+// Figure 1 of the paper. Downstream, a binary decodes once, on its first
+// Kernel call, into one kernel that every backend dispatching it runs in
+// the shared execution engine (gtpin/internal/engine); code that rewrites
+// IR (the GT-Pin rewriter, the translator) calls Decode for its own copy.
 package jit
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"gtpin/internal/faults"
 	"gtpin/internal/isa"
@@ -32,9 +34,36 @@ const Magic = 0x424E4547 // "GENB"
 const Version = 2
 
 // Binary is a compiled, machine-specific kernel binary as produced by the
-// driver JIT and consumed by the device.
+// driver JIT and consumed by the device. Its Code does not change once
+// the binary is built: Kernel keeps the kernel decoded from it.
 type Binary struct {
 	Code []byte
+
+	// decoded is the first Kernel result, shared by every later call.
+	decoded atomic.Pointer[decoded]
+}
+
+// decoded is one Kernel result.
+type decoded struct {
+	k   *kernel.Kernel
+	err error
+}
+
+// Kernel returns the binary's decoded kernel. The first call decodes
+// and keeps the result, kernel or error; every later call returns it,
+// and concurrent first calls all return the one that was kept. The
+// kernel is shared by every backend that dispatches the binary, so it
+// must never be edited: code that rewrites IR calls Decode instead.
+func (b *Binary) Kernel() (*kernel.Kernel, error) {
+	d := b.decoded.Load()
+	if d == nil {
+		d = &decoded{}
+		d.k, d.err = Decode(b)
+		if !b.decoded.CompareAndSwap(nil, d) {
+			d = b.decoded.Load()
+		}
+	}
+	return d.k, d.err
 }
 
 // Compile lowers a validated kernel to a device binary in the kernel's
@@ -57,11 +86,12 @@ func Compile(k *kernel.Kernel) (*Binary, error) {
 	return compileUnchecked(k)
 }
 
-// Decode reconstructs the kernel IR from a device binary. The result is
-// validated only structurally at the instruction level; callers that
-// require full IR invariants should run Kernel.Validate. (Instrumented
-// binaries intentionally relax some source-level invariants, e.g. they use
-// the reserved scratch registers.)
+// Decode reconstructs the kernel IR from a device binary, as a fresh
+// kernel the caller may edit (Binary.Kernel returns the shared one). The
+// result is validated only structurally at the instruction level;
+// callers that require full IR invariants should run Kernel.Validate.
+// (Instrumented binaries intentionally relax some source-level
+// invariants, e.g. they use the reserved scratch registers.)
 func Decode(bin *Binary) (*kernel.Kernel, error) {
 	code := bin.Code
 	if len(code) < 15 {

@@ -58,7 +58,8 @@ func (b *Block) Succs() []int {
 //
 // A kernel does not change once it has been fingerprinted or executed:
 // Fingerprint keeps its first result, the engine's per-Env stream memo
-// and the device's per-binary decode memo hold kernels by pointer, and
+// holds kernels by pointer, a binary's decoded kernel (jit.Binary.Kernel)
+// is one object shared by every backend that dispatches the binary, and
 // the predecode and detsim compile caches key on the fingerprint. Code
 // that edits IR (the GT-Pin rewriter, retargeting) works on a fresh
 // jit.Decode result or builds new kernels, never on one that has run.

@@ -143,3 +143,18 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		t.Fatalf("stats = %+v, want 16 entries and %d lookups", st, 8*200)
 	}
 }
+
+// TestDoHitAllocs: a hit costs a locked map lookup and two counter
+// increments, and allocates nothing.
+func TestDoHitAllocs(t *testing.T) {
+	m := New[*int]("memo_test_allocs")
+	v := new(int)
+	k := Key([]byte("hit"))
+	f := func() (*int, error) { return v, nil }
+	if _, _, err := m.Do(k, f); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = m.Do(k, f) }); n != 0 {
+		t.Fatalf("a memo.Do hit allocates %.1f times per call", n)
+	}
+}
