@@ -196,9 +196,10 @@ bench-baseline:
 # the flat-array reference and AccessLanes to per-key walks under the
 # race detector; the allocation checks (a functional group, a detailed
 # group and a hooked send allocate nothing, detsim.New stays under
-# 64 KiB, a snippet replay makes at most its pinned count, and a stored
-# kernel fingerprint, a stored decoded kernel and a memo hit allocate
-# nothing) run without it, because the race detector allocates.
+# 64 KiB, a snippet replay and a SimPoint Run make at most their pinned
+# counts, and a stored kernel fingerprint, a stored decoded kernel and a
+# memo hit allocate nothing) run without it, because the race detector
+# allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
@@ -206,7 +207,7 @@ bench-smoke:
 	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle' ./internal/engine
 	$(GO) test -race ./internal/cachesim
-	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel ./internal/jit ./internal/memo
+	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel ./internal/jit ./internal/memo ./internal/simpoint
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
 	mkdir -p .bench

@@ -14,6 +14,7 @@
 package simpoint
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,30 +82,22 @@ type Result struct {
 // Run clusters interval feature vectors. weights[i] is interval i's
 // dynamic instruction count.
 func Run(vecs []features.Vector, weights []float64, cfg Config) (*Result, error) {
-	return run(vecs, weights, cfg, lloyd)
+	res, _, err := run(vecs, weights, cfg)
+	return res, err
 }
 
-// clusterFunc runs one k-means clustering of kpts into k centers, with at
-// most maxIters Lloyd iterations, and assigns every point of pts to its
-// nearest center. Run's is lloyd; the tests drive the same pipeline with
-// the unoptimised reference loop.
-type clusterFunc func(pts, kpts [][]float64, kweights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64)
-
-func lloyd(pts, kpts [][]float64, kweights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64) {
-	centers, _ := kmeans(kpts, kweights, k, maxIters, rng)
-	return assignAll(pts, centers), centers
-}
-
-func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterFunc) (*Result, error) {
+// run is Run, also counting the work its k-means runs skipped.
+func run(vecs []features.Vector, weights []float64, cfg Config) (*Result, shortcuts, error) {
+	var sc shortcuts
 	n := len(vecs)
 	if n == 0 {
-		return nil, fmt.Errorf("simpoint: no intervals")
+		return nil, sc, fmt.Errorf("simpoint: no intervals")
 	}
 	if len(weights) != n {
-		return nil, fmt.Errorf("simpoint: %d weights for %d intervals", len(weights), n)
+		return nil, sc, fmt.Errorf("simpoint: %d weights for %d intervals", len(weights), n)
 	}
 	if cfg.MaxK <= 0 || cfg.Dims <= 0 {
-		return nil, fmt.Errorf("simpoint: invalid config (MaxK=%d, Dims=%d)", cfg.MaxK, cfg.Dims)
+		return nil, sc, fmt.Errorf("simpoint: invalid config (MaxK=%d, Dims=%d)", cfg.MaxK, cfg.Dims)
 	}
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 1
@@ -113,16 +106,16 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 		cfg.MaxIters = 60
 	}
 
-	pts := Project(vecs, cfg.Dims)
+	pts := group(Project(vecs, cfg.Dims))
 	totalW := 0.0
 	for _, w := range weights {
 		if w < 0 {
-			return nil, fmt.Errorf("simpoint: negative weight")
+			return nil, sc, fmt.Errorf("simpoint: negative weight")
 		}
 		totalW += w
 	}
 	if totalW == 0 {
-		return nil, fmt.Errorf("simpoint: zero total weight")
+		return nil, sc, fmt.Errorf("simpoint: zero total weight")
 	}
 
 	maxK := cfg.MaxK
@@ -140,12 +133,13 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 	kpts, kweights := pts, weights
 	if n > maxSample {
 		idx := sampleIndices(weights, maxSample, rng)
-		kpts = make([][]float64, len(idx))
+		sample := make([][]float64, len(idx))
 		kweights = make([]float64, len(idx))
 		for i, j := range idx {
-			kpts[i] = pts[j]
+			sample[i] = pts.at[j]
 			kweights[i] = weights[j]
 		}
+		kpts = group(sample)
 	}
 
 	type candidate struct {
@@ -154,11 +148,13 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 		bic     float64
 	}
 	cands := make([]candidate, maxK)
+	dist := make([]float64, len(pts.first)) // bic's scratch
 	for k := 1; k <= maxK; k++ {
 		best := candidate{bic: math.Inf(-1)}
 		for r := 0; r < cfg.Restarts; r++ {
-			assign, centers := cluster(pts, kpts, kweights, k, cfg.MaxIters, rng)
-			b := bic(pts, weights, assign, centers, totalW)
+			centers := kmeans(kpts, kweights, k, cfg.MaxIters, rng, &sc)
+			assign := assignAll(pts, centers)
+			b := bic(pts, weights, assign, centers, totalW, dist)
 			if b > best.bic {
 				best = candidate{assign: assign, centers: centers, bic: b}
 			}
@@ -188,7 +184,9 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 	}
 
 	// Representative per cluster: the member nearest the centroid;
-	// ratio = cluster weight share.
+	// ratio = cluster weight share. A group's members share its distance
+	// and its center, so under the strict < only its lowest index can
+	// win, and only that index's distance is summed.
 	k := chosen + 1
 	clusterW := make([]float64, k)
 	bestIdx := make([]int, k)
@@ -199,7 +197,10 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 	}
 	for i, a := range c.assign {
 		clusterW[a] += weights[i]
-		d := sqDist(pts[i], c.centers[a])
+		if pts.first[pts.group[i]] != i {
+			continue
+		}
+		d := sqDist(pts.at[i], c.centers[a])
 		if d < bestDist[a] {
 			bestDist[a] = d
 			bestIdx[a] = i
@@ -216,9 +217,9 @@ func run(vecs []features.Vector, weights []float64, cfg Config, cluster clusterF
 		})
 	}
 	if len(res.Selections) == 0 {
-		return nil, fmt.Errorf("simpoint: clustering produced no selections")
+		return nil, sc, fmt.Errorf("simpoint: clustering produced no selections")
 	}
-	return res, nil
+	return res, sc, nil
 }
 
 // Project maps sparse feature vectors to dense cfg.Dims-dimensional
@@ -271,10 +272,76 @@ func direction(key uint64, j int) float64 {
 	return float64(x>>11)/float64(1<<53)*2 - 1
 }
 
+// points is a projected interval sequence with its points grouped by
+// bit-identical coordinates. Intervals that relaunch the same kernels
+// over the same work, or whose vectors are proportional, project to one
+// point, and a distance computed from coordinates alone is the same for
+// every member of a group, so it is computed once per group. Sums over
+// weights or indices still run over every point in index order.
+type points struct {
+	at    [][]float64 // at[i] is point i's coordinates
+	group []int       // group[i] is point i's group
+	first []int       // first[g] is group g's lowest index; it ascends with g
+}
+
+// group partitions pts by coordinate bits (math.Float64bits, so +0 and
+// -0 differ), numbering the groups in order of first occurrence. It
+// sorts indices rather than hashing keys, so it allocates three slices
+// whatever the number of groups.
+func group(pts [][]float64) points {
+	n := len(pts)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmpBits(pts[a], pts[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	// Map each point to the head of its run in that order, which is the
+	// lowest index with its bits, then number the heads in index order.
+	g := make([]int, n)
+	groups := 0
+	for r, i := range order {
+		if r == 0 || cmpBits(pts[order[r-1]], pts[i]) != 0 {
+			g[i] = i
+			groups++
+		} else {
+			g[i] = g[order[r-1]]
+		}
+	}
+	first := make([]int, 0, groups)
+	for i, head := range g {
+		if head == i {
+			g[i] = len(first)
+			first = append(first, i)
+		} else {
+			g[i] = g[head] // head < i is numbered already
+		}
+	}
+	return points{at: pts, group: g, first: first}
+}
+
+// cmpBits orders points by their coordinates' bits.
+func cmpBits(a, b []float64) int {
+	for j, x := range a {
+		if c := cmp.Compare(math.Float64bits(x), math.Float64bits(b[j])); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // assignAll maps every point to its nearest center.
-func assignAll(pts [][]float64, centers [][]float64) []int {
-	assign := make([]int, len(pts))
-	for i, p := range pts {
+func assignAll(pts points, centers [][]float64) []int {
+	assign := make([]int, len(pts.at))
+	for i, p := range pts.at {
+		if f := pts.first[pts.group[i]]; f < i {
+			assign[i] = assign[f]
+			continue
+		}
 		assign[i], _, _ = nearest(p, centers)
 	}
 	return assign
@@ -355,7 +422,13 @@ type shortcuts struct {
 }
 
 // kmeans runs weighted Lloyd's algorithm with k-means++ seeding and
-// returns the centers after maxIters iterations or convergence.
+// returns the centers after maxIters iterations or convergence, adding
+// the work it skipped to sc.
+//
+// A point's nearest center and its distance to any center depend only on
+// its coordinates, so kmeans keeps both per group of pts. The centroid
+// sums still add every point's weighted coordinates in index order, so
+// every center is bit for bit that of a loop over points.
 //
 // The loop body is a pure function of (assign, centers): the RNG is drawn
 // only by seedPlusPlus, before the loop. So once the state at the top of
@@ -367,18 +440,18 @@ type shortcuts struct {
 // maxIters. Cycles are found with Brent's method: one snapshot, re-saved
 // at iterations 1, 2, 4, 8, …. After a skip fewer than a period's
 // iterations remain, so no state can match the snapshot again.
-func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand) ([][]float64, shortcuts) {
-	n := len(pts)
-	dims := len(pts[0])
+func kmeans(pts points, weights []float64, k, maxIters int, rng *rand.Rand, sc *shortcuts) [][]float64 {
+	groups := len(pts.first)
+	dims := len(pts.at[0])
 	centers := seedPlusPlus(pts, weights, k, rng)
-	assign := make([]int, n)
-	dist := make([]float64, n) // each point's distance to its center
+	assign := make([]int, groups)   // each group's center
+	dist := make([]float64, groups) // each group's distance to its center
 	sums := make([][]float64, k)
+	flat := make([]float64, k*dims)
 	for c := range sums {
-		sums[c] = make([]float64, dims)
+		sums[c] = flat[c*dims : (c+1)*dims]
 	}
 	ws := make([]float64, k)
-	var sc shortcuts
 	var snap snapshot
 
 	for iter := 0; iter < maxIters; iter++ {
@@ -397,12 +470,12 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			}
 		}
 		changed := false
-		for i, p := range pts {
-			best, d, pruned := nearest(p, centers)
+		for g, i := range pts.first {
+			best, d, pruned := nearest(pts.at[i], centers)
 			sc.pruned += pruned
-			dist[i] = d
-			if assign[i] != best {
-				assign[i] = best
+			dist[g] = d
+			if assign[g] != best {
+				assign[g] = best
 				changed = true
 			}
 		}
@@ -410,36 +483,37 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			break
 		}
 		// Recompute weighted centroids.
-		for c := range sums {
-			clear(sums[c])
-		}
+		clear(flat)
 		clear(ws)
-		for i, p := range pts {
-			c := assign[i]
+		for i, p := range pts.at {
+			c := assign[pts.group[i]]
 			w := weights[i]
 			ws[c] += w
+			row := sums[c][:len(p)]
 			for j, x := range p {
-				sums[c][j] += w * x
+				row[j] += w * x
 			}
 		}
-		fresh := 0 // dist is current for points assigned below fresh or at c and above
+		fresh := 0 // dist is current for groups assigned below fresh or at c and above
 		for c := range centers {
 			if ws[c] == 0 {
 				// Empty cluster: reseed to the point farthest from its
-				// center. Centers below c are already updated and change
-				// no more this iteration, so a point's distance to its
-				// center is summed at most once more.
+				// center, the lowest index on ties: groups ascend in their
+				// lowest index, and only a strictly farther one replaces
+				// the best so far. Centers below c are already updated and
+				// change no more this iteration, so a group's distance to
+				// its center is summed at most once more.
 				far, farD := 0, -1.0
-				for i, p := range pts {
-					if a := assign[i]; a >= fresh && a < c {
-						dist[i] = sqDist(p, centers[a])
+				for g, i := range pts.first {
+					if a := assign[g]; a >= fresh && a < c {
+						dist[g] = sqDist(pts.at[i], centers[a])
 					}
-					if dist[i] > farD {
-						far, farD = i, dist[i]
+					if dist[g] > farD {
+						far, farD = i, dist[g]
 					}
 				}
 				fresh = c
-				copy(centers[c], pts[far])
+				copy(centers[c], pts.at[far])
 				continue
 			}
 			for j := range centers[c] {
@@ -447,7 +521,7 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			}
 		}
 	}
-	return centers, sc
+	return centers
 }
 
 // snapshot is kmeans's state at the top of iteration iter (0: none yet).
@@ -480,39 +554,43 @@ func (s *snapshot) matches(assign []int, centers [][]float64) bool {
 	return slices.Equal(assign, s.assign)
 }
 
-// seedPlusPlus performs weighted k-means++ initialization.
-func seedPlusPlus(pts [][]float64, weights []float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(pts)
+// seedPlusPlus performs weighted k-means++ initialization. A group's
+// squared distance to the nearest center so far is kept once; the
+// weighted sum and the pick run over every point in index order.
+func seedPlusPlus(pts points, weights []float64, k int, rng *rand.Rand) [][]float64 {
+	n := len(pts.at)
 	centers := make([][]float64, 0, k)
 	// First center: weighted random point.
-	centers = append(centers, clonePt(pts[weightedPick(weights, rng)]))
-	d2 := make([]float64, n)
+	centers = append(centers, clonePt(pts.at[weightedPick(weights, rng)]))
+	d2 := make([]float64, len(pts.first))
 	for len(centers) < k {
-		sum := 0.0
 		last := centers[len(centers)-1]
-		for i, p := range pts {
-			d := sqDist(p, last)
-			if len(centers) == 1 || d < d2[i] {
-				d2[i] = d
+		for g, i := range pts.first {
+			d := sqDist(pts.at[i], last)
+			if len(centers) == 1 || d < d2[g] {
+				d2[g] = d
 			}
-			sum += d2[i] * weights[i]
+		}
+		sum := 0.0
+		for i, g := range pts.group {
+			sum += d2[g] * weights[i]
 		}
 		if sum == 0 {
 			// All points coincide with centers; duplicate any point.
-			centers = append(centers, clonePt(pts[rng.Intn(n)]))
+			centers = append(centers, clonePt(pts.at[rng.Intn(n)]))
 			continue
 		}
 		r := rng.Float64() * sum
 		acc := 0.0
 		pick := n - 1
-		for i := range pts {
-			acc += d2[i] * weights[i]
+		for i, g := range pts.group {
+			acc += d2[g] * weights[i]
 			if acc >= r {
 				pick = i
 				break
 			}
 		}
-		centers = append(centers, clonePt(pts[pick]))
+		centers = append(centers, clonePt(pts.at[pick]))
 	}
 	return centers
 }
@@ -541,14 +619,18 @@ func clonePt(p []float64) []float64 {
 
 // bic scores a clustering with the Bayesian Information Criterion under
 // a spherical Gaussian model (the X-means formulation), with interval
-// weights acting as effective point counts.
-func bic(pts [][]float64, weights []float64, assign []int, centers [][]float64, totalW float64) float64 {
+// weights acting as effective point counts. dist is scratch with one
+// entry per group of pts.
+func bic(pts points, weights []float64, assign []int, centers [][]float64, totalW float64, dist []float64) float64 {
 	k := len(centers)
-	d := float64(len(pts[0]))
+	d := float64(len(pts.at[0]))
 	// Pooled within-cluster variance.
+	for g, i := range pts.first {
+		dist[g] = sqDist(pts.at[i], centers[assign[i]])
+	}
 	ss := 0.0
-	for i, p := range pts {
-		ss += weights[i] * sqDist(p, centers[assign[i]])
+	for i, g := range pts.group {
+		ss += weights[i] * dist[g]
 	}
 	denom := totalW - float64(k)
 	if denom <= 0 {
