@@ -18,9 +18,10 @@ vet:
 
 # crash runs the crash-recovery suite under the race detector: journal
 # append/recover, torn-tail and bit-flip fuzzing, atomic-writer
-# semantics, and kill/resume byte-identity of the supervised pool.
+# semantics, the commit rule (Dir.Commit) and the resume rule (Adopt),
+# and kill/resume byte-identity of the supervised pool.
 crash:
-	$(GO) test -race -run 'Journal|Recover|Atomic|Dir|Resume|Pool|Artifact|Torn' ./internal/runstate ./internal/workloads
+	$(GO) test -race -run 'Journal|Recover|Atomic|Dir|Resume|Adopt|Pool|Artifact|Torn' ./internal/runstate ./internal/workloads
 
 # smoke is the journal round-trip check on the real harness: run a tiny
 # characterize sweep journaled to a state dir, resume it, and require

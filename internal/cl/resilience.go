@@ -12,33 +12,25 @@ import (
 // drains (Finish, Flush, WaitForEvents, and the read/copy synchronization
 // calls) and at program build:
 //
-//   - transient faults (faults.IsTransient) are retried with capped
-//     exponential backoff, the dispatch's memory replayed from a clean
-//     snapshot each attempt;
+//   - transient faults (faults.IsTransient) are retried, the dispatch's
+//     memory replayed from a clean snapshot each attempt;
 //   - kernels that hang or exhaust their retries are re-executed once on
 //     a degraded device configuration (device.Config.Degraded), recorded
 //     in ExecStats.Degraded;
 //   - everything else is surfaced as a typed *KernelExecError.
-//
-// Backoff is modelled in virtual nanoseconds (ExecStats.BackoffNs), never
-// slept, so resilient runs stay deterministic and fast.
 type Resilience struct {
 	// MaxRetries bounds retry attempts per kernel execution (and per
 	// program build) for transient faults.
 	MaxRetries int
-	// BackoffBaseNs is the first retry's modelled delay; each subsequent
-	// retry doubles it up to BackoffCapNs.
-	BackoffBaseNs float64
-	BackoffCapNs  float64
 	// Degrade enables re-execution on the degraded device configuration
 	// after a hang/watchdog timeout or exhausted transient retries.
 	Degrade bool
 }
 
 // DefaultResilience returns the policy contexts start with: three
-// retries, 1µs→64µs modelled backoff, degradation enabled.
+// retries, degradation enabled.
 func DefaultResilience() Resilience {
-	return Resilience{MaxRetries: 3, BackoffBaseNs: 1e3, BackoffCapNs: 64e3, Degrade: true}
+	return Resilience{MaxRetries: 3, Degrade: true}
 }
 
 // SetResilience replaces the context's failure policy.
@@ -121,8 +113,6 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 	}
 
 	attempts, retries := 0, 0
-	backoff := pol.BackoffBaseNs
-	var backoffNs float64
 	degraded := false
 	for {
 		attempts++
@@ -130,7 +120,6 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 		if err == nil {
 			st.Attempts = attempts
 			st.Degraded = degraded
-			st.BackoffNs = backoffNs
 			return st, nil
 		}
 		transient := faults.IsTransient(err)
@@ -139,10 +128,6 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 		case snap != nil && transient && retries < pol.MaxRetries:
 			retries++
 			mRetries.Inc()
-			backoffNs += backoff
-			if backoff *= 2; backoff > pol.BackoffCapNs && pol.BackoffCapNs > 0 {
-				backoff = pol.BackoffCapNs
-			}
 			restore()
 		case snap != nil && pol.Degrade && !degraded && (hung || transient):
 			ddev, derr := q.ctx.degradedDevice()
@@ -153,12 +138,10 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 			degraded = true
 			mDegradedRuns.Inc()
 			retries = 0
-			backoff = pol.BackoffBaseNs
 			restore()
 		default:
 			st.Attempts = attempts
 			st.Degraded = degraded
-			st.BackoffNs = backoffNs
 			return st, err
 		}
 	}

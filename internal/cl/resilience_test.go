@@ -108,9 +108,6 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 	if st.Degraded {
 		t.Error("a transient retry must not degrade the device")
 	}
-	if st.BackoffNs <= 0 {
-		t.Error("the retry must record modelled backoff")
-	}
 	if inj.Stats().Corruptions != 1 {
 		t.Errorf("injector stats = %+v, want exactly one corruption", inj.Stats())
 	}
@@ -120,37 +117,11 @@ func TestTransientFaultRetriedToSuccess(t *testing.T) {
 	}
 }
 
-func TestBackoffDoublesAndCaps(t *testing.T) {
-	// Three consecutive corruptions before success: backoff must be
-	// base + 2*base + cap (the third retry's doubled delay hits the cap).
-	seed := findSeed(t, faults.Rates{Corrupt: 0.5}, "writeone",
-		func(v *faults.Invocation) bool { return v.CorruptResult() }, []bool{true, true, true, false})
-	ctx, _ := faultyCtx(t, seed, faults.Rates{Corrupt: 0.5})
-	ctx.SetResilience(Resilience{MaxRetries: 3, BackoffBaseNs: 100, BackoffCapNs: 300, Degrade: false})
-	q := ctx.CreateQueue()
-	buf, _ := ctx.CreateBuffer(4 * 16)
-	p := ctx.CreateProgram(writeOne(t))
-	check(t, p.Build())
-	k, _ := p.CreateKernel("writeone")
-	check(t, k.SetArg(0, 1))
-	check(t, k.SetBuffer(0, buf))
-	ev, err := q.EnqueueNDRangeKernelWithEvent(k, 16)
-	check(t, err)
-	check(t, q.Finish())
-	st, _ := ev.Stats()
-	if st.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", st.Attempts)
-	}
-	if want := 100.0 + 200 + 300; st.BackoffNs != want {
-		t.Errorf("backoff = %v ns, want %v (doubling capped at 300)", st.BackoffNs, want)
-	}
-}
-
 func TestRetriesExhaustedSurfacesTypedError(t *testing.T) {
 	// Corruption on every attempt and no degradation: the drain must fail
 	// with a KernelExecError wrapping the transient sentinel.
 	ctx, _ := faultyCtx(t, 1, faults.Rates{Corrupt: 1})
-	ctx.SetResilience(Resilience{MaxRetries: 2, BackoffBaseNs: 1, BackoffCapNs: 8, Degrade: false})
+	ctx.SetResilience(Resilience{MaxRetries: 2, Degrade: false})
 	q := ctx.CreateQueue()
 	buf, _ := ctx.CreateBuffer(4 * 16)
 	p := ctx.CreateProgram(writeOne(t))

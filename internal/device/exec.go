@@ -34,11 +34,10 @@ type ExecStats struct {
 	TimeNs        float64 // modelled wall-clock time of the dispatch
 
 	// Resilience bookkeeping, filled by the cl layer's resilient drain.
-	// All three stay zero-valued on the fault-free path, so profiles from
+	// Both stay zero-valued on the fault-free path, so profiles from
 	// injection-free runs are unchanged.
-	Attempts  int     // execution attempts consumed (0 or 1 = no retries)
-	Degraded  bool    // final attempt ran on the degraded fallback config
-	BackoffNs float64 // modelled retry backoff delay, not in TimeNs
+	Attempts int  // execution attempts consumed (0 or 1 = no retries)
+	Degraded bool // final attempt ran on the degraded fallback config
 }
 
 // Device is one GPU instance: the shared execution engine composed with

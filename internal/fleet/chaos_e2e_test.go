@@ -90,8 +90,7 @@ func TestFleetByteIdenticalUnderChaos(t *testing.T) {
 	var stats Stats
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	outs, err := Run(ctx, units, Options{
-		State:   state,
+	outs, err := Run(ctx, units, workloads.PoolOptions{State: state}, Options{
 		Workers: fleetWorkers,
 		// Each process-level fault costs its in-flight unit one lease, so
 		// an innocent unit can at worst burn Failures() leases to chaos
@@ -168,7 +167,7 @@ func TestFleetPoisonQuarantine(t *testing.T) {
 	var stats Stats
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	outs, err := Run(ctx, units, Options{
+	outs, err := Run(ctx, units, workloads.PoolOptions{}, Options{
 		Workers:         2,
 		PoisonThreshold: 2,
 		MaxRespawns:     6,
@@ -226,9 +225,8 @@ func TestFleetResumeAdopts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Run(context.Background(), units, Options{
-		State: state, Workers: 2,
-		HeartbeatTTL: 2 * time.Second, PollInterval: 10 * time.Millisecond,
+	first, err := Run(context.Background(), units, workloads.PoolOptions{State: state}, Options{
+		Workers: 2, HeartbeatTTL: 2 * time.Second, PollInterval: 10 * time.Millisecond,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -244,9 +242,8 @@ func TestFleetResumeAdopts(t *testing.T) {
 	}
 	defer state2.Close()
 	var stats Stats
-	second, err := Run(context.Background(), units, Options{
-		State: state2, Resume: true, Workers: 2,
-		Stats: &stats, Logf: t.Logf,
+	second, err := Run(context.Background(), units, workloads.PoolOptions{State: state2, Resume: true}, Options{
+		Workers: 2, Stats: &stats, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,7 @@ func (w *workerState) stateDir() string { return filepath.Join(w.dir, "state") }
 // makes a worker's death at any instant representable: whatever it
 // made durable is harvested, everything else expires.
 type coordinator struct {
+	pool     workloads.PoolOptions
 	opts     Options
 	units    []*unitState
 	byKey    map[string]*unitState
@@ -86,7 +87,7 @@ func (c *coordinator) run(ctx context.Context) ([]workloads.Outcome, error) {
 		return c.outcomes, err
 	}
 
-	if c.opts.Resume {
+	if c.pool.Resume {
 		c.adopt()
 	}
 	if c.settledN == len(c.units) {
@@ -287,10 +288,10 @@ func (c *coordinator) harvest(w *workerState) error {
 }
 
 // settleCompleted merges one harvested completion: digest-verify the
-// artifact in the worker's state dir, copy it (and its recording) into
-// the main state dir with WAL ordering, settle the outcome. An
-// artifact that fails verification is treated like an expired lease —
-// re-executed, never trusted.
+// artifact in the worker's state dir, commit it (and its recording) to
+// the main state dir, settle the outcome. An artifact that fails
+// verification is treated like an expired lease — re-executed, never
+// trusted.
 func (c *coordinator) settleCompleted(w *workerState, u *unitState, r runstate.Record) error {
 	granted := w.lease.granted
 	data, err := runstate.ReadVerifiedArtifact(w.stateDir(), r.Unit, r.Digest)
@@ -299,7 +300,7 @@ func (c *coordinator) settleCompleted(w *workerState, u *unitState, r runstate.R
 		art, err = workloads.DecodeArtifact(data)
 	}
 	var recording []byte
-	if err == nil && art.HasRecording && c.opts.State != nil {
+	if err == nil && art.HasRecording && c.pool.State != nil {
 		recording, err = os.ReadFile(runstate.UnitFilePath(w.stateDir(), r.Unit, ".rec"))
 	}
 	if err != nil {
@@ -313,23 +314,15 @@ func (c *coordinator) settleCompleted(w *workerState, u *unitState, r runstate.R
 		return nil
 	}
 
-	if c.opts.State != nil {
-		// Same ordering a single-process pool uses: blobs and artifact
-		// durable first, the completion record last.
+	if c.pool.State != nil {
+		var rec func(io.Writer) error
 		if recording != nil {
-			err := c.opts.State.WriteBlob(r.Unit, ".rec", func(dst io.Writer) error {
-				_, werr := dst.Write(recording)
-				return werr
-			})
-			if err != nil {
+			rec = func(dst io.Writer) error {
+				_, err := dst.Write(recording)
 				return err
 			}
 		}
-		digest, err := c.opts.State.WriteArtifact(r.Unit, data)
-		if err != nil {
-			return err
-		}
-		if err := c.opts.State.Journal.Completed(r.Unit, digest, r.Attempt); err != nil {
+		if err := c.pool.State.Commit(r.Unit, data, rec, r.Attempt, 0); err != nil {
 			return err
 		}
 	}
@@ -345,8 +338,8 @@ func (c *coordinator) settleCompleted(w *workerState, u *unitState, r runstate.R
 	if t := obs.ActiveTracer(); t != nil {
 		t.SpanWall("fleet", u.key, "fleet:"+w.id, granted, obs.A("epoch", r.Epoch))
 	}
-	if c.opts.OnOutcome != nil {
-		c.opts.OnOutcome(*o)
+	if c.pool.OnOutcome != nil {
+		c.pool.OnOutcome(*o)
 	}
 	return nil
 }
@@ -366,8 +359,8 @@ func (c *coordinator) settleWorkerFailure(w *workerState, u *unitState, r runsta
 // the main state dir with the same record shape a single-process pool
 // writes.
 func (c *coordinator) settleFailure(u *unitState, attempts int, oerr error, errText, class string) error {
-	if c.opts.State != nil {
-		if err := c.opts.State.Journal.Failed(u.key, attempts, errText, class); err != nil {
+	if c.pool.State != nil {
+		if err := c.pool.State.Journal.Failed(u.key, attempts, errText, class, 0); err != nil {
 			return err
 		}
 	}
@@ -376,8 +369,8 @@ func (c *coordinator) settleFailure(u *unitState, attempts int, oerr error, errT
 	o.Attempts = attempts
 	u.settled = true
 	c.settledN++
-	if c.opts.OnOutcome != nil {
-		c.opts.OnOutcome(*o)
+	if c.pool.OnOutcome != nil {
+		c.pool.OnOutcome(*o)
 	}
 	return nil
 }
@@ -458,9 +451,8 @@ func (c *coordinator) spawnWorker() error {
 		Ordinal:        ord,
 		HeartbeatMs:    hbInterval.Milliseconds(),
 		PollMs:         c.opts.PollInterval.Milliseconds(),
-		MaxRestarts:    c.opts.MaxRestarts,
-		UnitTimeoutMs:  c.opts.UnitTimeout.Milliseconds(),
-		SaveRecordings: c.opts.SaveRecordings,
+		UnitTimeoutMs:  c.pool.UnitTimeout.Milliseconds(),
+		SaveRecordings: c.pool.SaveRecordings,
 	}
 	if cfg.PollMs < 1 {
 		cfg.PollMs = 1
@@ -534,32 +526,24 @@ func (c *coordinator) nextUnit(next *int) *unitState {
 }
 
 // adopt satisfies units the main state dir's journal already records as
-// completed, exactly like a resuming single-process pool: completion
-// record plus digest-verified, decodable artifact, or re-execute.
+// completed, by the same rule as a resuming single-process pool
+// (workloads.Adopt).
 func (c *coordinator) adopt() {
-	completed := c.opts.State.Recovered.Completed()
+	completed := c.pool.State.Recovered.Completed()
 	for _, u := range c.units {
-		rec, ok := completed[u.key]
+		art, attempts, ok := workloads.Adopt(c.pool.State, completed, u.key)
 		if !ok {
-			continue
-		}
-		data, err := c.opts.State.ReadArtifact(u.key, rec.Digest)
-		if err != nil {
-			continue
-		}
-		art, err := workloads.DecodeArtifact(data)
-		if err != nil {
 			continue
 		}
 		o := &c.outcomes[u.idx]
 		o.Artifact = art
 		o.Resumed = true
-		o.Attempts = rec.Attempt
+		o.Attempts = attempts
 		u.settled = true
 		c.settledN++
 		c.opts.Stats.Adopted++
-		if c.opts.OnOutcome != nil {
-			c.opts.OnOutcome(*o)
+		if c.pool.OnOutcome != nil {
+			c.pool.OnOutcome(*o)
 		}
 	}
 }

@@ -32,10 +32,13 @@
 // Merging is deterministic: outcomes settle into unit-index order and
 // artifacts are canonical bytes, so the merged report is byte-identical
 // to a single-process run at any worker count and under any failure
-// schedule — the property the chaos suite asserts. When Options.State
-// is set, harvested artifacts (and recordings) are copied into the main
-// state directory and journaled there, so -resume works on a fleet
-// sweep exactly as on a single-process one.
+// schedule — the property the chaos suite asserts. A fleet takes the
+// sweep's workloads.PoolOptions as the in-process pool does. A worker
+// commits each result to its own state dir, and the coordinator commits
+// each harvested result to PoolOptions.State, both through
+// runstate.Dir.Commit. A resume adopts through workloads.Adopt, so
+// -resume works on a fleet sweep exactly as on a single-process one,
+// and either topology resumes the other's journal.
 package fleet
 
 import (
@@ -44,7 +47,6 @@ import (
 	"fmt"
 	"time"
 
-	"gtpin/internal/runstate"
 	"gtpin/internal/workloads"
 )
 
@@ -59,27 +61,22 @@ const (
 	DefaultWorkers         = 2
 )
 
-// Options configures a fleet run.
+// Options holds a fleet run's own settings: where it keeps its scratch
+// files, how many processes it runs, and how it supervises them. What
+// the sweep does with its units is the PoolOptions Run takes.
 type Options struct {
 	// Dir is the fleet scratch directory (manifest, per-worker state).
 	// Empty uses a temp directory removed when Run returns; a fixed Dir
 	// is kept for post-mortem inspection.
 	Dir string
-	// State, when set, receives the merged results: every harvested
-	// artifact (and recording) is copied in and journaled, so the
-	// directory is equivalent to one written by a single-process sweep
-	// and -resume works on it. Nil merges in memory only.
-	State *runstate.Dir
-	// Resume adopts units State's journal already records as completed
-	// (with digest-verified artifacts) without dispatching them.
-	// Requires State.
-	Resume bool
 	// Workers is the number of worker processes; 0 means
 	// DefaultWorkers.
 	Workers int
 	// LeaseTTL bounds how long a single lease may stay outstanding on a
 	// heartbeating worker before the coordinator declares the unit hung,
-	// kills the worker, and re-dispatches. 0 means DefaultLeaseTTL.
+	// kills the worker, and re-dispatches. 0 means DefaultLeaseTTL. It
+	// is independent of PoolOptions.UnitTimeout, which bounds each
+	// attempt inside the worker.
 	LeaseTTL time.Duration
 	// HeartbeatTTL is how long a ready worker's heartbeat file may stay
 	// unchanged before the worker is declared lost. 0 means
@@ -101,20 +98,6 @@ type Options struct {
 	// when the budget is exhausted and no workers remain, Run fails
 	// rather than spinning. 0 means DefaultMaxRespawns.
 	MaxRespawns int
-	// MaxRestarts is the per-unit in-process restart budget each worker
-	// passes to its supervised pool (workloads.PoolOptions.MaxRestarts
-	// semantics: 0 default, negative disables).
-	MaxRestarts int
-	// UnitTimeout bounds each in-worker execution attempt
-	// (workloads.PoolOptions.UnitTimeout semantics). Independent of
-	// LeaseTTL, which bounds the whole lease from the outside.
-	UnitTimeout time.Duration
-	// SaveRecordings makes workers persist CoFluent recordings, which
-	// the coordinator then copies into State next to the artifacts.
-	SaveRecordings bool
-	// OnOutcome, when set, observes each outcome as it settles (from
-	// the coordinator's own goroutine).
-	OnOutcome func(workloads.Outcome)
 	// Logf, when set, receives coordinator progress lines (spawns,
 	// expiries, re-dispatches, quarantines).
 	Logf func(format string, args ...any)
@@ -139,17 +122,21 @@ type Stats struct {
 	Redispatches   int // grants that retried a previously-lost unit
 	Quarantined    int // units settled as faults.ErrPoisonUnit
 	StaleResults   int // journaled results refused by the fencing epoch
-	Adopted        int // units satisfied from State's journal without dispatch
+	Adopted        int // units satisfied from PoolOptions.State's journal without dispatch
 }
 
 // Run executes units across a fleet of worker processes and returns
-// their outcomes in unit-index order, exactly like workloads.RunPool.
-// Unit failures settle into outcomes; the returned error is reserved
-// for infrastructure failure (context cancellation, an unusable fleet
-// directory, the spawn budget running dry).
-func Run(ctx context.Context, units []workloads.Unit, opts Options) ([]workloads.Outcome, error) {
-	if opts.Resume && opts.State == nil {
-		return nil, errors.New("fleet: Options.Resume requires a state dir")
+// their outcomes in unit-index order, exactly like workloads.RunPool
+// given the same pool options. pool.Workers and the replay cache do not
+// apply: each worker process runs one unit at a time, with a replay
+// cache of its own. OnOutcome is called from Run's goroutine. Unit
+// failures settle into outcomes; the returned error is reserved for
+// infrastructure failure (context cancellation, an unusable fleet
+// directory, the spawn budget running dry, a state dir that cannot be
+// written).
+func Run(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions, opts Options) ([]workloads.Outcome, error) {
+	if pool.Resume && pool.State == nil {
+		return nil, errors.New("fleet: PoolOptions.Resume requires a state dir")
 	}
 	applyDefaults(&opts)
 
@@ -173,6 +160,7 @@ func Run(ctx context.Context, units []workloads.Unit, opts Options) ([]workloads
 		opts.Stats = &Stats{}
 	}
 	c := &coordinator{
+		pool:     pool,
 		opts:     opts,
 		units:    table,
 		byKey:    byKey,

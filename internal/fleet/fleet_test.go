@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -247,14 +248,14 @@ func TestChaosFromEnvRejectsGarbage(t *testing.T) {
 
 func TestRunRejectsDuplicateUnits(t *testing.T) {
 	u := fleetUnits(t, 1)[0]
-	_, err := Run(context.Background(), []workloads.Unit{u, u}, Options{})
+	_, err := Run(context.Background(), []workloads.Unit{u, u}, workloads.PoolOptions{}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "share key") {
 		t.Fatalf("duplicate units accepted: %v", err)
 	}
 }
 
 func TestRunResumeRequiresState(t *testing.T) {
-	if _, err := Run(context.Background(), nil, Options{Resume: true}); err == nil {
+	if _, err := Run(context.Background(), nil, workloads.PoolOptions{Resume: true}, Options{}); err == nil {
 		t.Fatal("Resume without State accepted")
 	}
 }
@@ -306,7 +307,7 @@ func journalInWorker(t *testing.T, w *workerState, write func(*runstate.Dir) err
 func TestHarvestRefusesStaleEpoch(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
-		return sd.Journal.CompletedEpoch("unitA", "0123456789abcdef", 1, 7) // stale epoch
+		return sd.Journal.Completed("unitA", "0123456789abcdef", 1, 7) // stale epoch
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -329,7 +330,7 @@ func TestHarvestUnverifiableArtifactExpiresLease(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
 		// Correct epoch, but no artifact file backs the digest.
-		return sd.Journal.CompletedEpoch("unitA", "feedfacefeedface", 1, 8)
+		return sd.Journal.Completed("unitA", "feedfacefeedface", 1, 8)
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -350,7 +351,7 @@ func TestHarvestUnverifiableArtifactExpiresLease(t *testing.T) {
 func TestHarvestAcceptsCurrentEpochFailure(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
-		return sd.Journal.FailedEpoch("unitA", 3, "boom", "worker-panic", 8)
+		return sd.Journal.Failed("unitA", 3, "boom", "worker-panic", 8)
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -361,6 +362,27 @@ func TestHarvestAcceptsCurrentEpochFailure(t *testing.T) {
 	o := c.outcomes[0]
 	if o.Err == nil || !strings.Contains(o.Err.Error(), "boom") || o.Attempts != 3 {
 		t.Fatalf("outcome %+v lost the journaled failure detail", o)
+	}
+}
+
+// TestHarvestReturnsStateIOError: a main state dir that cannot be
+// written fails the harvest, and so Run, as it fails RunPool.
+func TestHarvestReturnsStateIOError(t *testing.T) {
+	c, _, w := testCoordinator(t, "unitA", 8)
+	journalInWorker(t, w, func(sd *runstate.Dir) error {
+		return sd.Journal.Failed("unitA", 3, "boom", "worker-panic", 8)
+	})
+	state, err := runstate.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer state.Close()
+	if err := state.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.pool.State = state
+	if err := c.harvest(w); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("harvest = %v, want the state journal's %v", err, os.ErrClosed)
 	}
 }
 

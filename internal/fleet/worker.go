@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,7 +23,6 @@ type workerConfig struct {
 	Ordinal        int    `json:"ordinal"`
 	HeartbeatMs    int64  `json:"heartbeat_ms"`
 	PollMs         int64  `json:"poll_ms"`
-	MaxRestarts    int    `json:"max_restarts"`
 	UnitTimeoutMs  int64  `json:"unit_timeout_ms"`
 	SaveRecordings bool   `json:"save_recordings"`
 }
@@ -126,20 +126,20 @@ func (w *worker) processLease(path string) error {
 	kill, killArmed := w.chaos.KillAfter[w.cfg.Ordinal]
 	hang, hangArmed := w.chaos.HangAfter[w.cfg.Ordinal]
 	if poisoned || (killArmed && w.processed == kill) {
-		if err := w.state.Journal.StartedEpoch(lf.Key, lf.Epoch); err != nil {
+		if err := w.state.Journal.Started(lf.Key, lf.Epoch); err != nil {
 			return err
 		}
 		killSelf()
 	}
 	if hangArmed && w.processed == hang {
-		if err := w.state.Journal.StartedEpoch(lf.Key, lf.Epoch); err != nil {
+		if err := w.state.Journal.Started(lf.Key, lf.Epoch); err != nil {
 			return err
 		}
 		w.hb.halt()
 		select {} // frozen: flock held, no heartbeat, no progress
 	}
 
-	if err := w.state.Journal.StartedEpoch(lf.Key, lf.Epoch); err != nil {
+	if err := w.state.Journal.Started(lf.Key, lf.Epoch); err != nil {
 		return err
 	}
 	if err := w.execute(lf); err != nil {
@@ -152,11 +152,11 @@ func (w *worker) processLease(path string) error {
 
 // execute runs the leased unit through a single-unit supervised pool —
 // inheriting panic isolation, the restart budget, and the per-attempt
-// timeout — then persists and journals the terminal state under the
+// timeout — then commits or journals its terminal state under the
 // lease's epoch.
 func (w *worker) execute(lf leaseFile) error {
 	journalFailed := func(attempts int, uerr error) error {
-		return w.state.Journal.FailedEpoch(lf.Key, attempts, uerr.Error(), faults.Label(uerr), lf.Epoch)
+		return w.state.Journal.Failed(lf.Key, attempts, uerr.Error(), faults.Label(uerr), lf.Epoch)
 	}
 
 	if got := lf.Unit.Key(); got != lf.Key {
@@ -165,7 +165,6 @@ func (w *worker) execute(lf leaseFile) error {
 
 	outs, err := workloads.RunPool(context.Background(), []workloads.Unit{lf.Unit}, workloads.PoolOptions{
 		Workers:     1,
-		MaxRestarts: w.cfg.MaxRestarts,
 		UnitTimeout: time.Duration(w.cfg.UnitTimeoutMs) * time.Millisecond,
 	})
 	if err != nil {
@@ -176,22 +175,16 @@ func (w *worker) execute(lf leaseFile) error {
 		return journalFailed(o.Attempts, o.Err)
 	}
 
-	art := o.Artifact
-	if w.cfg.SaveRecordings && o.Result != nil {
-		if err := w.state.WriteBlob(lf.Key, ".rec", o.Result.Recording.Save); err != nil {
-			return err
-		}
-		art.HasRecording = true
+	var rec func(io.Writer) error
+	if w.cfg.SaveRecordings {
+		rec = o.Result.Recording.Save
+		o.Artifact.HasRecording = true
 	}
-	data, err := art.Encode()
+	data, err := o.Artifact.Encode()
 	if err != nil {
 		return journalFailed(o.Attempts, err)
 	}
-	digest, err := w.state.WriteArtifact(lf.Key, data)
-	if err != nil {
-		return err
-	}
-	return w.state.Journal.CompletedEpoch(lf.Key, digest, o.Attempts, lf.Epoch)
+	return w.state.Commit(lf.Key, data, rec, o.Attempts, lf.Epoch)
 }
 
 // heartbeater rewrites the worker's liveness file on a fixed cadence.

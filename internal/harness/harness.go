@@ -220,6 +220,9 @@ func (s *Session) Units(specs []*workloads.Spec, cfg device.Config) []workloads.
 // order. save also persists each unit's recording; a fleet then needs a
 // state dir, because a worker's in-memory recording dies with it.
 func (s *Session) Sweep(units []workloads.Unit, save bool, onOutcome func(workloads.Outcome)) ([]workloads.Outcome, error) {
+	pool := workloads.PoolOptions{
+		State: s.State, Resume: s.f.resume, SaveRecordings: save, Workers: s.Workers, OnOutcome: onOutcome,
+	}
 	var outs []workloads.Outcome
 	var err error
 	if n := s.f.fleet; n > 0 {
@@ -230,14 +233,12 @@ func (s *Session) Sweep(units []workloads.Unit, save bool, onOutcome func(worklo
 		if s.State != nil {
 			dir = filepath.Join(s.StateDir, "fleet")
 		}
-		outs, err = fleet.Run(s.Ctx, units, fleet.Options{
-			Dir: dir, State: s.State, Resume: s.f.resume, Workers: n, SaveRecordings: save, OnOutcome: onOutcome,
+		outs, err = fleet.Run(s.Ctx, units, pool, fleet.Options{
+			Dir: dir, Workers: n,
 			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 	} else {
-		outs, err = workloads.RunPool(s.Ctx, units, workloads.PoolOptions{
-			State: s.State, Resume: s.f.resume, SaveRecordings: save, Workers: s.Workers, OnOutcome: onOutcome,
-		})
+		outs, err = workloads.RunPool(s.Ctx, units, pool)
 	}
 	if err != nil && s.State != nil {
 		fmt.Fprintf(os.Stderr, "%s: interrupted; progress journaled in %s — continue with -resume\n", s.name, s.StateDir)

@@ -22,8 +22,10 @@ func TestMain(m *testing.M) {
 
 // sweep runs a tiny three-app sweep through a session parsed from args,
 // the way a command's Main would, and returns each unit's artifact
-// digest and how many units were adopted from the journal.
-func sweep(t *testing.T, args ...string) (digests []string, resumed int) {
+// digest and how many units were adopted from the journal. save also
+// persists recordings, and fails the sweep if a unit's recording blob
+// is missing from the state dir afterwards.
+func sweep(t *testing.T, save bool, args ...string) (digests []string, resumed int) {
 	t.Helper()
 	c := Config{Name: "test", Scale: "tiny", State: true, Workers: true, Fleet: true, Dialect: true}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -40,7 +42,7 @@ func sweep(t *testing.T, args ...string) (digests []string, resumed int) {
 		specs = append(specs, spec)
 	}
 	err := c.run(f, func(h *Session) error {
-		outs, err := h.Sweep(h.Units(specs, device.IvyBridgeHD4000()), false, nil)
+		outs, err := h.Sweep(h.Units(specs, device.IvyBridgeHD4000()), save, nil)
 		if err != nil {
 			return err
 		}
@@ -55,6 +57,11 @@ func sweep(t *testing.T, args ...string) (digests []string, resumed int) {
 			digests = append(digests, runstate.Digest(data))
 			if o.Resumed {
 				resumed++
+			}
+			if save {
+				if _, err := os.Stat(h.State.UnitFile(o.Unit.Key(), ".rec")); !o.Artifact.HasRecording || err != nil {
+					return fmt.Errorf("unit %s: recording not saved (has_recording %v): %v", o.Unit.Key(), o.Artifact.HasRecording, err)
+				}
 			}
 		}
 		return nil
@@ -88,8 +95,10 @@ func TestFaultRateOutOfRange(t *testing.T) {
 // TestDialectTravelsWithTheUnit is the byte-identity matrix over
 // topology × ISA configuration × history: every topology and every
 // resume yields the same artifacts for the same configuration, a resume
-// never adopts artifacts journaled under another dialect, GENX differs
-// from native, and GENX translated back to GEN equals native.
+// never adopts artifacts journaled under another dialect, a resume in
+// the other topology adopts every unit and recording of the same
+// configuration, GENX differs from native, and GENX translated back to
+// GEN equals native.
 func TestDialectTravelsWithTheUnit(t *testing.T) {
 	topologies := [][]string{{"-workers", "1"}, {"-workers", "4"}, {"-fleet", "2"}}
 	dialects := []struct {
@@ -109,10 +118,10 @@ func TestDialectTravelsWithTheUnit(t *testing.T) {
 				dir := t.TempDir()
 				args := append([]string{"-state-dir", dir}, topo...)
 				if resume {
-					sweep(t, append([]string{"-state-dir", dir, "-workers", "4"}, other.args...)...)
+					sweep(t, false, append([]string{"-state-dir", dir, "-workers", "4"}, other.args...)...)
 					args = append(args, "-resume")
 				}
-				got, resumed := sweep(t, append(args, d.args...)...)
+				got, resumed := sweep(t, false, append(args, d.args...)...)
 				if resumed != 0 {
 					t.Errorf("%s: %d units adopted from a journal written under %s", name, resumed, other.name)
 				}
@@ -121,6 +130,18 @@ func TestDialectTravelsWithTheUnit(t *testing.T) {
 				} else if strings.Join(got, ",") != strings.Join(prev, ",") {
 					t.Errorf("%s: artifacts differ from the other runs of %s", name, d.name)
 				}
+			}
+		}
+		for _, legs := range [][2][]string{{{"-fleet", "2"}, {"-workers", "4"}}, {{"-workers", "4"}, {"-fleet", "2"}}} {
+			name := fmt.Sprintf("%s/%s>%s/save", d.name, strings.Join(legs[0], ""), strings.Join(legs[1], ""))
+			dir := t.TempDir()
+			first, _ := sweep(t, true, append(append([]string{"-state-dir", dir}, legs[0]...), d.args...)...)
+			got, resumed := sweep(t, true, append(append([]string{"-state-dir", dir, "-resume"}, legs[1]...), d.args...)...)
+			if resumed != len(got) {
+				t.Errorf("%s: %d of %d units adopted", name, resumed, len(got))
+			}
+			if strings.Join(got, ",") != strings.Join(first, ",") {
+				t.Errorf("%s: resumed artifacts differ from the journaled run", name)
 			}
 		}
 	}

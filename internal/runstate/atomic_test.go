@@ -66,10 +66,10 @@ func TestDirArtifactDigest(t *testing.T) {
 	}
 	defer d.Close()
 	payload := []byte(`{"app":"juliaset","instrs":12345}`)
-	digest, err := d.WriteArtifact("app|cfg|seed", payload)
-	if err != nil {
+	if err := d.Commit("app|cfg|seed", payload, nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
+	digest := Digest(payload)
 	back, err := d.ReadArtifact("app|cfg|seed", digest)
 	if err != nil || string(back) != string(payload) {
 		t.Fatalf("round trip: %q, %v", back, err)
@@ -83,6 +83,92 @@ func TestDirArtifactDigest(t *testing.T) {
 	}
 	if _, err := d.ReadArtifact("app|cfg|seed", digest); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("damaged artifact returned err %v, want ErrDigestMismatch", err)
+	}
+}
+
+// commitDir opens a state dir for the Commit tests, closed at cleanup.
+func commitDir(t *testing.T) *Dir {
+	t.Helper()
+	d, err := OpenDir(filepath.Join(t.TempDir(), "state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// journaled returns every record d's journal holds.
+func journaled(t *testing.T, d *Dir) []Record {
+	t.Helper()
+	rec, err := Recover(filepath.Join(d.Path, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Records
+}
+
+// TestDirCommitRecFailure: a recording that cannot be written leaves
+// neither an artifact nor a completion record.
+func TestDirCommitRecFailure(t *testing.T) {
+	d := commitDir(t)
+	boom := errors.New("recording lost")
+	err := d.Commit("u", []byte(`{"app":"a"}`), func(io.Writer) error { return boom }, 1, 0)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Commit = %v, want %v", err, boom)
+	}
+	if _, err := os.Stat(d.UnitFile("u", ".json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("artifact written after the recording failed: stat err = %v", err)
+	}
+	if recs := journaled(t, d); len(recs) != 0 {
+		t.Fatalf("journal holds %+v after a failed commit", recs)
+	}
+	assertNoTemps(t, filepath.Join(d.Path, "units"))
+}
+
+// TestDirCommitArtifactFailure: an artifact that cannot be written
+// leaves no completion record. units/ becomes a regular file, which
+// fails the write even for root, whom file modes do not stop.
+func TestDirCommitArtifactFailure(t *testing.T) {
+	d := commitDir(t)
+	units := filepath.Join(d.Path, "units")
+	if err := os.RemoveAll(units); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(units, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit("u", []byte(`{"app":"a"}`), nil, 1, 0); err == nil {
+		t.Fatal("Commit succeeded with units/ a regular file")
+	}
+	if recs := journaled(t, d); len(recs) != 0 {
+		t.Fatalf("journal holds %+v after a failed artifact write", recs)
+	}
+}
+
+// TestDirCommit: a commit writes the recording and the artifact, and a
+// completion record carrying the artifact's digest, the attempts and the
+// epoch, which ReadArtifact then verifies.
+func TestDirCommit(t *testing.T) {
+	d := commitDir(t)
+	data := []byte(`{"app":"a","invocations":[1]}`)
+	rec := func(w io.Writer) error {
+		_, err := io.WriteString(w, "recording")
+		return err
+	}
+	if err := d.Commit("u", data, rec, 3, 7); err != nil {
+		t.Fatal(err)
+	}
+	recs := journaled(t, d)
+	want := Record{Seq: 1, Status: StatusCompleted, Unit: "u", Digest: Digest(data), Attempt: 3, Epoch: 7}
+	if len(recs) != 1 || recs[0] != want {
+		t.Fatalf("journal = %+v, want [%+v]", recs, want)
+	}
+	back, err := d.ReadArtifact("u", recs[0].Digest)
+	if err != nil || string(back) != string(data) {
+		t.Fatalf("ReadArtifact = %q, %v; want %q", back, err, data)
+	}
+	if blob, err := os.ReadFile(d.UnitFile("u", ".rec")); err != nil || string(blob) != "recording" {
+		t.Fatalf("recording blob = %q, %v", blob, err)
 	}
 }
 

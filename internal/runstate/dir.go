@@ -113,16 +113,25 @@ func UnitFilePath(dir, unit, ext string) string {
 		fmt.Sprintf("%s-%08x%s", clean, crc32.ChecksumIEEE([]byte(unit)), ext))
 }
 
-// WriteArtifact atomically persists a unit's artifact and returns its
-// digest. The artifact is durable when this returns, so journaling the
-// completion afterwards preserves WAL ordering.
-func (d *Dir) WriteArtifact(unit string, data []byte) (string, error) {
+// Commit makes a finished unit durable and is the only writer of a
+// completion record: the recording blob first when rec is non-nil, then
+// the artifact data, then the completion record binding the artifact's
+// digest and attempt count under epoch (0 outside a fleet worker). Each
+// file is atomic and durable before the next write starts, so a crash
+// or a failed write leaves either no completion record or one whose
+// artifact verifies.
+func (d *Dir) Commit(unit string, data []byte, rec func(io.Writer) error, attempts int, epoch uint64) error {
+	if rec != nil {
+		if err := WriteAtomic(d.UnitFile(unit, ".rec"), rec); err != nil {
+			return err
+		}
+	}
 	if err := WriteFileAtomic(d.UnitFile(unit, ".json"), data); err != nil {
-		return "", err
+		return err
 	}
 	mArtifactsWritten.Inc()
 	mArtifactBytes.Add(uint64(len(data)))
-	return Digest(data), nil
+	return d.Journal.Completed(unit, Digest(data), attempts, epoch)
 }
 
 // ReadArtifact loads a unit's artifact and verifies it against the
@@ -149,10 +158,4 @@ func ReadVerifiedArtifact(dir, unit, wantDigest string) ([]byte, error) {
 			unit, ErrDigestMismatch, got, wantDigest)
 	}
 	return data, nil
-}
-
-// WriteBlob atomically writes an auxiliary unit file (e.g. a CoFluent
-// recording) next to the artifact.
-func (d *Dir) WriteBlob(unit, ext string, write func(io.Writer) error) error {
-	return WriteAtomic(d.UnitFile(unit, ext), write)
 }

@@ -21,11 +21,11 @@ func buildJournal(t testing.TB, n int) ([]byte, map[uint64]Record) {
 		unit := fmt.Sprintf("app-%d|hd4000|tiny|t1|s%d", i%7, i)
 		switch i % 3 {
 		case 0:
-			err = j.Started(unit)
+			err = j.Started(unit, 0)
 		case 1:
-			err = j.Completed(unit, fmt.Sprintf("digest-%d", i), 1+i%2)
+			err = j.Completed(unit, fmt.Sprintf("digest-%d", i), 1+i%2, 0)
 		default:
-			err = j.Failed(unit, 2, "watchdog timeout", "permanent")
+			err = j.Failed(unit, 2, "watchdog timeout", "permanent", 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -17,10 +17,14 @@ type envelope struct {
 	Record json.RawMessage `json:"r"`
 }
 
-// Journal is the append side of the run WAL. Appends are serialized,
-// assigned the next sequence number, and fsynced record-by-record, so
-// after Append returns the record survives a crash. A Journal is safe
-// for concurrent use by the worker pool.
+// Journal is the append side of the run WAL, one method per status.
+// Appends are serialized, assigned the next sequence number, and
+// fsynced record-by-record, so after a method returns the record
+// survives a crash. Each method takes the fleet fencing epoch the
+// record is journaled under: a worker process passes its lease's
+// epoch, so the coordinator can tell which dispatch of the unit
+// produced the record, and every other writer passes 0. A Journal is
+// safe for concurrent use by the worker pool.
 type Journal struct {
 	mu  sync.Mutex
 	f   *os.File
@@ -57,9 +61,9 @@ func Create(path string) (*Journal, *Recovery, error) {
 	return &Journal{f: f, seq: rec.MaxSeq}, rec, nil
 }
 
-// Append durably writes one record, assigning it the next sequence
+// write durably appends one record, assigning it the next sequence
 // number. The caller's Seq field is ignored.
-func (j *Journal) Append(r Record) error {
+func (j *Journal) write(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r.Seq = j.seq + 1
@@ -83,37 +87,20 @@ func (j *Journal) Append(r Record) error {
 }
 
 // Started journals that a unit began executing.
-func (j *Journal) Started(unit string) error {
-	return j.StartedEpoch(unit, 0)
-}
-
-// StartedEpoch is Started under a fleet fencing epoch — the form worker
-// processes use so the coordinator can tell which dispatch of the unit
-// produced the record.
-func (j *Journal) StartedEpoch(unit string, epoch uint64) error {
-	return j.Append(Record{Status: StatusStarted, Unit: unit, Epoch: epoch})
+func (j *Journal) Started(unit string, epoch uint64) error {
+	return j.write(Record{Status: StatusStarted, Unit: unit, Epoch: epoch})
 }
 
 // Completed journals that a unit finished, binding it to the digest of
-// its persisted artifact. Callers must make the artifact durable before
-// journaling completion (WAL ordering), which Dir.WriteArtifact does.
-func (j *Journal) Completed(unit, digest string, attempts int) error {
-	return j.CompletedEpoch(unit, digest, attempts, 0)
-}
-
-// CompletedEpoch is Completed under a fleet fencing epoch.
-func (j *Journal) CompletedEpoch(unit, digest string, attempts int, epoch uint64) error {
-	return j.Append(Record{Status: StatusCompleted, Unit: unit, Digest: digest, Attempt: attempts, Epoch: epoch})
+// its persisted artifact. The artifact must be durable first (WAL
+// ordering); Dir.Commit, the one caller outside tests, makes it so.
+func (j *Journal) Completed(unit, digest string, attempts int, epoch uint64) error {
+	return j.write(Record{Status: StatusCompleted, Unit: unit, Digest: digest, Attempt: attempts, Epoch: epoch})
 }
 
 // Failed journals a unit's typed terminal failure.
-func (j *Journal) Failed(unit string, attempts int, errText, class string) error {
-	return j.FailedEpoch(unit, attempts, errText, class, 0)
-}
-
-// FailedEpoch is Failed under a fleet fencing epoch.
-func (j *Journal) FailedEpoch(unit string, attempts int, errText, class string, epoch uint64) error {
-	return j.Append(Record{Status: StatusFailed, Unit: unit, Attempt: attempts, Error: errText, Class: class, Epoch: epoch})
+func (j *Journal) Failed(unit string, attempts int, errText, class string, epoch uint64) error {
+	return j.write(Record{Status: StatusFailed, Unit: unit, Attempt: attempts, Error: errText, Class: class, Epoch: epoch})
 }
 
 // Close releases the journal file. Records are already durable; Close

@@ -27,11 +27,11 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(j.Started("alpha"))
-	must(j.Completed("alpha", "digest-a", 1))
-	must(j.Started("beta"))
-	must(j.Failed("beta", 3, "kernel hang", "permanent"))
-	must(j.Started("gamma")) // left in flight
+	must(j.Started("alpha", 0))
+	must(j.Completed("alpha", "digest-a", 1, 0))
+	must(j.Started("beta", 0))
+	must(j.Failed("beta", 3, "kernel hang", "permanent", 0))
+	must(j.Started("gamma", 0)) // left in flight
 	must(j.Close())
 
 	rec, err = Recover(path)
@@ -68,7 +68,7 @@ func TestJournalReopenContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Started("one"); err != nil {
+	if err := j.Started("one", 0); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -80,7 +80,7 @@ func TestJournalReopenContinuesSequence(t *testing.T) {
 	if rec.MaxSeq != 1 {
 		t.Fatalf("recovered max seq %d, want 1", rec.MaxSeq)
 	}
-	if err := j2.Completed("one", "d", 1); err != nil {
+	if err := j2.Completed("one", "d", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -102,10 +102,10 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Started("u1"); err != nil {
+	if err := j.Started("u1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Completed("u1", "d1", 1); err != nil {
+	if err := j.Completed("u1", "d1", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -142,7 +142,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatalf("no ErrTornTail in %v", rec.Dropped)
 	}
 	// The tail is gone: appends continue at seq 3 and re-recover clean.
-	if err := j2.Started("u2"); err != nil {
+	if err := j2.Started("u2", 0); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -175,10 +175,10 @@ func TestRecoverSeqRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Started("a"); err != nil {
+	if err := j.Started("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Completed("a", "d", 1); err != nil {
+	if err := j.Completed("a", "d", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

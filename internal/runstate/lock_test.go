@@ -23,7 +23,7 @@ func TestDirLockExcludesConcurrentOpen(t *testing.T) {
 	if _, err := OpenDir(dir); !errors.Is(err, ErrStateDirLocked) {
 		t.Fatalf("second OpenDir of a held dir: got %v, want ErrStateDirLocked", err)
 	}
-	if err := d1.Journal.Started("unit-a"); err != nil {
+	if err := d1.Journal.Started("unit-a", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.Close(); err != nil {
@@ -94,7 +94,7 @@ func TestOpenDirSweepsTornTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.WriteArtifact("unit-a", []byte(`{"ok":true}`)); err != nil {
+	if err := d1.Commit("unit-a", []byte(`{"ok":true}`), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.Close(); err != nil {

@@ -20,7 +20,7 @@ type runner func(ctx context.Context, units []workloads.Unit, opts workloads.Poo
 
 // fleetRunner is the fleet coordinator entry point, injected the same
 // way.
-type fleetRunner func(ctx context.Context, units []workloads.Unit, opts fleet.Options) ([]workloads.Outcome, error)
+type fleetRunner func(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions, opts fleet.Options) ([]workloads.Outcome, error)
 
 // fleetAdapter wraps the fleet coordinator in the pool's runner shape so
 // runJob's retry-pass loop drives distributed jobs unchanged: each pass
@@ -28,16 +28,10 @@ type fleetRunner func(ctx context.Context, units []workloads.Unit, opts fleet.Op
 // by re-executing this binary) and the merged outcomes come back in the
 // same order and byte-for-byte form the in-process pool would produce.
 func (s *Server) fleetAdapter(j *Job) runner {
-	return func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
-		return s.runFleet(ctx, units, fleet.Options{
-			Dir:            filepath.Join(j.dir, "fleet"),
-			State:          opts.State,
-			Resume:         opts.Resume,
-			Workers:        j.Spec.Fleet,
-			MaxRestarts:    opts.MaxRestarts,
-			UnitTimeout:    opts.UnitTimeout,
-			SaveRecordings: opts.SaveRecordings,
-			OnOutcome:      opts.OnOutcome,
+	return func(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions) ([]workloads.Outcome, error) {
+		return s.runFleet(ctx, units, pool, fleet.Options{
+			Dir:     filepath.Join(j.dir, "fleet"),
+			Workers: j.Spec.Fleet,
 			Logf: func(format string, args ...any) {
 				s.cfg.Logf("gtpind: job "+j.ID+": "+format, args...)
 			},
@@ -110,11 +104,14 @@ func suffixIf(errText string) string {
 	return ": " + errText
 }
 
-// runJob executes the job's units on the pool: pass 0 resumes from the
-// journal, later passes re-dispatch only transiently-failed units with
-// backoff between passes, and the per-job breaker degrades a failing
-// job to partial results. It returns the terminal state the job earned;
-// the caller overrides it for cancellation/shutdown/deadline.
+// runJob executes the job's units on the pool, or on a fleet when the
+// spec asks for one: pass 0 resumes from the journal, later passes
+// re-dispatch only transiently-failed units with backoff between
+// passes, and the per-job breaker degrades a failing job to partial
+// results. A run error that is not the job's own cancellation, such as
+// a state dir that cannot be written, fails the job. It returns the
+// terminal state the job earned; the caller overrides it for
+// cancellation/shutdown/deadline.
 func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 	units, err := j.Spec.units(j.Spec.faultOptions())
 	if err != nil {
@@ -154,7 +151,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 		outs, perr := run(pctx, passUnits, workloads.PoolOptions{
 			State:          sd,
 			Resume:         pass == 0 && hasJournal,
-			MaxRestarts:    s.cfg.MaxRestarts,
 			SaveRecordings: j.Spec.Kind == KindRepro,
 			Workers:        s.cfg.UnitWorkers,
 			UnitTimeout:    s.cfg.UnitTimeout,
@@ -183,8 +179,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 		tripped := br.Tripped()
 		reconcileProgress(j, final, pass+1, tripped)
 		if perr != nil && ctx.Err() == nil && !tripped {
-			// A pool-level error that is not our own cancellation:
-			// journal I/O failed. Nothing downstream is trustworthy.
+			// A run error that is not our own cancellation: the job's
+			// state dir could not be written, or the fleet itself
+			// failed. Nothing downstream is trustworthy.
 			return StateFailed, perr.Error()
 		}
 		if ctx.Err() != nil || tripped {

@@ -135,16 +135,17 @@ func TestLatencyFedFromOutcomes(t *testing.T) {
 // scratch dir, while a plain spec never touches it.
 func TestFleetJobUsesFleetRunner(t *testing.T) {
 	s := newTestServer(t, Config{JobWorkers: 1, QueueCap: 4})
+	var gotPool workloads.PoolOptions
 	var gotOpts fleet.Options
 	calls := 0
-	s.runFleet = func(ctx context.Context, units []workloads.Unit, opts fleet.Options) ([]workloads.Outcome, error) {
+	s.runFleet = func(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions, opts fleet.Options) ([]workloads.Outcome, error) {
 		calls++
-		gotOpts = opts
+		gotPool, gotOpts = pool, opts
 		outs := make([]workloads.Outcome, len(units))
 		for i, u := range units {
 			outs[i] = workloads.Outcome{Unit: u, Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
-			if opts.OnOutcome != nil {
-				opts.OnOutcome(outs[i])
+			if pool.OnOutcome != nil {
+				pool.OnOutcome(outs[i])
 			}
 		}
 		return outs, nil
@@ -164,7 +165,7 @@ func TestFleetJobUsesFleetRunner(t *testing.T) {
 	if want := filepath.Join(s.jobDir("f1"), "fleet"); gotOpts.Dir != want {
 		t.Fatalf("fleet Dir = %q, want %q", gotOpts.Dir, want)
 	}
-	if gotOpts.State == nil {
+	if gotPool.State == nil {
 		t.Fatal("fleet run not wired to the job's state dir")
 	}
 

@@ -94,9 +94,6 @@ type Config struct {
 	// UnitTimeout bounds each unit attempt's wall time (see
 	// workloads.PoolOptions.UnitTimeout). 0 disables.
 	UnitTimeout time.Duration
-	// MaxRestarts is the pool's per-unit restart budget passthrough
-	// (0 = workloads.DefaultMaxRestarts, negative disables).
-	MaxRestarts int
 	// Tenants maps API keys to policies; nil admits every caller under
 	// DefaultPolicy. See tenant.go.
 	Tenants *Policies

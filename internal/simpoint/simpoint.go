@@ -534,7 +534,7 @@ type snapshot struct {
 func (s *snapshot) save(iter int, assign []int, centers [][]float64) {
 	s.iter = iter
 	s.assign = append(s.assign[:0], assign...)
-	s.centers = s.centers[:0]
+	s.centers = slices.Grow(s.centers[:0], len(centers)*len(centers[0]))
 	for _, c := range centers {
 		s.centers = append(s.centers, c...)
 	}

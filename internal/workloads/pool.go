@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"time"
 
@@ -15,15 +16,10 @@ import (
 	"gtpin/internal/runstate"
 )
 
-// Supervision defaults: panicked or transiently-failed units are
-// restarted up to DefaultMaxRestarts times with capped exponential
-// backoff modelled in virtual nanoseconds — never slept, matching the
-// cl resilience layer, so supervised sweeps stay deterministic.
-const (
-	DefaultMaxRestarts   = 2
-	RestartBackoffBaseNs = 1e6  // 1ms modelled delay before the first restart
-	RestartBackoffCapNs  = 64e6 // doubling, capped at 64ms
-)
+// maxRestarts is the per-unit restart budget: a panicked or
+// transiently-failed unit runs at most maxRestarts+1 times. Journals and
+// gtpind's result.json record the attempts a unit consumed.
+const maxRestarts = 2
 
 // Unit is one schedulable work item of a characterization sweep: an
 // application profiled on one device configuration at one scale, with
@@ -134,16 +130,15 @@ type Outcome struct {
 	Err      error
 	Attempts int  // execution attempts consumed, restarts included
 	Resumed  bool // satisfied from the journal without executing
-	// BackoffNs is the modelled supervision backoff accumulated across
-	// restarts, in virtual nanoseconds.
-	BackoffNs float64
 	// WallNs is the wall-clock time the unit spent settling (resume
 	// lookup or supervised execution, restarts included) — what the
 	// service's adaptive Retry-After hint is derived from.
 	WallNs int64
 }
 
-// PoolOptions configures a supervised sweep.
+// PoolOptions configures a supervised sweep, in process (RunPool) or
+// across worker processes (fleet.Run, where Workers and the replay-cache
+// fields do not apply).
 type PoolOptions struct {
 	// State enables journaling and artifact persistence; nil runs the
 	// pool purely in memory.
@@ -151,14 +146,11 @@ type PoolOptions struct {
 	// Resume skips units whose completion (with a verifiable artifact)
 	// the journal already records. Requires State.
 	Resume bool
-	// MaxRestarts overrides the per-unit restart budget; negative
-	// disables restarts entirely, zero means DefaultMaxRestarts.
-	MaxRestarts int
 	// SaveRecordings additionally persists each unit's CoFluent
 	// recording, so replay-based validations can resume too.
 	SaveRecordings bool
 	// OnOutcome, when set, observes each unit's outcome as it settles.
-	// It may be called concurrently from worker goroutines.
+	// RunPool may call it concurrently from worker goroutines.
 	OnOutcome func(Outcome)
 	// Workers bounds the sweep shards executing concurrently; 0 uses
 	// GOMAXPROCS, 1 forces serial execution. Outcomes are always settled
@@ -188,17 +180,22 @@ var poolTestHook func(u Unit, attempt int)
 // RunPool executes units as a supervised worker pool over internal/par.
 //
 // Each unit is journaled started before execution and completed/failed
-// after; its artifact is made durable (atomic write + fsync) before the
-// completion record, so a crash between the two re-executes the unit
-// rather than trusting a phantom artifact. Worker panics are recovered
-// and converted to typed failures (faults.ErrWorkerPanic); panicked and
-// transiently-failed units are restarted within a per-unit budget with
-// capped backoff in virtual time. Unit failures never abort the sweep —
-// they settle into Outcomes — and cancelling ctx stops dispatching new
-// units and promptly abandons in-flight attempts (their outcomes settle
-// with the context error and no terminal journal record, so a resume
-// re-executes them), exactly the shape a resumable, cancellable sweep
-// needs.
+// after; a completion goes through runstate.Dir.Commit, so the artifact
+// is durable before the completion record and a crash between the two
+// re-executes the unit rather than trusting a phantom artifact. Worker
+// panics are recovered and converted to typed failures
+// (faults.ErrWorkerPanic); panicked and transiently-failed units are
+// restarted up to maxRestarts times. Unit failures never abort the
+// sweep — they settle into Outcomes — and cancelling ctx stops
+// dispatching new units and promptly abandons in-flight attempts (their
+// outcomes settle with the context error and no terminal journal
+// record, so a resume re-executes them), exactly the shape a resumable,
+// cancellable sweep needs.
+//
+// The returned error joins, in unit order, the state dir's I/O failures
+// (a journal append, an artifact or blob write) and then ctx's error. A
+// unit whose state could not be written also carries the failure in its
+// Outcome.Err, and the other units still run.
 //
 // When ctx carries a deadline or PoolOptions.UnitTimeout is set,
 // attempts are additionally time-bounded: a unit still executing when
@@ -207,13 +204,6 @@ var poolTestHook func(u Unit, attempt int)
 func RunPool(ctx context.Context, units []Unit, opts PoolOptions) ([]Outcome, error) {
 	if opts.Resume && opts.State == nil {
 		return nil, errors.New("workloads: PoolOptions.Resume requires a state dir")
-	}
-	maxRestarts := opts.MaxRestarts
-	switch {
-	case maxRestarts == 0:
-		maxRestarts = DefaultMaxRestarts
-	case maxRestarts < 0:
-		maxRestarts = 0
 	}
 	var completed map[string]runstate.Record
 	if opts.Resume {
@@ -235,43 +225,54 @@ func RunPool(ctx context.Context, units []Unit, opts PoolOptions) ([]Outcome, er
 		o := &outcomes[i]
 		start := time.Now()
 		mUnitsInflight.Inc()
-		runUnit(ctx, o, completed, opts, maxRestarts, rc)
+		ioErr := runUnit(ctx, o, completed, opts, rc)
 		mUnitsInflight.Dec()
 		o.WallNs = time.Since(start).Nanoseconds()
 		observeOutcome(o, start)
 		if opts.OnOutcome != nil {
 			opts.OnOutcome(*o)
 		}
-		// Unit failures are outcomes, not pool errors; only a journal
-		// I/O failure below would have aborted via panic-free return.
-		return nil
+		return ioErr
 	})
 	return outcomes, err
 }
 
-// runUnit drives one unit to a settled outcome: resume, or supervised
-// execution with journaling.
-func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Record, opts PoolOptions, maxRestarts int, rc *ReplayCache) {
-	key := o.Unit.Key()
+// Adopt is the resume rule: the artifact a journaled completion lets a
+// sweep use in place of executing the unit with this key. It needs a
+// record in completed (nil when not resuming), an artifact in sd that
+// passes the record's digest check, and bytes that decode. A missing,
+// torn or stale artifact is refused, and the unit re-executes: a resume
+// never surfaces unverifiable data. attempts is the record's count.
+func Adopt(sd *runstate.Dir, completed map[string]runstate.Record, key string) (art *Artifact, attempts int, ok bool) {
+	rec, ok := completed[key]
+	if !ok {
+		return nil, 0, false
+	}
+	data, err := sd.ReadArtifact(key, rec.Digest)
+	if err != nil {
+		return nil, 0, false
+	}
+	if art, err = DecodeArtifact(data); err != nil {
+		return nil, 0, false
+	}
+	return art, rec.Attempt, true
+}
 
-	// Resume: a journaled completion with a digest-verified artifact
-	// satisfies the unit without executing.
-	if rec, ok := completed[key]; ok {
-		data, err := opts.State.ReadArtifact(key, rec.Digest)
-		if err == nil {
-			if art, derr := DecodeArtifact(data); derr == nil {
-				o.Artifact, o.Resumed, o.Attempts = art, true, rec.Attempt
-				return
-			}
-		}
-		// Missing, torn, or stale artifact: fall through and re-execute
-		// — never surface unverifiable data.
+// runUnit drives one unit to a settled outcome: adopted from the
+// journal, or executed under supervision and journaled. It returns the
+// state dir's I/O failure, which o.Err carries too.
+func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Record, opts PoolOptions, rc *ReplayCache) error {
+	key := o.Unit.Key()
+	if art, attempts, ok := Adopt(opts.State, completed, key); ok {
+		o.Artifact, o.Resumed, o.Attempts = art, true, attempts
+		return nil
 	}
 
-	if opts.State != nil {
-		if err := opts.State.Journal.Started(key); err != nil {
+	sd := opts.State
+	if sd != nil {
+		if err := sd.Journal.Started(key, 0); err != nil {
 			o.Err = err
-			return
+			return err
 		}
 	}
 
@@ -283,16 +284,6 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 		if err == nil || !restartable(err) || attempt >= maxRestarts || ctx.Err() != nil {
 			break
 		}
-		// Capped exponential backoff in virtual time, like the cl
-		// resilience layer: modelled, never slept.
-		d := RestartBackoffBaseNs
-		for r := 0; r < attempt && d < RestartBackoffCapNs; r++ {
-			d *= 2
-		}
-		if d > RestartBackoffCapNs {
-			d = RestartBackoffCapNs
-		}
-		o.BackoffNs += d
 	}
 
 	if err != nil {
@@ -300,38 +291,35 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 		// A cancelled unit is a simulated crash: leave it in-flight
 		// (started without a terminal record) so a resume re-executes
 		// it, and don't journal a terminal state.
-		if opts.State != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			if jerr := opts.State.Journal.Failed(key, o.Attempts, err.Error(), faults.Label(err)); jerr != nil {
+		if sd != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			if jerr := sd.Journal.Failed(key, o.Attempts, err.Error(), faults.Label(err), 0); jerr != nil {
 				o.Err = errors.Join(err, jerr)
+				return jerr
 			}
 		}
-		return
+		return nil
 	}
 
 	o.Result = res
 	o.Artifact = NewArtifact(res)
-	if opts.State != nil {
-		if opts.SaveRecordings {
-			if werr := opts.State.WriteBlob(key, ".rec", res.Recording.Save); werr != nil {
-				o.Err = werr
-				return
-			}
-			o.Artifact.HasRecording = true
-		}
-		data, merr := o.Artifact.Encode()
-		if merr != nil {
-			o.Err = merr
-			return
-		}
-		digest, werr := opts.State.WriteArtifact(key, data)
-		if werr != nil {
-			o.Err = werr
-			return
-		}
-		if jerr := opts.State.Journal.Completed(key, digest, o.Attempts); jerr != nil {
-			o.Err = jerr
-		}
+	if sd == nil {
+		return nil
 	}
+	var rec func(io.Writer) error
+	if opts.SaveRecordings {
+		rec = res.Recording.Save
+		o.Artifact.HasRecording = true
+	}
+	data, err := o.Artifact.Encode()
+	if err != nil {
+		o.Err = err
+		return nil
+	}
+	if err := sd.Commit(key, data, rec, o.Attempts, 0); err != nil {
+		o.Err = err
+		return err
+	}
+	return nil
 }
 
 // runAttempt executes one attempt, bounded in wall-clock time when a

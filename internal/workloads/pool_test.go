@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -99,8 +100,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 // TestPoolPanicRestart: a worker panic on the first attempt is
 // recovered, the unit restarted within its budget, and the final
-// artifact is indistinguishable from an undisturbed run — with the
-// modelled backoff accounted.
+// artifact is indistinguishable from an undisturbed run.
 func TestPoolPanicRestart(t *testing.T) {
 	units := poolUnits(t)
 	target := units[1].Key()
@@ -121,8 +121,8 @@ func TestPoolPanicRestart(t *testing.T) {
 		}
 	}
 	hit := outs[1]
-	if hit.Attempts != 2 || hit.BackoffNs != RestartBackoffBaseNs {
-		t.Fatalf("panicked unit: attempts=%d backoff=%v, want 2 attempts with base backoff", hit.Attempts, hit.BackoffNs)
+	if hit.Attempts != 2 {
+		t.Fatalf("panicked unit: attempts=%d, want 2", hit.Attempts)
 	}
 	res, err := runPipeline(units[1], nil)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 	}
 	defer func() { poolTestHook = nil }()
 
-	outs, err := RunPool(context.Background(), units, PoolOptions{State: state, MaxRestarts: 1})
+	outs, err := RunPool(context.Background(), units, PoolOptions{State: state})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +159,8 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 	if !errors.Is(bad.Err, faults.ErrWorkerPanic) {
 		t.Fatalf("err = %v, want ErrWorkerPanic", bad.Err)
 	}
-	if bad.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (budget 1 restart)", bad.Attempts)
+	if bad.Attempts != maxRestarts+1 {
+		t.Fatalf("attempts = %d, want %d (budget %d restarts)", bad.Attempts, maxRestarts+1, maxRestarts)
 	}
 	if !strings.Contains(bad.Err.Error(), "always panics") {
 		t.Fatalf("panic value lost from error: %v", bad.Err)
@@ -175,7 +175,7 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	f := rec.Failed()
-	if r, ok := f[target]; !ok || r.Class != faults.ErrWorkerPanic.Error() || r.Attempt != 2 {
+	if r, ok := f[target]; !ok || r.Class != faults.ErrWorkerPanic.Error() || r.Attempt != maxRestarts+1 {
 		t.Fatalf("journal failure record = %+v, want class %q", f[target], faults.ErrWorkerPanic.Error())
 	}
 	if len(rec.Completed()) != len(units)-1 {
@@ -183,32 +183,29 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestPoolRestartBackoffCapped: the modelled backoff doubles and caps.
-func TestPoolRestartBackoffCapped(t *testing.T) {
-	units := poolUnits(t)[:1]
-	poolTestHook = func(u Unit, attempt int) { panic("forever") }
-	defer func() { poolTestHook = nil }()
-	outs, err := RunPool(context.Background(), units, PoolOptions{MaxRestarts: 10})
+// TestPoolReturnsStateIOErrors: a state dir that cannot be written is
+// the pool's error, joined in unit order, as it is a fleet's. Every
+// unit still settles, each carrying the failure in its outcome.
+func TestPoolReturnsStateIOErrors(t *testing.T) {
+	state, err := runstate.OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := outs[0]
-	if o.Attempts != 11 {
-		t.Fatalf("attempts = %d, want 11", o.Attempts)
+	defer state.Close()
+	if err := state.Journal.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// 1+2+4+8+16+32+64+64+64+64 ms in ns.
-	want := 0.0
-	d := RestartBackoffBaseNs
-	for i := 0; i < 10; i++ {
-		want += d
-		if d < RestartBackoffCapNs {
-			d *= 2
-			if d > RestartBackoffCapNs {
-				d = RestartBackoffCapNs
-			}
+	units := poolUnits(t)
+	outs, err := RunPool(context.Background(), units, PoolOptions{State: state})
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("RunPool error = %v, want the journal's %v", err, os.ErrClosed)
+	}
+	if n := strings.Count(err.Error(), os.ErrClosed.Error()); n != len(units) {
+		t.Fatalf("pool error names %d closed-journal failures, want %d: %v", n, len(units), err)
+	}
+	for i, o := range outs {
+		if !errors.Is(o.Err, os.ErrClosed) {
+			t.Errorf("unit %s: Err = %v, want the journal's %v", units[i].Spec.Name, o.Err, os.ErrClosed)
 		}
-	}
-	if o.BackoffNs != want {
-		t.Fatalf("backoff = %v, want %v", o.BackoffNs, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
+	"gtpin/internal/profile"
 	"gtpin/internal/runstate"
 )
 
@@ -166,7 +167,7 @@ func TestResumeAfterWorkerPanic(t *testing.T) {
 			panic("crash in worker")
 		}
 	}
-	outs1, err := RunPool(context.Background(), units, PoolOptions{State: state, MaxRestarts: -1})
+	outs1, err := RunPool(context.Background(), units, PoolOptions{State: state})
 	poolTestHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestResumeReExecutesInFlight(t *testing.T) {
 	if _, err := RunPool(context.Background(), units[:1], PoolOptions{State: state}); err != nil {
 		t.Fatal(err)
 	}
-	if err := state.Journal.Started(units[1].Key()); err != nil {
+	if err := state.Journal.Started(units[1].Key(), 0); err != nil {
 		t.Fatal(err)
 	}
 	state.Close()
@@ -348,5 +349,51 @@ func TestPoolJournalConcurrency(t *testing.T) {
 	}
 	if len(rec.Completed()) != len(units) || len(rec.Dropped) != 0 {
 		t.Fatalf("journal: %d completed, %d dropped", len(rec.Completed()), len(rec.Dropped))
+	}
+}
+
+// TestAdopt is the resume rule: a unit is adopted only with a
+// completion record, an artifact that passes the record's digest check,
+// and bytes that decode; the record's attempt count comes back.
+func TestAdopt(t *testing.T) {
+	sd, err := runstate.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	good := encodeArtifact(t, &Artifact{App: "a", Invocations: []profile.Invocation{{Instrs: 1}}})
+	for key, data := range map[string][]byte{"good": good, "stale": good, "garbled": []byte(`{"app":""}`)} {
+		if err := sd.Commit(key, data, nil, 2, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := runstate.Recover(filepath.Join(sd.Path, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := rec.Completed()
+	completed["missing"] = runstate.Record{Status: runstate.StatusCompleted, Unit: "missing", Digest: runstate.Digest(good), Attempt: 2}
+	stale := completed["stale"]
+	stale.Digest = runstate.Digest([]byte("other bytes"))
+	completed["stale"] = stale
+
+	for _, tc := range []struct {
+		key string
+		ok  bool
+	}{
+		{"unrecorded", false}, // no completion record
+		{"missing", false},    // no artifact file
+		{"stale", false},      // digest mismatch
+		{"garbled", false},    // verified but undecodable
+		{"good", true},
+	} {
+		art, attempts, ok := Adopt(sd, completed, tc.key)
+		if ok != tc.ok || (art != nil) != tc.ok {
+			t.Errorf("%s: Adopt = (%v, %d, %v), want ok %v", tc.key, art, attempts, ok, tc.ok)
+			continue
+		}
+		if ok && (attempts != 2 || !bytes.Equal(encodeArtifact(t, art), good)) {
+			t.Errorf("%s: adopted %d attempts and %s, want 2 and %s", tc.key, attempts, encodeArtifact(t, art), good)
+		}
 	}
 }
