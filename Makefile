@@ -184,9 +184,14 @@ bench-baseline:
 # schema-validated by cmd/obscheck. The engine line carries the
 # predecode differential fuzz (threaded-code loops vs the reference
 # interpreter) and the oracle tests of the lane bodies and the
-# pre-decoded ALU and compare handlers under the race detector. The
-# GT-Pin trace-buffer line runs Detach and the buffer pool, including
-# concurrent Attach/replay/Detach, ten times under the race detector.
+# pre-decoded ALU and compare handlers, and the paged surface held to
+# the flat one it replaced (PagedBuffer), under the race detector. The
+# GT-Pin trace-buffer line runs the Detach checks and concurrent
+# Attach/replay/Detach (every new instance's buffer must read zero and
+# every profile must equal a serial run's) ten times under the race
+# detector; the cl line runs the chaos
+# snapshot checks (a retry restores exactly the pages the snapshot held
+# and drops pages allocated since) ten times under it.
 # The capture line runs, ten times under the race detector, the checks
 # that Capture stops at its last window (exactly that many dispatches,
 # and faults after it change no snippet) and that a kernel's stored
@@ -197,16 +202,17 @@ bench-baseline:
 # the flat-array reference and AccessLanes to per-key walks under the
 # race detector; the allocation checks (a functional group, a detailed
 # group and a hooked send allocate nothing, detsim.New stays under
-# 64 KiB, a snippet replay and a SimPoint Run make at most their pinned
-# counts, and a stored kernel fingerprint, a stored decoded kernel and a
-# memo hit allocate nothing) run without it, because the race detector
-# allocates.
+# 64 KiB, a new surface allocates only its page table, a snippet replay
+# and a SimPoint Run make at most their pinned counts, and a stored
+# kernel fingerprint, a stored decoded kernel and a memo hit allocate
+# nothing) run without it, because the race detector allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
+	$(GO) test -race -count=10 -run Snapshot ./internal/cl
 	$(GO) test -race -count=10 -run 'CaptureStops|Fingerprint' ./internal/detsim ./internal/kernel
 	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
-	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle' ./internal/engine
+	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle|PagedBuffer' ./internal/engine
 	$(GO) test -race ./internal/cachesim
 	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel ./internal/jit ./internal/memo ./internal/simpoint
 	$(GO) test -race ./internal/obs/...

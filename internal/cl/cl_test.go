@@ -195,7 +195,11 @@ func TestCopySemantics(t *testing.T) {
 	b, _ := ctx.CreateBuffer(64)
 	check(t, q.EnqueueWriteBuffer(a, 0, []byte{1, 2, 3, 4}))
 	check(t, q.EnqueueCopyBuffer(a, b, 0, 8, 4))
-	if got := b.Device().Bytes()[8:12]; got[0] != 1 || got[3] != 4 {
+	got := make([]byte, 4)
+	if _, err := b.Device().ReadAt(got, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 || got[3] != 4 {
 		t.Errorf("copy result = %v", got)
 	}
 	dst := make([]byte, 4)
@@ -227,6 +231,12 @@ func TestQueueErrors(t *testing.T) {
 	}
 	if err := q.EnqueueCopyBuffer(buf, buf, 0, 8, 16); err == nil {
 		t.Error("expected out-of-range copy error")
+	}
+	if err := q.EnqueueCopyBuffer(buf, buf, 0, 8, -4); err == nil {
+		t.Error("expected negative-length copy error")
+	}
+	if err := q.EnqueueCopyImageToBuffer(buf, buf, 0, 8, -4); err == nil {
+		t.Error("expected negative-length image copy error")
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 type Queue struct {
 	ctx     *Context
 	pending []pendingExec
-	// snap is the pre-dispatch memory snapshot storage (resilience.go),
-	// one slice per surface slot, reused by every armed dispatch.
-	snap [][]byte
+	// snapPages and snapData are the pre-dispatch memory snapshot
+	// storage (resilience.go): each allocated page of each surface, and
+	// the pages' bytes end to end, reused by every armed dispatch.
+	snapPages []snapPage
+	snapData  []byte
 }
 
 type pendingExec struct {
@@ -197,8 +199,8 @@ func (q *Queue) EnqueueWriteBuffer(b *Buffer, off int, data []byte) error {
 	payload := make([]byte, len(data))
 	copy(payload, data)
 	q.ctx.emit(&APICall{Name: CallEnqueueWriteBuffer, Buffer: b.ID, Offset: off, Size: len(data), Payload: payload})
-	copy(b.buf.Bytes()[off:], data)
-	return nil
+	_, err := b.buf.WriteAt(data, int64(off))
+	return err
 }
 
 // EnqueueReadBuffer drains the queue and copies buffer contents to dst
@@ -211,14 +213,14 @@ func (q *Queue) EnqueueReadBuffer(b *Buffer, off int, dst []byte) error {
 	if err := q.drain(); err != nil {
 		return err
 	}
-	copy(dst, b.buf.Bytes()[off:off+len(dst)])
-	return nil
+	_, err := b.buf.ReadAt(dst, int64(off))
+	return err
 }
 
 // EnqueueCopyBuffer drains the queue and copies n bytes between buffers
 // (clEnqueueCopyBuffer, a synchronization call).
 func (q *Queue) EnqueueCopyBuffer(src, dst *Buffer, srcOff, dstOff, n int) error {
-	if srcOff < 0 || srcOff+n > src.Size() {
+	if n < 0 || srcOff < 0 || srcOff+n > src.Size() {
 		return fmt.Errorf("cl: copy buffer: source range [%d,%d) out of bounds (size %d)", srcOff, srcOff+n, src.Size())
 	}
 	if dstOff < 0 || dstOff+n > dst.Size() {
@@ -228,8 +230,7 @@ func (q *Queue) EnqueueCopyBuffer(src, dst *Buffer, srcOff, dstOff, n int) error
 	if err := q.drain(); err != nil {
 		return err
 	}
-	copy(dst.buf.Bytes()[dstOff:dstOff+n], src.buf.Bytes()[srcOff:srcOff+n])
-	return nil
+	return dst.buf.CopyFrom(src.buf, srcOff, dstOff, n)
 }
 
 // EnqueueReadImage drains the queue and reads image data into dst.
@@ -243,14 +244,14 @@ func (q *Queue) EnqueueReadImage(img *Buffer, off int, dst []byte) error {
 	if err := q.drain(); err != nil {
 		return err
 	}
-	copy(dst, img.buf.Bytes()[off:off+len(dst)])
-	return nil
+	_, err := img.buf.ReadAt(dst, int64(off))
+	return err
 }
 
 // EnqueueCopyImageToBuffer drains the queue and copies image data into a
 // buffer (clEnqueueCopyImageToBuffer, a synchronization call).
 func (q *Queue) EnqueueCopyImageToBuffer(img, dst *Buffer, srcOff, dstOff, n int) error {
-	if srcOff < 0 || srcOff+n > img.Size() {
+	if n < 0 || srcOff < 0 || srcOff+n > img.Size() {
 		return fmt.Errorf("cl: copy image: source range [%d,%d) out of bounds (size %d)", srcOff, srcOff+n, img.Size())
 	}
 	if dstOff < 0 || dstOff+n > dst.Size() {
@@ -260,8 +261,7 @@ func (q *Queue) EnqueueCopyImageToBuffer(img, dst *Buffer, srcOff, dstOff, n int
 	if err := q.drain(); err != nil {
 		return err
 	}
-	copy(dst.buf.Bytes()[dstOff:dstOff+n], img.buf.Bytes()[srcOff:srcOff+n])
-	return nil
+	return dst.buf.CopyFrom(img.buf, srcOff, dstOff, n)
 }
 
 // Pending returns the number of enqueued, not-yet-executed kernels.

@@ -101,15 +101,10 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 	// mutated surfaces (and the GT-Pin trace buffer's counters), so every
 	// retry and the degraded re-execution start from the pre-dispatch
 	// memory image. Only taken when a fault source is actually present.
-	var snap [][]byte
-	if (pol.MaxRetries > 0 || pol.Degrade) &&
-		(dev.FaultInjector() != nil || dev.WatchdogBudget() > 0) {
-		snap = q.snapshot(surfs)
-	}
-	restore := func() {
-		for i, s := range surfs {
-			copy(s.Bytes(), snap[i])
-		}
+	armed := (pol.MaxRetries > 0 || pol.Degrade) &&
+		(dev.FaultInjector() != nil || dev.WatchdogBudget() > 0)
+	if armed {
+		q.snapshot(surfs)
 	}
 
 	attempts, retries := 0, 0
@@ -125,11 +120,11 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 		transient := faults.IsTransient(err)
 		hung := errors.Is(err, faults.ErrWatchdogTimeout) || errors.Is(err, faults.ErrKernelHang)
 		switch {
-		case snap != nil && transient && retries < pol.MaxRetries:
+		case armed && transient && retries < pol.MaxRetries:
 			retries++
 			mRetries.Inc()
-			restore()
-		case snap != nil && pol.Degrade && !degraded && (hung || transient):
+			q.restore(surfs)
+		case armed && pol.Degrade && !degraded && (hung || transient):
 			ddev, derr := q.ctx.degradedDevice()
 			if derr != nil {
 				return st, err
@@ -138,7 +133,7 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 			degraded = true
 			mDegradedRuns.Inc()
 			retries = 0
-			restore()
+			q.restore(surfs)
 		default:
 			st.Attempts = attempts
 			st.Degraded = degraded
@@ -147,17 +142,38 @@ func (q *Queue) executeResilient(p *pendingExec) (device.ExecStats, error) {
 	}
 }
 
-// snapshot copies every surface into the queue's snapshot storage and
-// returns it, one slice per surface. The storage is reused: each slot
-// keeps the largest copy it has held, so an armed dispatch allocates
-// only when a surface outgrows its slot. The result is valid until the
-// next call.
-func (q *Queue) snapshot(surfs []*device.Buffer) [][]byte {
-	for len(q.snap) < len(surfs) {
-		q.snap = append(q.snap, nil)
-	}
+// snapPage is one allocated page of a snapshotted surface: the
+// surface's slot in the dispatch, the page's byte offset, and where its
+// bytes end in Queue.snapData (each page's bytes follow the previous
+// page's).
+type snapPage struct{ surface, off, end int }
+
+// snapshot copies every allocated page of every surface into the
+// queue's snapshot storage. Pages never allocated are zero and cost
+// nothing. The storage is reused, so an armed dispatch allocates only
+// when its surfaces hold more pages than any earlier snapshot held. It
+// is valid until the next call.
+func (q *Queue) snapshot(surfs []*device.Buffer) {
+	q.snapPages, q.snapData = q.snapPages[:0], q.snapData[:0]
 	for i, s := range surfs {
-		q.snap[i] = append(q.snap[i][:0], s.Bytes()...)
+		s.Pages(func(off int, page []byte) {
+			q.snapData = append(q.snapData, page...)
+			q.snapPages = append(q.snapPages, snapPage{surface: i, off: off, end: len(q.snapData)})
+		})
 	}
-	return q.snap[:len(surfs)]
+}
+
+// restore returns the surfaces to the last snapshot: each surface is
+// cleared, which drops the pages allocated since, and the snapshotted
+// pages are written back.
+func (q *Queue) restore(surfs []*device.Buffer) {
+	for _, s := range surfs {
+		s.Clear()
+	}
+	start := 0
+	for _, p := range q.snapPages {
+		// The page came from this surface, so it fits.
+		_, _ = surfs[p.surface].WriteAt(q.snapData[start:p.end], int64(p.off))
+		start = p.end
+	}
 }

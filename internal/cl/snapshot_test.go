@@ -7,6 +7,7 @@ import (
 
 	"gtpin/internal/asm"
 	"gtpin/internal/device"
+	"gtpin/internal/engine"
 	"gtpin/internal/faults"
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
@@ -45,24 +46,29 @@ func bumpProgram(t *testing.T) *kernel.Program {
 
 // TestSnapshotReuseRestoresExactly: the queue reuses one snapshot
 // storage across dispatches and attempts, so a retry must restore every
-// surface exactly whatever the storage held before: more surfaces,
-// fewer, or longer and shorter ones. Each seed runs the same dispatches
-// on a device that corrupts half its attempts and on a clean one, and
-// the surfaces must end equal; across the seeds, a retried dispatch
-// must follow each of the four storage shapes.
+// surface exactly whatever the storage held before: more pages or fewer,
+// and whether or not the faulted attempt allocated a page the snapshot
+// did not hold. Each seed runs the same dispatches on a device that
+// corrupts half its attempts and on a clean one, and the surfaces must
+// end equal; across the seeds, a retried dispatch must follow storage
+// that held more pages and storage that held fewer, and must bind a
+// surface whose page its faulted attempt allocated.
 func TestSnapshotReuseRestoresExactly(t *testing.T) {
-	sizes := []int{64, 4096, 1000, 200}
+	// Surfaces 0-3 start filled, one page each; 4 and 5 start zero, so
+	// no page of theirs exists until a dispatch writes one.
+	sizes := []int{64, 4096, 1000, 200, 2*4096 + 8, 3 * 4096}
+	filled := 4
 	steps := []struct {
 		kernel string
 		bufs   []int
 	}{
 		{"bump3", []int{0, 1, 2}},
-		{"bump1", []int{3}},       // fewer surfaces than the storage held
-		{"bump3", []int{2, 3, 1}}, // more
-		{"bump2", []int{0, 1}},    // a shorter slot, then a longer one
-		{"bump2", []int{1, 3}},    // a longer slot
-		{"bump2", []int{3, 0}},    // shorter slots
-		{"bump3", []int{1, 2, 0}},
+		{"bump1", []int{4}},       // fewer pages than the storage held, and a new page
+		{"bump3", []int{2, 4, 1}}, // more
+		{"bump2", []int{5, 3}},    // a new page
+		{"bump2", []int{1, 3}},
+		{"bump2", []int{3, 0}},
+		{"bump3", []int{1, 2, 5}},
 		{"bump1", []int{1}},
 		{"bump1", []int{0}},
 	}
@@ -79,8 +85,13 @@ func TestSnapshotReuseRestoresExactly(t *testing.T) {
 		for i, n := range sizes {
 			b, err := ctx.CreateBuffer(n)
 			check(t, err)
-			for j := range b.Device().Bytes() {
-				b.Device().Bytes()[j] = byte(i*37 + j*11 + 1)
+			if i < filled {
+				data := make([]byte, b.Size())
+				for j := range data {
+					data[j] = byte(i*37 + j*11 + 1)
+				}
+				_, err := b.Device().WriteAt(data, 0)
+				check(t, err)
 			}
 			bufs[i] = b
 		}
@@ -102,7 +113,9 @@ func TestSnapshotReuseRestoresExactly(t *testing.T) {
 		out := make([][]byte, len(bufs))
 		attempts := make([]int, len(events))
 		for i, b := range bufs {
-			out[i] = bytes.Clone(b.Device().Bytes())
+			out[i] = make([]byte, b.Size())
+			_, err := b.Device().ReadAt(out[i], 0)
+			check(t, err)
 		}
 		for i, ev := range events {
 			st, ok := ev.Stats()
@@ -112,6 +125,27 @@ func TestSnapshotReuseRestoresExactly(t *testing.T) {
 			attempts[i] = st.Attempts
 		}
 		return out, attempts
+	}
+
+	// pages[i] is how many pages step i's snapshot holds: one for each
+	// bound surface that was filled or written by an earlier step.
+	pages := make([]int, len(steps))
+	written := make([]bool, len(sizes))
+	for i := range written {
+		written[i] = i < filled
+	}
+	newPage := make([]bool, len(steps))
+	for i, st := range steps {
+		for _, b := range st.bufs {
+			if written[b] {
+				pages[i]++
+			} else {
+				newPage[i] = true
+			}
+		}
+		for _, b := range st.bufs {
+			written[b] = true
+		}
 	}
 
 	want, _ := run(t, nil)
@@ -131,48 +165,80 @@ func TestSnapshotReuseRestoresExactly(t *testing.T) {
 			if attempts[i] < 2 {
 				continue
 			}
-			prev, cur := steps[i-1].bufs, steps[i].bufs
 			switch {
-			case len(prev) > len(cur):
-				covered["more surfaces"] = true
-			case len(prev) < len(cur):
-				covered["fewer surfaces"] = true
+			case pages[i-1] > pages[i]:
+				covered["more pages"] = true
+			case pages[i-1] < pages[i]:
+				covered["fewer pages"] = true
 			}
-			for s := range min(len(prev), len(cur)) {
-				switch {
-				case sizes[prev[s]] > sizes[cur[s]]:
-					covered["a longer surface"] = true
-				case sizes[prev[s]] < sizes[cur[s]]:
-					covered["a shorter surface"] = true
-				}
+			if newPage[i] {
+				covered["a page allocated by the faulted attempt"] = true
 			}
 		}
 	}
-	for _, c := range []string{"more surfaces", "fewer surfaces", "a longer surface", "a shorter surface"} {
+	for _, c := range []string{"more pages", "fewer pages", "a page allocated by the faulted attempt"} {
 		if !covered[c] {
 			t.Errorf("no retried dispatch followed storage that held %s", c)
 		}
 	}
 }
 
-// TestSnapshotStorageReused: a snapshot of surfaces no larger than the
-// storage's slots copies into the slots in place.
+// TestSnapshotStorageReused: a snapshot of no more bytes than an earlier
+// one copies into the same storage, it holds only the pages a surface
+// has allocated, and restore puts exactly those pages back, dropping a
+// page allocated since.
 func TestSnapshotStorageReused(t *testing.T) {
 	q := &Queue{}
-	big, err := device.NewBuffer(4096)
+	big, err := device.NewBuffer(3 * engine.PageSize)
 	check(t, err)
+	for _, page := range []int{0, 2} {
+		check(t, big.WriteU32(page*engine.PageSize+8, 0xdeadbeef))
+	}
+	q.snapshot([]*device.Buffer{big, big})
+	if len(q.snapPages) != 4 || len(q.snapData) != 4*engine.PageSize {
+		t.Fatalf("snapshot holds %d pages in %d bytes, want the 4 allocated pages in %d", len(q.snapPages), len(q.snapData), 4*engine.PageSize)
+	}
+	storage := &q.snapData[0]
+
 	small, err := device.NewBuffer(100)
 	check(t, err)
-	q.snapshot([]*device.Buffer{big, big})
-	slot := &q.snap[1][:1][0]
-	for i := range small.Bytes() {
-		small.Bytes()[i] = byte(i + 1)
+	data := make([]byte, small.Size())
+	for i := range data {
+		data[i] = byte(i + 1)
 	}
-	snap := q.snapshot([]*device.Buffer{small, small})
-	if &snap[1][:1][0] != slot {
-		t.Error("a smaller surface got new snapshot storage")
+	_, err = small.WriteAt(data, 0)
+	check(t, err)
+	q.snapshot([]*device.Buffer{small, big})
+	if &q.snapData[0] != storage {
+		t.Error("a smaller snapshot got new storage")
 	}
-	if len(snap) != 2 || !bytes.Equal(snap[1], small.Bytes()) {
-		t.Errorf("snapshot holds %d surfaces, slot 1 %d bytes; want 2 and the surface's 100", len(snap), len(snap[1]))
+	if len(q.snapPages) != 3 || !bytes.Equal(q.snapData[:len(data)], data) {
+		t.Fatalf("snapshot holds %d pages; want 3, the first the small surface's bytes", len(q.snapPages))
+	}
+
+	wantBig := make([]byte, big.Size())
+	_, err = big.ReadAt(wantBig, 0)
+	check(t, err)
+	_, err = small.WriteAt([]byte{9, 9, 9}, 50)
+	check(t, err)
+	check(t, big.WriteU32(engine.PageSize+4, 7)) // allocates page 1
+	check(t, big.WriteU32(8, 0))
+	q.restore([]*device.Buffer{small, big})
+	got := make([]byte, small.Size())
+	_, err = small.ReadAt(got, 0)
+	check(t, err)
+	if !bytes.Equal(got, data) {
+		t.Error("restore did not put the small surface back")
+	}
+	gotBig := make([]byte, big.Size())
+	_, err = big.ReadAt(gotBig, 0)
+	check(t, err)
+	if !bytes.Equal(gotBig, wantBig) {
+		t.Error("restore did not put the large surface back")
+	}
+	var offs []int
+	big.Pages(func(off int, _ []byte) { offs = append(offs, off) })
+	if fmt.Sprint(offs) != fmt.Sprint([]int{0, 2 * engine.PageSize}) {
+		t.Errorf("after restore the large surface holds pages at %v, want the snapshotted 0 and %d", offs, 2*engine.PageSize)
 	}
 }

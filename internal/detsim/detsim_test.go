@@ -79,9 +79,16 @@ func record(t testing.TB, seed int64, steps int) (*cofluent.Recording, int, []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := make([]byte, out.Size())
-	copy(final, out.Device().Bytes())
-	return rec, len(tr.Timings()), final
+	return rec, len(tr.Timings()), surfaceBytes(out.Device())
+}
+
+// surfaceBytes reads a surface's whole contents.
+func surfaceBytes(b *device.Buffer) []byte {
+	out := make([]byte, b.Size())
+	if _, err := b.ReadAt(out, 0); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // TestDetailedMatchesFunctionalDevice is the cross-simulator equivalence
@@ -107,7 +114,7 @@ func TestDetailedMatchesFunctionalDevice(t *testing.T) {
 			if got == nil {
 				t.Fatal("missing output buffer")
 			}
-			if !bytes.Equal(got.Bytes(), want) {
+			if !bytes.Equal(surfaceBytes(got), want) {
 				t.Fatal("detailed simulation diverged from functional device")
 			}
 			if rep.DetailedInstrs == 0 || rep.DetailedCycles == 0 || rep.DetailedTimeNs <= 0 {
@@ -139,7 +146,7 @@ func TestSubsetMatchesFullFunctionally(t *testing.T) {
 	if rep.Detailed != 2 || rep.FastForwarded != n-2 {
 		t.Errorf("detailed %d / ff %d", rep.Detailed, rep.FastForwarded)
 	}
-	if !bytes.Equal(sim.Buffer(1).Bytes(), want) {
+	if !bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
 		t.Fatal("subset simulation diverged from full execution")
 	}
 	// Per-range reports are aligned and populated.
@@ -181,7 +188,7 @@ func TestEmptyRangesFastForwardsEverything(t *testing.T) {
 	if rep.Detailed != 0 || rep.FastForwarded != n {
 		t.Errorf("detailed %d / ff %d", rep.Detailed, rep.FastForwarded)
 	}
-	if !bytes.Equal(sim.Buffer(1).Bytes(), want) {
+	if !bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
 		t.Fatal("fast-forward diverged")
 	}
 	if rep.DetailedTimeNs != 0 {

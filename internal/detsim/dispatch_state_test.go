@@ -93,7 +93,7 @@ func memory(sim *detsim.Simulator) map[int][]byte {
 	m := map[int][]byte{}
 	for id := 0; id < 1000; id++ {
 		if b := sim.Buffer(id); b != nil {
-			m[id] = append([]byte(nil), b.Bytes()...)
+			m[id] = surfaceBytes(b)
 		}
 	}
 	return m

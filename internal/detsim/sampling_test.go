@@ -20,7 +20,7 @@ func TestIntraKernelSamplingPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sim.Buffer(1).Bytes(), want) {
+	if !bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
 		t.Fatal("intra-kernel sampling perturbed architectural results")
 	}
 	if rep.Detailed != n {

@@ -45,6 +45,7 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
+	"gtpin/internal/memo"
 )
 
 // SnippetVersion is the serialization version Encode writes and Decode
@@ -52,9 +53,9 @@ import (
 // surfaces page by page (surfaceDigest).
 const SnippetVersion = 2
 
-// pageSize is the granularity of memory images and post-digests: a
-// page of zeros is neither carried nor hashed.
-const pageSize = 4096
+// pageSize is the granularity of memory images and post-digests, a
+// surface's own page: a page of zeros is neither carried nor hashed.
+const pageSize = engine.PageSize
 
 var zeroPage [pageSize]byte
 
@@ -307,7 +308,7 @@ type capWindow struct {
 func (w *capWindow) reference(id int, b *device.Buffer, touch bool) {
 	if _, ok := w.sizes[id]; !ok {
 		w.sizes[id] = b.Size()
-		w.images[id] = imagePages(b.Bytes())
+		w.images[id] = imagePages(b)
 	}
 	if touch {
 		w.touched[id] = true
@@ -533,29 +534,29 @@ func (w *capWindow) finalize(buffers map[int]*device.Buffer) {
 		// Buffers created inside the window are defined by their create
 		// events, not the buffer table.
 		if w.touched[id] {
-			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id].Bytes())})
+			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id])})
 		}
 	}
 	w.done = true
 	w.open = false
 }
 
-// nonZeroPages calls f with each page of data that holds a non-zero
-// byte, in offset order. The last page is short when len(data) is not a
-// multiple of the page size.
-func nonZeroPages(data []byte, f func(off int, page []byte)) {
-	for off := 0; off < len(data); off += pageSize {
-		page := data[off:min(off+pageSize, len(data))]
+// nonZeroPages calls f with each page of b that holds a non-zero byte,
+// in offset order. The last page is short when the size is not a
+// multiple of the page size. Only allocated pages can hold one, but an
+// allocated page may have been zeroed since, so each is still checked.
+func nonZeroPages(b *device.Buffer, f func(off int, page []byte)) {
+	b.Pages(func(off int, page []byte) {
 		if !bytes.Equal(page, zeroPage[:len(page)]) {
 			f(off, page)
 		}
-	}
+	})
 }
 
 // imagePages copies the non-zero pages of a surface into a memory image.
-func imagePages(data []byte) []SnippetPage {
+func imagePages(b *device.Buffer) []SnippetPage {
 	var img []SnippetPage
-	nonZeroPages(data, func(off int, page []byte) {
+	nonZeroPages(b, func(off int, page []byte) {
 		img = append(img, SnippetPage{Offset: off, Bytes: bytes.Clone(page)})
 	})
 	return img
@@ -567,17 +568,39 @@ func imagePages(data []byte) []SnippetPage {
 // encoding is injective on the surface's bytes: two surfaces share a
 // digest exactly when a whole-surface SHA-256 would say they are equal
 // (up to a collision), while the zero pages cost a compare, not a hash.
-func surfaceDigest(data []byte) string {
+func surfaceDigest(b *device.Buffer) string {
 	h := sha256.New()
 	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(len(data)))
+	binary.LittleEndian.PutUint64(word[:], uint64(b.Size()))
 	h.Write(word[:])
-	nonZeroPages(data, func(off int, page []byte) {
+	nonZeroPages(b, func(off int, page []byte) {
 		binary.LittleEndian.PutUint64(word[:], uint64(off))
 		h.Write(word[:])
 		h.Write(page)
 	})
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// snippetBins memoizes snippet kernels by their code bytes. Each entry
+// is a binary that owns a copy of the code and has decoded it, so a
+// kernel that many snippets carry (every design point replays the same
+// snippets) decodes and fingerprints once per process. The key is the
+// code itself, so a snippet whose code differs in any byte never reaches
+// another code's binary.
+var snippetBins = memo.New[*jit.Binary]("detsim_snippet_kernel_cache")
+
+// snippetBinary returns the shared, decoded binary of a snippet
+// kernel's code. Code that does not decode is an error and is not
+// stored.
+func snippetBinary(code []byte) (*jit.Binary, error) {
+	bin, _, err := snippetBins.Do(string(code), func() (*jit.Binary, error) {
+		bin := &jit.Binary{Code: bytes.Clone(code)}
+		if _, err := bin.Kernel(); err != nil {
+			return nil, err
+		}
+		return bin, nil
+	})
+	return bin, err
 }
 
 // RunSnippet replays one snippet in isolation: rebuild the window's
@@ -602,14 +625,15 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 	if err := sn.validate(); err != nil {
 		return nil, err
 	}
-	// One decode per kernel, shared by its detailed and warmup launches.
+	// One binary per distinct kernel code in the process, shared by
+	// every launch of every snippet that carries that code.
 	kernels := make([]launch, len(sn.Kernels))
 	for i, sk := range sn.Kernels {
-		bin := &jit.Binary{Code: sk.Code}
-		k, err := bin.Kernel()
+		bin, err := snippetBinary(sk.Code)
 		if err != nil {
 			return nil, fmt.Errorf("detsim: snippet kernel %s: %w", sk.Name, err)
 		}
+		k, _ := bin.Kernel() // decoded without error when it was stored
 		kernels[i] = launch{Kernel: k, Bin: bin}
 	}
 
@@ -622,7 +646,9 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 		}
 		// validate bounded every page by sb.Size, and b is no smaller.
 		for _, p := range sb.Image {
-			copy(b.Bytes()[p.Offset:], p.Bytes)
+			if _, err := b.WriteAt(p.Bytes, int64(p.Offset)); err != nil {
+				return nil, fmt.Errorf("detsim: snippet buffer %d: %w", sb.ID, err)
+			}
 		}
 		buffers[sb.ID] = b
 	}
@@ -668,7 +694,7 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 
 	if !sn.HasTimer || s.timerHook != nil {
 		for _, d := range sn.PostDigests {
-			if got := surfaceDigest(buffers[d.ID].Bytes()); got != d.SHA256 {
+			if got := surfaceDigest(buffers[d.ID]); got != d.SHA256 {
 				return nil, fmt.Errorf("detsim: snippet %s range [%d, %d): buffer %d: sha256 %s != captured %s: %w",
 					sn.App, sn.Range.From, sn.Range.To, d.ID, got, d.SHA256, faults.ErrSnippetDiverged)
 			}

@@ -17,6 +17,7 @@ import (
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
 	"gtpin/internal/kernel"
+	"gtpin/internal/obs"
 	"gtpin/internal/par"
 	"gtpin/internal/testgen"
 )
@@ -221,8 +222,8 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 					}
 					serial[i] = comparable(rep)
 					if i == len(ranges)-1 && r.To == n {
-						serialOut = append(serialOut, append([]byte(nil), sim.Buffer(0).Bytes()...))
-						serialOut = append(serialOut, append([]byte(nil), sim.Buffer(1).Bytes()...))
+						serialOut = append(serialOut, surfaceBytes(sim.Buffer(0)))
+						serialOut = append(serialOut, surfaceBytes(sim.Buffer(1)))
 					}
 				}
 
@@ -271,8 +272,8 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 					}
 					o := replayOut{rep: comparable(rep)}
 					if i == len(snips)-1 && snips[i].Range.To == n {
-						o.bufs = append(o.bufs, append([]byte(nil), sim.Buffer(0).Bytes()...))
-						o.bufs = append(o.bufs, append([]byte(nil), sim.Buffer(1).Bytes()...))
+						o.bufs = append(o.bufs, surfaceBytes(sim.Buffer(0)))
+						o.bufs = append(o.bufs, surfaceBytes(sim.Buffer(1)))
 					}
 					return o, nil
 				})
@@ -701,5 +702,58 @@ func TestSnippetEncodedLen(t *testing.T) {
 		if n != len(data) {
 			t.Errorf("snippet %d: EncodedLen %d, len(Encode()) %d", i, n, len(data))
 		}
+	}
+}
+
+// TestSnippetKernelsSharedByCode: RunSnippet takes each snippet kernel's
+// binary from a process-wide memo keyed by the kernel's code bytes. A
+// round-tripped copy of a snippet finds every kernel there and replays
+// exactly as the original did; a kernel whose code is changed in place,
+// in the same slice, is decoded from its new bytes (which here no longer
+// decode), not served the binary kept for the old ones; and once the
+// bytes are restored it replays as before.
+func TestSnippetKernelsSharedByCode(t *testing.T) {
+	rec, n, _ := record(t, 8802, 12)
+	sim, err := detsim.New(detsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snips, err := sim.Capture(rec, []detsim.Range{{From: n / 2, To: n/2 + 1, Warmup: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunSnippet(snips[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := snips[0].Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := detsim.DecodeSnippet(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := func() uint64 { return obs.Default().Snapshot().Counters["detsim_snippet_kernel_cache_hits_total"] }
+	before := hits()
+	got, err := sim.RunSnippet(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := hits() - before; d < uint64(len(sn.Kernels)) {
+		t.Errorf("the round-tripped snippet's %d kernels made %d memo hits", len(sn.Kernels), d)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the round-tripped snippet replays differently")
+	}
+
+	code := sn.Kernels[0].Code
+	code[0] ^= 0xFF // the binary's magic
+	if _, err := sim.RunSnippet(sn); err == nil {
+		t.Fatal("a kernel whose code no longer decodes replayed: it reached the binary of its old code")
+	}
+	code[0] ^= 0xFF
+	if got, err = sim.RunSnippet(sn); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the restored snippet replays differently (%v)", err)
 	}
 }

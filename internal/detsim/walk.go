@@ -183,8 +183,8 @@ func hostWrite(b *device.Buffer, off int, payload []byte) error {
 		return fmt.Errorf("write [%d, %d+%d) out of bounds (%d-byte buffer): %w",
 			off, off, len(payload), b.Size(), faults.ErrBadRecording)
 	}
-	copy(b.Bytes()[off:], payload)
-	return nil
+	_, err := b.WriteAt(payload, int64(off))
+	return err
 }
 
 // hostCopy copies n bytes from src at offset off to dst at offset off2,
@@ -196,8 +196,7 @@ func hostCopy(src, dst *device.Buffer, off, off2, n int) error {
 		return fmt.Errorf("copy src [%d, %d+%d) dst [%d, %d+%d) out of bounds (src %d, dst %d bytes): %w",
 			off, off, n, off2, off2, n, src.Size(), dst.Size(), faults.ErrBadRecording)
 	}
-	copy(dst.Bytes()[off2:off2+n], src.Bytes()[off:off+n])
-	return nil
+	return dst.CopyFrom(src, off, off2, n)
 }
 
 // progCache memoizes jit.CompileProgram results across Run and Capture
@@ -241,6 +240,9 @@ func CompileCacheStats() (hits, misses uint64, entries int) {
 	return st.Hits, st.Misses, st.Entries
 }
 
-// ResetCompileCache drops every cached program and zeroes the counters
-// (tests and benchmark baselines).
-func ResetCompileCache() { progCache.Reset() }
+// ResetCompileCache drops every cached program and snippet kernel and
+// zeroes the counters (tests and benchmark baselines).
+func ResetCompileCache() {
+	progCache.Reset()
+	snippetBins.Reset()
+}

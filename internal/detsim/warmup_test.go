@@ -24,7 +24,7 @@ func TestWarmupPreservesStateAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sim.Buffer(1).Bytes(), want) {
+	if !bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
 		t.Fatal("warmup perturbed architectural results")
 	}
 	if rep.Detailed != 2 {

@@ -1,9 +1,27 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
+
+// PageSize is the granularity at which a Buffer allocates memory: a
+// surface is a table of PageSize-byte pages, and a page exists only once
+// a non-zero value has been written into it.
+const PageSize = 4096
+
+const (
+	pageShift = 12 // log2(PageSize)
+	pageMask  = PageSize - 1
+)
+
+// inlinePages is how many pages a Buffer's table holds inside the
+// Buffer itself; larger surfaces allocate their table separately.
+const inlinePages = 4
+
+// zeroPage is what an unallocated page reads as. Nothing writes it.
+var zeroPage [PageSize]byte
 
 // Buffer is a byte-addressable memory surface bound to kernels through the
 // binding table. Buffers are shared between host and device: the host
@@ -14,23 +32,40 @@ import (
 // the buffer size rather than faulting; real hardware would raise a page
 // fault, but wrapping keeps synthetic workloads total while remaining
 // deterministic.
+//
+// The surface is a table of PageSize-byte pages. A page that was never
+// allocated reads as zeros, and a page is allocated only when a non-zero
+// byte is first written into it, so a surface costs what it holds, not
+// its size. Host code reads and writes through ReadAt, WriteAt, CopyFrom,
+// Pages and Clear; no method hands out the backing store for writing.
+// A Buffer must not be copied by value: small tables live inside it.
 type Buffer struct {
-	data []byte
-	// mask is len(data)-1 when the size is a power of two (the common
-	// case), letting wrap use a bitwise AND instead of an integer
-	// division on the per-lane access path; 0 selects the modulo path.
+	// pages[i] holds bytes [i*PageSize, (i+1)*PageSize), nil while they
+	// are all zero. The last page may extend past size; those bytes are
+	// never read or written.
+	pages  []*[PageSize]byte
+	inline [inlinePages]*[PageSize]byte
+	size   int
+	// mask is size-1 when the size is a power of two (the common case),
+	// letting wrap use a bitwise AND instead of an integer division on
+	// the per-lane access path; 0 selects the modulo path.
 	mask int
 }
 
-// NewBuffer allocates a zeroed surface of the given size in bytes.
-// The size is rounded up to a multiple of 8 so 64-bit accesses at any
-// wrapped offset stay in bounds.
+// NewBuffer creates a zeroed surface of the given size in bytes. It
+// allocates only the page table. The size is rounded up to a multiple
+// of 8 so 64-bit accesses at any wrapped offset stay in bounds.
 func NewBuffer(size int) (*Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("buffer size must be positive, got %d", size)
 	}
 	size = (size + 7) &^ 7
-	b := &Buffer{data: make([]byte, size)}
+	b := &Buffer{size: size}
+	if n := (size + pageMask) >> pageShift; n <= inlinePages {
+		b.pages = b.inline[:n]
+	} else {
+		b.pages = make([]*[PageSize]byte, n)
+	}
 	if size&(size-1) == 0 {
 		b.mask = size - 1
 	}
@@ -38,20 +73,37 @@ func NewBuffer(size int) (*Buffer, error) {
 }
 
 // Size returns the buffer's capacity in bytes.
-func (b *Buffer) Size() int { return len(b.data) }
+func (b *Buffer) Size() int { return b.size }
 
-// Bytes returns the backing store. Host-side code may read and write it
-// directly; device-side access goes through the typed accessors below.
-func (b *Buffer) Bytes() []byte { return b.data }
+// read returns the page holding byte o, or the zero page when that page
+// is unallocated. The result must not be written.
+func (b *Buffer) read(o int) *[PageSize]byte {
+	if p := b.pages[o>>pageShift]; p != nil {
+		return p
+	}
+	return &zeroPage
+}
+
+// alloc allocates the zeroed page holding byte o.
+func (b *Buffer) alloc(o int) *[PageSize]byte {
+	p := new([PageSize]byte)
+	b.pages[o>>pageShift] = p
+	return p
+}
 
 // wrap clamps a device byte offset into the buffer, aligned to elem bytes.
-// An offset already below the size needs no reduction, which spares
-// every in-range access to a non-power-of-two surface its division.
-func (b *Buffer) wrap(off uint32, elem int) int {
-	n := len(b.data)
+func (b *Buffer) wrap(off uint32, elem int) int { return wrapOff(off, elem, b.size, b.mask) }
+
+// wrapOff is wrap for a surface of n bytes with the given mask, so the
+// lane loops can keep both in registers. An offset already below the
+// size needs no reduction, which spares every in-range access to a
+// non-power-of-two surface its division. The size is a multiple of 8
+// and so of every valid element size, so an aligned element never
+// straddles a page.
+func wrapOff(off uint32, elem, n, mask int) int {
 	var o int
-	if b.mask != 0 {
-		o = int(off) & b.mask
+	if mask != 0 {
+		o = int(off) & mask
 	} else if uint(off) < uint(n) {
 		o = int(off)
 	} else {
@@ -70,38 +122,57 @@ func (b *Buffer) wrap(off uint32, elem int) int {
 	return o
 }
 
+// validElem reports whether elem is an element size the typed accessors
+// take: 1, 2, 4 or 8 bytes.
+func validElem(elem int) bool {
+	return elem == 1 || elem == 2 || elem == 4 || elem == 8
+}
+
 // LoadElem reads one element of elem bytes (1, 2, 4, or 8) at the wrapped
 // offset, zero-extended to 64 bits.
 func (b *Buffer) LoadElem(off uint32, elem int) uint64 {
+	if !validElem(elem) {
+		panic(fmt.Sprintf("LoadElem: bad element size %d", elem))
+	}
 	o := b.wrap(off, elem)
+	p := b.read(o)[o&pageMask:]
 	switch elem {
 	case 1:
-		return uint64(b.data[o])
+		return uint64(p[0])
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(b.data[o:]))
+		return uint64(binary.LittleEndian.Uint16(p))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(b.data[o:]))
-	case 8:
-		return binary.LittleEndian.Uint64(b.data[o:])
+		return uint64(binary.LittleEndian.Uint32(p))
+	default:
+		return binary.LittleEndian.Uint64(p)
 	}
-	panic(fmt.Sprintf("LoadElem: bad element size %d", elem))
 }
 
 // StoreElem writes one element of elem bytes at the wrapped offset,
-// truncating v.
+// truncating v. Storing zero into an unallocated page leaves it
+// unallocated.
 func (b *Buffer) StoreElem(off uint32, elem int, v uint64) {
+	if !validElem(elem) {
+		panic(fmt.Sprintf("StoreElem: bad element size %d", elem))
+	}
 	o := b.wrap(off, elem)
+	page := b.pages[o>>pageShift]
+	if page == nil {
+		if v<<(64-8*elem) == 0 {
+			return
+		}
+		page = b.alloc(o)
+	}
+	p := page[o&pageMask:]
 	switch elem {
 	case 1:
-		b.data[o] = byte(v)
+		p[0] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(b.data[o:], uint16(v))
+		binary.LittleEndian.PutUint16(p, uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(b.data[o:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(b.data[o:], v)
+		binary.LittleEndian.PutUint32(p, uint32(v))
 	default:
-		panic(fmt.Sprintf("StoreElem: bad element size %d", elem))
+		binary.LittleEndian.PutUint64(p, v)
 	}
 }
 
@@ -122,26 +193,57 @@ func (b *Buffer) AtomicAdd(off uint32, elem int, v uint64) uint64 {
 // as they do lane by lane), and the element size is fixed outside each
 // loop. Each reports false, touching nothing, for an element size the
 // typed accessors reject, leaving the caller to take the per-lane path.
+//
+// A lane looks its page up once. An element of elem bytes starts at a
+// multiple of elem, so within its page it starts at o&(PageSize-elem),
+// at most PageSize-elem, which needs no bounds check. A store or add
+// that meets an unallocated page hands that lane and the rest to the
+// per-lane accessors, which allocate the page unless the lane writes
+// zero; leaving the loop, rather than allocating in it, keeps the
+// loop's values in registers.
 
 // loadLanes sets dst[i] to the low 32 bits of the element at addrs[i].
 func (b *Buffer) loadLanes(dst, addrs []uint32, elem int) bool {
-	data, dst := b.data, dst[:len(addrs)]
+	pages, n, mask, dst := b.pages, b.size, b.mask, dst[:len(addrs)]
 	switch elem {
 	case 1:
 		for i, a := range addrs {
-			dst[i] = uint32(data[b.wrap(a, 1)])
+			o := wrapOff(a, 1, n, mask)
+			if p := pages[o>>pageShift]; p != nil {
+				dst[i] = uint32(p[o&pageMask])
+			} else {
+				dst[i] = 0
+			}
 		}
 	case 2:
 		for i, a := range addrs {
-			dst[i] = uint32(binary.LittleEndian.Uint16(data[b.wrap(a, 2):]))
+			o := wrapOff(a, 2, n, mask)
+			if p := pages[o>>pageShift]; p != nil {
+				j := uint(o) & (PageSize - 2)
+				dst[i] = uint32(binary.LittleEndian.Uint16(p[j : j+2 : j+2]))
+			} else {
+				dst[i] = 0
+			}
 		}
 	case 4:
 		for i, a := range addrs {
-			dst[i] = binary.LittleEndian.Uint32(data[b.wrap(a, 4):])
+			o := wrapOff(a, 4, n, mask)
+			if p := pages[o>>pageShift]; p != nil {
+				j := uint(o) & (PageSize - 4)
+				dst[i] = binary.LittleEndian.Uint32(p[j : j+4 : j+4])
+			} else {
+				dst[i] = 0
+			}
 		}
 	case 8:
 		for i, a := range addrs {
-			dst[i] = uint32(binary.LittleEndian.Uint64(data[b.wrap(a, 8):]))
+			o := wrapOff(a, 8, n, mask)
+			if p := pages[o>>pageShift]; p != nil {
+				j := uint(o) & (PageSize - 8)
+				dst[i] = uint32(binary.LittleEndian.Uint64(p[j : j+8 : j+8]))
+			} else {
+				dst[i] = 0
+			}
 		}
 	default:
 		return false
@@ -152,26 +254,57 @@ func (b *Buffer) loadLanes(dst, addrs []uint32, elem int) bool {
 // storeLanes writes vals[i], truncated or zero-extended to the element
 // size, at addrs[i].
 func (b *Buffer) storeLanes(addrs, vals []uint32, elem int) bool {
-	data, vals := b.data, vals[:len(addrs)]
+	pages, n, mask, vals := b.pages, b.size, b.mask, vals[:len(addrs)]
 	switch elem {
 	case 1:
 		for i, a := range addrs {
-			data[b.wrap(a, 1)] = byte(vals[i])
+			o := wrapOff(a, 1, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.storeEach(addrs[i:], vals[i:], 1)
+			}
+			p[o&pageMask] = byte(vals[i])
 		}
 	case 2:
 		for i, a := range addrs {
-			binary.LittleEndian.PutUint16(data[b.wrap(a, 2):], uint16(vals[i]))
+			o := wrapOff(a, 2, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.storeEach(addrs[i:], vals[i:], 2)
+			}
+			j := uint(o) & (PageSize - 2)
+			binary.LittleEndian.PutUint16(p[j:j+2:j+2], uint16(vals[i]))
 		}
 	case 4:
 		for i, a := range addrs {
-			binary.LittleEndian.PutUint32(data[b.wrap(a, 4):], vals[i])
+			o := wrapOff(a, 4, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.storeEach(addrs[i:], vals[i:], 4)
+			}
+			j := uint(o) & (PageSize - 4)
+			binary.LittleEndian.PutUint32(p[j:j+4:j+4], vals[i])
 		}
 	case 8:
 		for i, a := range addrs {
-			binary.LittleEndian.PutUint64(data[b.wrap(a, 8):], uint64(vals[i]))
+			o := wrapOff(a, 8, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.storeEach(addrs[i:], vals[i:], 8)
+			}
+			j := uint(o) & (PageSize - 8)
+			binary.LittleEndian.PutUint64(p[j:j+8:j+8], uint64(vals[i]))
 		}
 	default:
 		return false
+	}
+	return true
+}
+
+// storeEach is storeLanes lane by lane through StoreElem.
+func (b *Buffer) storeEach(addrs, vals []uint32, elem int) bool {
+	for i, a := range addrs {
+		b.StoreElem(a, elem, uint64(vals[i]))
 	}
 	return true
 }
@@ -180,34 +313,57 @@ func (b *Buffer) storeLanes(addrs, vals []uint32, elem int) bool {
 // the low 32 bits of its previous value. Each lane reads its address and
 // addend before writing old[i], so old may alias either.
 func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
-	data, old, vals := b.data, old[:len(addrs)], vals[:len(addrs)]
+	pages, n, mask := b.pages, b.size, b.mask
+	old, vals = old[:len(addrs)], vals[:len(addrs)]
 	switch elem {
 	case 1:
 		for i, a := range addrs {
-			o := b.wrap(a, 1)
-			v := data[o]
-			data[o] = v + byte(vals[i])
+			o := wrapOff(a, 1, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.addEach(old[i:], addrs[i:], vals[i:], 1)
+			}
+			v := p[o&pageMask]
+			p[o&pageMask] = v + byte(vals[i])
 			old[i] = uint32(v)
 		}
 	case 2:
 		for i, a := range addrs {
-			p := data[b.wrap(a, 2):]
-			v := binary.LittleEndian.Uint16(p)
-			binary.LittleEndian.PutUint16(p, v+uint16(vals[i]))
+			o := wrapOff(a, 2, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.addEach(old[i:], addrs[i:], vals[i:], 2)
+			}
+			j := uint(o) & (PageSize - 2)
+			e := p[j : j+2 : j+2]
+			v := binary.LittleEndian.Uint16(e)
+			binary.LittleEndian.PutUint16(e, v+uint16(vals[i]))
 			old[i] = uint32(v)
 		}
 	case 4:
 		for i, a := range addrs {
-			p := data[b.wrap(a, 4):]
-			v := binary.LittleEndian.Uint32(p)
-			binary.LittleEndian.PutUint32(p, v+vals[i])
+			o := wrapOff(a, 4, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.addEach(old[i:], addrs[i:], vals[i:], 4)
+			}
+			j := uint(o) & (PageSize - 4)
+			e := p[j : j+4 : j+4]
+			v := binary.LittleEndian.Uint32(e)
+			binary.LittleEndian.PutUint32(e, v+vals[i])
 			old[i] = v
 		}
 	case 8:
 		for i, a := range addrs {
-			p := data[b.wrap(a, 8):]
-			v := binary.LittleEndian.Uint64(p)
-			binary.LittleEndian.PutUint64(p, v+uint64(vals[i]))
+			o := wrapOff(a, 8, n, mask)
+			p := pages[o>>pageShift]
+			if p == nil {
+				return b.addEach(old[i:], addrs[i:], vals[i:], 8)
+			}
+			j := uint(o) & (PageSize - 8)
+			e := p[j : j+8 : j+8]
+			v := binary.LittleEndian.Uint64(e)
+			binary.LittleEndian.PutUint64(e, v+uint64(vals[i]))
 			old[i] = uint32(v)
 		}
 	default:
@@ -216,43 +372,180 @@ func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
 	return true
 }
 
+// addEach is addLanes lane by lane through AtomicAdd.
+func (b *Buffer) addEach(old, addrs, vals []uint32, elem int) bool {
+	for i, a := range addrs {
+		old[i] = uint32(b.AtomicAdd(a, elem, uint64(vals[i])))
+	}
+	return true
+}
+
+// The host API moves bytes between the surface and host memory, or
+// between surfaces, a page at a time. Each call checks its whole range
+// first and touches nothing when it does not fit.
+
+// inRange reports whether [off, off+n) lies inside a surface of size
+// bytes.
+func inRange(off, n int64, size int) bool {
+	return off >= 0 && n >= 0 && off <= int64(size) && n <= int64(size)-off
+}
+
+// ReadAt copies len(p) bytes starting at byte offset off into p. It
+// implements io.ReaderAt, except that a range that does not fit reads
+// nothing and fails.
+func (b *Buffer) ReadAt(p []byte, off int64) (int, error) {
+	if !inRange(off, int64(len(p)), b.size) {
+		return 0, fmt.Errorf("ReadAt: range [%d, %d) out of bounds (size %d)", off, off+int64(len(p)), b.size)
+	}
+	b.readAt(p, int(off))
+	return len(p), nil
+}
+
+// readAt is ReadAt for a range already checked.
+func (b *Buffer) readAt(p []byte, o int) {
+	for len(p) > 0 {
+		n := copy(p, b.read(o)[o&pageMask:])
+		o, p = o+n, p[n:]
+	}
+}
+
+// WriteAt copies p into the surface starting at byte offset off. It
+// implements io.WriterAt, except that a range that does not fit writes
+// nothing and fails. Only the pages p puts a non-zero byte into are
+// allocated.
+func (b *Buffer) WriteAt(p []byte, off int64) (int, error) {
+	if !inRange(off, int64(len(p)), b.size) {
+		return 0, fmt.Errorf("WriteAt: range [%d, %d) out of bounds (size %d)", off, off+int64(len(p)), b.size)
+	}
+	b.writeAt(p, int(off))
+	return len(p), nil
+}
+
+// writeAt is WriteAt for a range already checked.
+func (b *Buffer) writeAt(p []byte, o int) {
+	for len(p) > 0 {
+		n := min(len(p), PageSize-o&pageMask)
+		b.put(o, p[:n])
+		o, p = o+n, p[n:]
+	}
+}
+
+// put writes src at byte o; the range lies within one page. An all-zero
+// src leaves an unallocated page unallocated.
+func (b *Buffer) put(o int, src []byte) {
+	p := b.pages[o>>pageShift]
+	if p == nil {
+		if bytes.Equal(src, zeroPage[:len(src)]) {
+			return
+		}
+		p = b.alloc(o)
+	}
+	copy(p[o&pageMask:], src)
+}
+
+// zero clears n bytes at byte o; the range lies within one page.
+func (b *Buffer) zero(o, n int) {
+	if p := b.pages[o>>pageShift]; p != nil {
+		clear(p[o&pageMask:][:n])
+	}
+}
+
+// CopyFrom copies n bytes from src at srcOff into the buffer at dstOff,
+// with copy's semantics when src is the buffer itself and the ranges
+// overlap: the result is as if the source bytes were read in full
+// before any was written. Only the pages it puts a non-zero byte into
+// are allocated.
+func (b *Buffer) CopyFrom(src *Buffer, srcOff, dstOff, n int) error {
+	if !inRange(int64(srcOff), int64(n), src.size) || !inRange(int64(dstOff), int64(n), b.size) {
+		return fmt.Errorf("CopyFrom: source [%d, %d) of %d bytes or destination [%d, %d) of %d bytes out of bounds",
+			srcOff, srcOff+n, src.size, dstOff, dstOff+n, b.size)
+	}
+	// Chunks end at page boundaries of both ranges. Copying upwards
+	// within one buffer goes from the last chunk to the first, so no
+	// chunk overwrites source bytes a later chunk reads; every other
+	// copy goes first to last.
+	backward := src == b && dstOff > srcOff
+	for done := 0; done < n; {
+		var s, d, c int
+		if backward {
+			s, d = srcOff+n-done, dstOff+n-done // chunk ends
+			c = min(n-done, s-(s-1)&^pageMask, d-(d-1)&^pageMask)
+			s, d = s-c, d-c
+		} else {
+			s, d = srcOff+done, dstOff+done
+			c = min(n-done, PageSize-s&pageMask, PageSize-d&pageMask)
+		}
+		if p := src.pages[s>>pageShift]; p != nil {
+			b.put(d, p[s&pageMask:][:c])
+		} else {
+			b.zero(d, c)
+		}
+		done += c
+	}
+	return nil
+}
+
+// Pages calls f with each allocated page in offset order: its byte
+// offset and its bytes, the last page cut at the surface's size. Pages
+// never allocated are all zero and skipped; an allocated page may be all
+// zero too. f must not modify or retain page.
+func (b *Buffer) Pages(f func(off int, page []byte)) {
+	for i, p := range b.pages {
+		if p != nil {
+			off := i << pageShift
+			f(off, p[:min(PageSize, b.size-off)])
+		}
+	}
+}
+
+// Clear zeroes the surface by dropping every page.
+func (b *Buffer) Clear() { clear(b.pages) }
+
 // WriteU32 writes host data as little-endian 32-bit words starting at a
 // byte offset, for test and workload setup.
 func (b *Buffer) WriteU32(off int, vals ...uint32) error {
-	if off < 0 || off+4*len(vals) > len(b.data) {
-		return fmt.Errorf("WriteU32: range [%d, %d) out of bounds (size %d)", off, off+4*len(vals), len(b.data))
+	if !inRange(int64(off), 4*int64(len(vals)), b.size) {
+		return fmt.Errorf("WriteU32: range [%d, %d) out of bounds (size %d)", off, off+4*len(vals), b.size)
 	}
+	var w [4]byte
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b.data[off+4*i:], v)
+		binary.LittleEndian.PutUint32(w[:], v)
+		b.writeAt(w[:], off+4*i)
 	}
 	return nil
 }
 
 // ReadU32 reads n little-endian 32-bit words starting at a byte offset.
 func (b *Buffer) ReadU32(off, n int) ([]uint32, error) {
-	if off < 0 || off+4*n > len(b.data) {
-		return nil, fmt.Errorf("ReadU32: range [%d, %d) out of bounds (size %d)", off, off+4*n, len(b.data))
+	if !inRange(int64(off), 4*int64(n), b.size) {
+		return nil, fmt.Errorf("ReadU32: range [%d, %d) out of bounds (size %d)", off, off+4*n, b.size)
 	}
 	out := make([]uint32, n)
+	var w [4]byte
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b.data[off+4*i:])
+		b.readAt(w[:], off+4*i)
+		out[i] = binary.LittleEndian.Uint32(w[:])
 	}
 	return out, nil
 }
 
 // ReadU64 reads one little-endian 64-bit word at a byte offset.
 func (b *Buffer) ReadU64(off int) (uint64, error) {
-	if off < 0 || off+8 > len(b.data) {
-		return 0, fmt.Errorf("ReadU64: offset %d out of bounds (size %d)", off, len(b.data))
+	if !inRange(int64(off), 8, b.size) {
+		return 0, fmt.Errorf("ReadU64: offset %d out of bounds (size %d)", off, b.size)
 	}
-	return binary.LittleEndian.Uint64(b.data[off:]), nil
+	var w [8]byte
+	b.readAt(w[:], off)
+	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
 // WriteU64 writes one little-endian 64-bit word at a byte offset.
 func (b *Buffer) WriteU64(off int, v uint64) error {
-	if off < 0 || off+8 > len(b.data) {
-		return fmt.Errorf("WriteU64: offset %d out of bounds (size %d)", off, len(b.data))
+	if !inRange(int64(off), 8, b.size) {
+		return fmt.Errorf("WriteU64: offset %d out of bounds (size %d)", off, b.size)
 	}
-	binary.LittleEndian.PutUint64(b.data[off:], v)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	b.writeAt(w[:], off)
 	return nil
 }

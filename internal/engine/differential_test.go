@@ -88,9 +88,7 @@ func recordCfg(t testing.TB, seed int64, steps int, cfg testgen.Config, timer fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := make([]byte, out.Size())
-	copy(final, out.Device().Bytes())
-	return rec, len(tr.Timings()), final
+	return rec, len(tr.Timings()), surfaceBytes(out.Device())
 }
 
 // replay runs a recording through one backend configuration with a
@@ -117,9 +115,7 @@ func replayHook(t *testing.T, rec *cofluent.Recording, ranges []detsim.Range, ti
 	if out == nil {
 		t.Fatal("missing output buffer")
 	}
-	img := make([]byte, len(out.Bytes()))
-	copy(img, out.Bytes())
-	return probe, img
+	return probe, surfaceBytes(out)
 }
 
 // diffProfiles asserts two probes observed the same dynamic behaviour:

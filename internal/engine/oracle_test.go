@@ -370,7 +370,9 @@ func (sc sendCase) check(t *testing.T, rng *rand.Rand) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(surf.Bytes(), mem)
+		if _, err := surf.WriteAt(mem, 0); err != nil {
+			t.Fatal(err)
+		}
 		surfs := []*Buffer{nil, surf}
 		e := &Env{Core: *core}
 		var touched []uint64
@@ -409,7 +411,7 @@ func (sc sendCase) check(t *testing.T, rng *rand.Rand) {
 		if d := firstDiff(&e.Core, &model); d != "" {
 			t.Fatalf("%+v %s: %s", sc, leg, d)
 		}
-		if string(surf.Bytes()) != string(wantMem) {
+		if string(contents(surf)) != string(wantMem) {
 			t.Fatalf("%+v %s: memory differs from the model", sc, leg)
 		}
 		if leg != "detailed" && st != want {

@@ -26,6 +26,15 @@ import (
 // accounting) cannot also be present in the reference interpreter, so it
 // surfaces here as a divergence.
 
+// surfaceBytes reads a surface's whole contents.
+func surfaceBytes(b *engine.Buffer) []byte {
+	out := make([]byte, b.Size())
+	if _, err := b.ReadAt(out, 0); err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // fidelityEnv builds an Env with deterministic hooks and freshly seeded
 // surfaces, returning the env, the surfaces, and the block-trace sink.
 func fidelityEnv(t *testing.T) (*engine.Env, []*engine.Buffer, *[]int) {
@@ -38,9 +47,12 @@ func fidelityEnv(t *testing.T) (*engine.Env, []*engine.Buffer, *[]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := in.Bytes()
+	data := make([]byte, in.Size())
 	for i := range data {
 		data[i] = byte(i*11 + 9)
+	}
+	if _, err := in.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
 	}
 	e := &engine.Env{}
 	e.Watchdog.Reset(0)
@@ -138,7 +150,7 @@ func TestPredecodeDifferentialFunctional(t *testing.T) {
 					t.Fatalf("active %d: block traces diverged (%d vs %d entries)", active, len(*refTrace), len(*preTrace))
 				}
 				for s := range refSurfs {
-					if !bytes.Equal(refSurfs[s].Bytes(), preSurfs[s].Bytes()) {
+					if !bytes.Equal(surfaceBytes(refSurfs[s]), surfaceBytes(preSurfs[s])) {
 						t.Fatalf("active %d: surface %d memory images diverged", active, s)
 					}
 				}
@@ -208,7 +220,7 @@ func TestPredecodeDifferentialDetailed(t *testing.T) {
 					t.Fatalf("active %d: block traces diverged (%d vs %d entries)", active, len(*refTrace), len(*preTrace))
 				}
 				for s := range refSurfs {
-					if !bytes.Equal(refSurfs[s].Bytes(), preSurfs[s].Bytes()) {
+					if !bytes.Equal(surfaceBytes(refSurfs[s]), surfaceBytes(preSurfs[s])) {
 						t.Fatalf("active %d: surface %d memory images diverged", active, s)
 					}
 				}
@@ -261,7 +273,7 @@ func TestPredecodeFunctionalDetailedAgree(t *testing.T) {
 				t.Fatal("block traces diverged")
 			}
 			for s := range fnSurfs {
-				if !bytes.Equal(fnSurfs[s].Bytes(), dtSurfs[s].Bytes()) {
+				if !bytes.Equal(surfaceBytes(fnSurfs[s]), surfaceBytes(dtSurfs[s])) {
 					t.Fatalf("surface %d memory images diverged", s)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,11 +18,11 @@ import (
 	"gtpin/internal/testgen"
 )
 
-// The trace-buffer tests hold Detach and the buffer pool behind it to
-// their contract: detaching changes nothing GT-Pin reports, a recycled
-// buffer comes back all zero, a detached instance's kernels cannot
-// reach the buffer it gave back, and the pool hands one buffer to one
-// instance at a time, also under concurrent replays.
+// The trace-buffer tests hold Detach to its contract: detaching changes
+// nothing GT-Pin reports, a detached instance's kernels cannot reach the
+// buffer it let go, and every instance gets a buffer of its own that
+// reads all zero, also while other instances replay and detach
+// concurrently.
 
 // allTools enables every optional tool, so a replay writes the counter
 // region, the latency slots and the memory-trace ring.
@@ -75,18 +76,27 @@ func reportOf(g *gtpin.GTPin) report {
 	return report{g.Records(), g.Kernels(), g.MemTrace(), g.RingDrops()}
 }
 
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
+// pages returns the bytes of each allocated page of b by offset.
+func pages(b *device.Buffer) map[int]string {
+	m := map[int]string{}
+	b.Pages(func(off int, page []byte) { m[off] = string(page) })
+	return m
+}
+
+// dirty reports whether any byte of b is non-zero. A page never
+// allocated reads as zeros, so only allocated pages can hold one.
+func dirty(b *device.Buffer) bool {
+	for _, page := range pages(b) {
+		if strings.Trim(page, "\x00") != "" {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // TestDetachKeepsProfile: records, kernels and the memory trace are the
-// same whether or not the instance is detached, and whether its buffer
-// was fresh or recycled by an earlier Detach.
+// same whether or not the instance is detached, also for instances
+// attached after earlier ones detached.
 func TestDetachKeepsProfile(t *testing.T) {
 	rec := detachRecording(t, 4100)
 	want, err := replayGTPin(rec, allTools, false)
@@ -110,39 +120,10 @@ func TestDetachKeepsProfile(t *testing.T) {
 	}
 }
 
-// TestDetachClearsRecycledBuffer: a MemTrace and Latency replay leaves
-// its trace buffer dirty, and once it is detached the next Attach that
-// recycles that buffer gets it all zero. The pool may drop a buffer (the
-// race detector makes it drop one Put in four), so the test retries
-// until the buffer comes back.
-func TestDetachClearsRecycledBuffer(t *testing.T) {
-	rec := detachRecording(t, 4200)
-	for try := 0; try < 20; try++ {
-		g, err := replayGTPin(rec, allTools, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := g.TraceBuf()
-		if allZero(buf.Bytes()) {
-			t.Fatal("the replay left its trace buffer all zero, so recycling it proves nothing")
-		}
-		g.Detach()
-		next := attachFresh(t, allTools)
-		if !allZero(next.TraceBuf().Bytes()) {
-			t.Fatal("Attach got a trace buffer that is not all zero")
-		}
-		if next.TraceBuf() == buf {
-			return
-		}
-		next.Detach()
-	}
-	t.Fatal("the pool never returned a detached buffer in 20 tries")
-}
-
 // TestDispatchAfterDetachFails: an instrumented kernel enqueued after
 // Detach fails with faults.ErrInvalidDispatch, because its trace surface
-// is no longer bound, and the buffer the instance gave back stays all
-// zero.
+// is no longer bound, and the buffer the instance let go keeps the bytes
+// it held at Detach.
 func TestDispatchAfterDetachFails(t *testing.T) {
 	dev, err := device.New(device.IvyBridgeHD4000())
 	if err != nil {
@@ -183,6 +164,7 @@ func TestDispatchAfterDetachFails(t *testing.T) {
 	}
 	buf := g.TraceBuf()
 	g.Detach()
+	atDetach := pages(buf)
 
 	err = q.EnqueueNDRangeKernel(k, 64)
 	if err == nil {
@@ -191,17 +173,16 @@ func TestDispatchAfterDetachFails(t *testing.T) {
 	if !errors.Is(err, faults.ErrInvalidDispatch) {
 		t.Fatalf("dispatch after Detach returned %v, want faults.ErrInvalidDispatch", err)
 	}
-	if !allZero(buf.Bytes()) {
-		t.Fatal("a dispatch after Detach wrote the buffer the instance gave back")
+	if !reflect.DeepEqual(pages(buf), atDetach) {
+		t.Fatal("a dispatch after Detach wrote the buffer the instance let go")
 	}
 	if len(g.Records()) != 1 {
 		t.Fatalf("the instance holds %d records, want the 1 from before Detach", len(g.Records()))
 	}
 }
 
-// TestDetachTwice: a second Detach does nothing — in particular it does
-// not give the buffer back twice, which would hand one buffer to two
-// instances.
+// TestDetachTwice: a second Detach does nothing, and instances attached
+// afterwards each get a buffer of their own.
 func TestDetachTwice(t *testing.T) {
 	g := attachFresh(t, gtpin.Options{})
 	g.Detach()
@@ -212,10 +193,54 @@ func TestDetachTwice(t *testing.T) {
 	}
 }
 
+// TestDetachClearsRecycledBuffer: every instance attaches to a buffer of
+// its own that reads all zero, however many earlier instances wrote
+// their own buffers and detached, with Attach, replay and Detach running
+// on several goroutines at once. make bench-smoke runs it under -race
+// -count=10.
+func TestDetachClearsRecycledBuffer(t *testing.T) {
+	rec := detachRecording(t, 4200)
+	const workers, replays = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < replays; i++ {
+				g, err := replayGTPin(rec, allTools, false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				used := g.TraceBuf()
+				if !dirty(used) {
+					t.Error("the replay left its trace buffer all zero, so its successor's proves nothing")
+					return
+				}
+				g.Detach()
+				dev, err := device.New(device.IvyBridgeHD4000())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				next, err := gtpin.Attach(cl.NewContext(dev), allTools)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if buf := next.TraceBuf(); buf == used || dirty(buf) {
+					t.Errorf("worker %d replay %d: Attach after Detach got a used trace buffer", w, i)
+				}
+				next.Detach()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestTraceBufPoolConcurrent runs Attach, replay and Detach from several
-// goroutines at once, so instances take and return pooled buffers
-// concurrently, and requires every replay's profile to equal a serial
-// run's. make bench-smoke runs it under -race -count=10.
+// goroutines at once and requires every replay's profile to equal a
+// serial run's. make bench-smoke runs it under -race -count=10.
 func TestTraceBufPoolConcurrent(t *testing.T) {
 	rec := detachRecording(t, 4300)
 	want, err := replayGTPin(rec, allTools, true)

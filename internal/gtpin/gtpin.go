@@ -3,7 +3,6 @@ package gtpin
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/device"
@@ -58,12 +57,6 @@ type GTPin struct {
 	memTrace   []MemAccess
 }
 
-// tracePool recycles DefaultTraceBufBytes trace buffers: Detach clears a
-// buffer and puts it back, and Attach takes one before allocating, so a
-// sweep of replays holds one buffer per replay in flight rather than one
-// per replay it has run.
-var tracePool sync.Pool
-
 // Attach hooks GT-Pin into a context: it allocates the trace buffer,
 // notifies the driver to bind it on every dispatch, registers the binary
 // re-writer with the JIT, and begins observing the API stream. It must be
@@ -99,15 +92,11 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 		return nil, fmt.Errorf("gtpin: trace ring too small for memory tracing (%d entries): %w",
 			ringEntries, faults.ErrBadConfig)
 	}
-	var buf *device.Buffer
-	if size == DefaultTraceBufBytes {
-		buf, _ = tracePool.Get().(*device.Buffer)
-	}
-	if buf == nil {
-		var err error
-		if buf, err = device.NewBuffer(size); err != nil {
-			return nil, fmt.Errorf("gtpin: %w", err)
-		}
+	// A fresh buffer costs its page table; pages come as kernels write
+	// them.
+	buf, err := device.NewBuffer(size)
+	if err != nil {
+		return nil, fmt.Errorf("gtpin: %w", err)
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -131,21 +120,16 @@ func Attach(ctx *cl.Context, opts Options) (*GTPin, error) {
 // Detach ends the instance's use of its trace buffer once the
 // application's kernels have completed. It unbinds the buffer from the
 // context, so an instrumented kernel dispatched afterwards fails with
-// faults.ErrInvalidDispatch instead of writing it, and returns a
-// DefaultTraceBufBytes buffer, cleared, to the pool Attach takes from.
-// The records, kernels and memory trace collected so far stay readable.
+// faults.ErrInvalidDispatch instead of writing it, and drops the
+// instance's reference, so the buffer's pages can be collected. The
+// records, kernels and memory trace collected so far stay readable.
 // A second call does nothing.
 func (g *GTPin) Detach() {
-	buf := g.traceBuf
-	if buf == nil {
+	if g.traceBuf == nil {
 		return
 	}
 	g.traceBuf = nil
 	g.ctx.SetTraceBuffer(nil)
-	if buf.Size() == DefaultTraceBufBytes {
-		clear(buf.Bytes())
-		tracePool.Put(buf)
-	}
 }
 
 // maxImmSlot is the highest counter slot whose byte address (slot*8) still

@@ -84,7 +84,9 @@ func runGenerated(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, i
 		t.Fatal(err)
 	}
 	final := make([]byte, out.Size())
-	copy(final, out.Device().Bytes())
+	if _, err := out.Device().ReadAt(final, 0); err != nil {
+		t.Fatal(err)
+	}
 	return tr, g, final
 }
 

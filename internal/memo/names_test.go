@@ -5,14 +5,14 @@ import (
 
 	"gtpin/internal/obs"
 
-	// The packages that own the five process-wide caches.
+	// The packages that own the six process-wide caches.
 	_ "gtpin/internal/detsim"
 	_ "gtpin/internal/engine"
 	_ "gtpin/internal/gtpin"
 	_ "gtpin/internal/workloads"
 )
 
-// TestCacheCounterNamesStayRegistered pins the ten cache counters that
+// TestCacheCounterNamesStayRegistered pins the twelve cache counters that
 // metrics snapshots, dashboards and the benchmark read by name: linking
 // the caches' packages must register all of them, before any lookup.
 func TestCacheCounterNamesStayRegistered(t *testing.T) {
@@ -21,6 +21,7 @@ func TestCacheCounterNamesStayRegistered(t *testing.T) {
 		"jit_cache", // the GT-Pin rewrite memo, under its historical name
 		"engine_predecode",
 		"detsim_compile_cache",
+		"detsim_snippet_kernel_cache",
 		"workloads_replay_cache",
 		"workloads_native_cache",
 	} {

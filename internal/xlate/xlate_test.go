@@ -93,7 +93,9 @@ func runProgram(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, ins
 		t.Fatal(err)
 	}
 	final := make([]byte, out.Size())
-	copy(final, out.Device().Bytes())
+	if _, err := out.Device().ReadAt(final, 0); err != nil {
+		t.Fatal(err)
+	}
 	if g != nil {
 		return final, g.Records()
 	}
