@@ -103,7 +103,7 @@ xlate-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# service-race runs the profiling-service suite — queue/shed, retry and
+# service-race runs the profiling-service suite — queue/shed, one-run and
 # breaker chaos, drain ordering, and the SIGKILL crash-resume e2e — under
 # the race detector on its own, so a service regression names itself
 # before the full-tree race pass. (The full pass then reuses the cached

@@ -1,15 +1,14 @@
 // Command gtpind is the fault-tolerant profiling daemon: an HTTP/JSON
 // front end over the supervised sweep pool, so characterize/repro/
-// subsets jobs can be submitted, queued, retried, and resumed without
+// subsets jobs can be submitted, queued, cancelled, and resumed without
 // re-invoking the CLI harnesses — and so the process-wide hot caches
 // stay warm across jobs.
 //
 // Usage:
 //
 //	gtpind -state-dir DIR [-addr :8321] [-queue-cap N] [-job-workers N]
-//	       [-unit-workers N] [-max-retry-passes N] [-retry-base D] [-retry-cap D]
-//	       [-breaker-threshold N] [-drain-timeout D] [-unit-timeout D]
-//	       [-tenants FILE] [-smoke]
+//	       [-unit-workers N] [-breaker-threshold N] [-drain-timeout D]
+//	       [-unit-timeout D] [-tenants FILE] [-smoke]
 //
 // The daemon claims -state-dir with an exclusive flock (a second daemon
 // or a CLI sweep pointed at the same directory fails fast instead of
@@ -70,12 +69,9 @@ func run() error {
 	queueCap := flag.Int("queue-cap", service.DefaultQueueCap, "bounded queue capacity; full queue sheds with 429 + Retry-After")
 	jobWorkers := flag.Int("job-workers", service.DefaultJobWorkers, "jobs executing concurrently")
 	unitWorkers := flag.Int("unit-workers", 0, "per-job pool shards (0 = GOMAXPROCS); artifacts identical at any setting")
-	maxRetryPasses := flag.Int("max-retry-passes", service.DefaultMaxRetryPasses, "service-level retry passes for transiently-failed units (-1 disables)")
-	retryBase := flag.Duration("retry-base", service.DefaultRetryBase, "base backoff between retry passes (doubles per pass, jittered)")
-	retryCap := flag.Duration("retry-cap", service.DefaultRetryCap, "backoff ceiling between retry passes")
 	breakerThreshold := flag.Int("breaker-threshold", service.DefaultBreakerThreshold, "consecutive unit failures that trip a job's circuit breaker (-1 disables)")
 	drainTimeout := flag.Duration("drain-timeout", service.DefaultDrainTimeout, "how long a SIGTERM drain waits for in-flight jobs before journaling them")
-	unitTimeout := flag.Duration("unit-timeout", 0, "per-unit attempt wall-clock bound; hung units are abandoned as unit-timeout faults (0 = off)")
+	unitTimeout := flag.Duration("unit-timeout", 0, "per-unit wall-clock bound; hung units are abandoned as unit-timeout faults (0 = off)")
 	tenants := flag.String("tenants", "", "tenant policy file (JSON); absent means open admission")
 	smoke := flag.Bool("smoke", false, "run the self-contained smoke test (submit a tiny job, drain) and exit")
 	flag.Parse()
@@ -89,9 +85,6 @@ func run() error {
 		QueueCap:         *queueCap,
 		JobWorkers:       *jobWorkers,
 		UnitWorkers:      *unitWorkers,
-		MaxRetryPasses:   normalizeDisable(*maxRetryPasses),
-		RetryBase:        *retryBase,
-		RetryCap:         *retryCap,
 		BreakerThreshold: normalizeDisable(*breakerThreshold),
 		DrainTimeout:     *drainTimeout,
 		UnitTimeout:      *unitTimeout,

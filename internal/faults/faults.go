@@ -139,11 +139,11 @@ var (
 	// retry.
 	ErrSnippetDiverged = NewSentinel("snippet replay diverged", Permanent)
 
-	// ErrWorkerPanic marks a panic recovered inside a sweep worker. It
-	// is classified transient because the supervising pool grants
-	// panicked units a bounded restart budget before surfacing the
-	// failure; the panic value and stack are carried in the wrap chain.
-	ErrWorkerPanic = NewSentinel("worker panic", Transient)
+	// ErrWorkerPanic marks a panic recovered inside a sweep worker; the
+	// panic value and stack are carried in the wrap chain. Permanent: a
+	// unit's execution is a function of the unit, fault injection
+	// included, so running it again panics the same way.
+	ErrWorkerPanic = NewSentinel("worker panic", Permanent)
 
 	// ErrUnitTimeout marks a work unit abandoned because it exceeded its
 	// execution deadline — the pool's defense against a genuinely hung

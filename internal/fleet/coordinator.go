@@ -322,14 +322,13 @@ func (c *coordinator) settleCompleted(w *workerState, u *unitState, r runstate.R
 				return err
 			}
 		}
-		if err := c.pool.State.Commit(r.Unit, data, rec, r.Attempt, 0); err != nil {
+		if err := c.pool.State.Commit(r.Unit, data, rec, 0); err != nil {
 			return err
 		}
 	}
 
 	o := &c.outcomes[u.idx]
 	o.Artifact = art
-	o.Attempts = r.Attempt
 	o.WallNs = time.Since(granted).Nanoseconds()
 	u.settled = true
 	c.settledN++
@@ -352,21 +351,20 @@ func (c *coordinator) settleWorkerFailure(w *workerState, u *unitState, r runsta
 	err := fmt.Errorf("fleet: unit %s on worker %s: %s: %w", r.Unit, w.id, r.Error, sent)
 	w.lease = nil
 	u.leasedTo = nil
-	return c.settleFailure(u, r.Attempt, err, r.Error, r.Class)
+	return c.settleFailure(u, err, r.Error, r.Class)
 }
 
 // settleFailure records a terminal failure outcome, journaling it into
 // the main state dir with the same record shape a single-process pool
 // writes.
-func (c *coordinator) settleFailure(u *unitState, attempts int, oerr error, errText, class string) error {
+func (c *coordinator) settleFailure(u *unitState, oerr error, errText, class string) error {
 	if c.pool.State != nil {
-		if err := c.pool.State.Journal.Failed(u.key, attempts, errText, class, 0); err != nil {
+		if err := c.pool.State.Journal.Failed(u.key, errText, class, 0); err != nil {
 			return err
 		}
 	}
 	o := &c.outcomes[u.idx]
 	o.Err = oerr
-	o.Attempts = attempts
 	u.settled = true
 	c.settledN++
 	if c.pool.OnOutcome != nil {
@@ -391,7 +389,7 @@ func (c *coordinator) quarantine() error {
 		if t := obs.ActiveTracer(); t != nil {
 			t.InstantWall("fleet", "unit quarantined", "fleet:coordinator", obs.A("unit", u.key))
 		}
-		if serr := c.settleFailure(u, u.expiries, err, err.Error(), faults.Kind(faults.ErrPoisonUnit)); serr != nil {
+		if serr := c.settleFailure(u, err, err.Error(), faults.Kind(faults.ErrPoisonUnit)); serr != nil {
 			return serr
 		}
 	}
@@ -531,14 +529,13 @@ func (c *coordinator) nextUnit(next *int) *unitState {
 func (c *coordinator) adopt() {
 	completed := c.pool.State.Recovered.Completed()
 	for _, u := range c.units {
-		art, attempts, ok := workloads.Adopt(c.pool.State, completed, u.key)
+		art, ok := workloads.Adopt(c.pool.State, completed, u.key)
 		if !ok {
 			continue
 		}
 		o := &c.outcomes[u.idx]
 		o.Artifact = art
 		o.Resumed = true
-		o.Attempts = attempts
 		u.settled = true
 		c.settledN++
 		c.opts.Stats.Adopted++

@@ -75,8 +75,8 @@ type Options struct {
 	// LeaseTTL bounds how long a single lease may stay outstanding on a
 	// heartbeating worker before the coordinator declares the unit hung,
 	// kills the worker, and re-dispatches. 0 means DefaultLeaseTTL. It
-	// is independent of PoolOptions.UnitTimeout, which bounds each
-	// attempt inside the worker.
+	// is independent of PoolOptions.UnitTimeout, which bounds the
+	// unit's execution inside the worker.
 	LeaseTTL time.Duration
 	// HeartbeatTTL is how long a ready worker's heartbeat file may stay
 	// unchanged before the worker is declared lost. 0 means

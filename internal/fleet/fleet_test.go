@@ -307,7 +307,7 @@ func journalInWorker(t *testing.T, w *workerState, write func(*runstate.Dir) err
 func TestHarvestRefusesStaleEpoch(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
-		return sd.Journal.Completed("unitA", "0123456789abcdef", 1, 7) // stale epoch
+		return sd.Journal.Completed("unitA", "0123456789abcdef", 7) // stale epoch
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestHarvestUnverifiableArtifactExpiresLease(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
 		// Correct epoch, but no artifact file backs the digest.
-		return sd.Journal.Completed("unitA", "feedfacefeedface", 1, 8)
+		return sd.Journal.Completed("unitA", "feedfacefeedface", 8)
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestHarvestUnverifiableArtifactExpiresLease(t *testing.T) {
 func TestHarvestAcceptsCurrentEpochFailure(t *testing.T) {
 	c, u, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
-		return sd.Journal.Failed("unitA", 3, "boom", "worker-panic", 8)
+		return sd.Journal.Failed("unitA", "boom", "worker-panic", 8)
 	})
 	if err := c.harvest(w); err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestHarvestAcceptsCurrentEpochFailure(t *testing.T) {
 		t.Fatal("current-epoch failure did not settle the unit")
 	}
 	o := c.outcomes[0]
-	if o.Err == nil || !strings.Contains(o.Err.Error(), "boom") || o.Attempts != 3 {
+	if o.Err == nil || !strings.Contains(o.Err.Error(), "boom") {
 		t.Fatalf("outcome %+v lost the journaled failure detail", o)
 	}
 }
@@ -370,7 +370,7 @@ func TestHarvestAcceptsCurrentEpochFailure(t *testing.T) {
 func TestHarvestReturnsStateIOError(t *testing.T) {
 	c, _, w := testCoordinator(t, "unitA", 8)
 	journalInWorker(t, w, func(sd *runstate.Dir) error {
-		return sd.Journal.Failed("unitA", 3, "boom", "worker-panic", 8)
+		return sd.Journal.Failed("unitA", "boom", "worker-panic", 8)
 	})
 	state, err := runstate.OpenDir(t.TempDir())
 	if err != nil {

@@ -151,16 +151,15 @@ func (w *worker) processLease(path string) error {
 }
 
 // execute runs the leased unit through a single-unit supervised pool —
-// inheriting panic isolation, the restart budget, and the per-attempt
-// timeout — then commits or journals its terminal state under the
-// lease's epoch.
+// inheriting panic isolation and the per-unit timeout — then commits or
+// journals its terminal state under the lease's epoch.
 func (w *worker) execute(lf leaseFile) error {
-	journalFailed := func(attempts int, uerr error) error {
-		return w.state.Journal.Failed(lf.Key, attempts, uerr.Error(), faults.Label(uerr), lf.Epoch)
+	journalFailed := func(uerr error) error {
+		return w.state.Journal.Failed(lf.Key, uerr.Error(), faults.Label(uerr), lf.Epoch)
 	}
 
 	if got := lf.Unit.Key(); got != lf.Key {
-		return journalFailed(0, fmt.Errorf("fleet: lease key %s rebuilt as %s", lf.Key, got))
+		return journalFailed(fmt.Errorf("fleet: lease key %s rebuilt as %s", lf.Key, got))
 	}
 
 	outs, err := workloads.RunPool(context.Background(), []workloads.Unit{lf.Unit}, workloads.PoolOptions{
@@ -172,7 +171,7 @@ func (w *worker) execute(lf leaseFile) error {
 	}
 	o := outs[0]
 	if o.Err != nil {
-		return journalFailed(o.Attempts, o.Err)
+		return journalFailed(o.Err)
 	}
 
 	var rec func(io.Writer) error
@@ -182,9 +181,9 @@ func (w *worker) execute(lf leaseFile) error {
 	}
 	data, err := o.Artifact.Encode()
 	if err != nil {
-		return journalFailed(o.Attempts, err)
+		return journalFailed(err)
 	}
-	return w.state.Commit(lf.Key, data, rec, o.Attempts, lf.Epoch)
+	return w.state.Commit(lf.Key, data, rec, lf.Epoch)
 }
 
 // heartbeater rewrites the worker's liveness file on a fixed cadence.

@@ -66,7 +66,7 @@ func TestDirArtifactDigest(t *testing.T) {
 	}
 	defer d.Close()
 	payload := []byte(`{"app":"juliaset","instrs":12345}`)
-	if err := d.Commit("app|cfg|seed", payload, nil, 1, 0); err != nil {
+	if err := d.Commit("app|cfg|seed", payload, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	digest := Digest(payload)
@@ -112,7 +112,7 @@ func journaled(t *testing.T, d *Dir) []Record {
 func TestDirCommitRecFailure(t *testing.T) {
 	d := commitDir(t)
 	boom := errors.New("recording lost")
-	err := d.Commit("u", []byte(`{"app":"a"}`), func(io.Writer) error { return boom }, 1, 0)
+	err := d.Commit("u", []byte(`{"app":"a"}`), func(io.Writer) error { return boom }, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Commit = %v, want %v", err, boom)
 	}
@@ -137,7 +137,7 @@ func TestDirCommitArtifactFailure(t *testing.T) {
 	if err := os.WriteFile(units, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Commit("u", []byte(`{"app":"a"}`), nil, 1, 0); err == nil {
+	if err := d.Commit("u", []byte(`{"app":"a"}`), nil, 0); err == nil {
 		t.Fatal("Commit succeeded with units/ a regular file")
 	}
 	if recs := journaled(t, d); len(recs) != 0 {
@@ -146,8 +146,8 @@ func TestDirCommitArtifactFailure(t *testing.T) {
 }
 
 // TestDirCommit: a commit writes the recording and the artifact, and a
-// completion record carrying the artifact's digest, the attempts and the
-// epoch, which ReadArtifact then verifies.
+// completion record carrying the artifact's digest and the epoch, which
+// ReadArtifact then verifies.
 func TestDirCommit(t *testing.T) {
 	d := commitDir(t)
 	data := []byte(`{"app":"a","invocations":[1]}`)
@@ -155,11 +155,11 @@ func TestDirCommit(t *testing.T) {
 		_, err := io.WriteString(w, "recording")
 		return err
 	}
-	if err := d.Commit("u", data, rec, 3, 7); err != nil {
+	if err := d.Commit("u", data, rec, 7); err != nil {
 		t.Fatal(err)
 	}
 	recs := journaled(t, d)
-	want := Record{Seq: 1, Status: StatusCompleted, Unit: "u", Digest: Digest(data), Attempt: 3, Epoch: 7}
+	want := Record{Seq: 1, Status: StatusCompleted, Unit: "u", Digest: Digest(data), Epoch: 7}
 	if len(recs) != 1 || recs[0] != want {
 		t.Fatalf("journal = %+v, want [%+v]", recs, want)
 	}

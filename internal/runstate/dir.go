@@ -116,11 +116,11 @@ func UnitFilePath(dir, unit, ext string) string {
 // Commit makes a finished unit durable and is the only writer of a
 // completion record: the recording blob first when rec is non-nil, then
 // the artifact data, then the completion record binding the artifact's
-// digest and attempt count under epoch (0 outside a fleet worker). Each
-// file is atomic and durable before the next write starts, so a crash
-// or a failed write leaves either no completion record or one whose
-// artifact verifies.
-func (d *Dir) Commit(unit string, data []byte, rec func(io.Writer) error, attempts int, epoch uint64) error {
+// digest under epoch (0 outside a fleet worker). Each file is atomic
+// and durable before the next write starts, so a crash or a failed
+// write leaves either no completion record or one whose artifact
+// verifies.
+func (d *Dir) Commit(unit string, data []byte, rec func(io.Writer) error, epoch uint64) error {
 	if rec != nil {
 		if err := WriteAtomic(d.UnitFile(unit, ".rec"), rec); err != nil {
 			return err
@@ -131,7 +131,7 @@ func (d *Dir) Commit(unit string, data []byte, rec func(io.Writer) error, attemp
 	}
 	mArtifactsWritten.Inc()
 	mArtifactBytes.Add(uint64(len(data)))
-	return d.Journal.Completed(unit, Digest(data), attempts, epoch)
+	return d.Journal.Completed(unit, Digest(data), epoch)
 }
 
 // ReadArtifact loads a unit's artifact and verifies it against the

@@ -23,9 +23,9 @@ func buildJournal(t testing.TB, n int) ([]byte, map[uint64]Record) {
 		case 0:
 			err = j.Started(unit, 0)
 		case 1:
-			err = j.Completed(unit, fmt.Sprintf("digest-%d", i), 1+i%2, 0)
+			err = j.Completed(unit, fmt.Sprintf("digest-%d", i), 0)
 		default:
-			err = j.Failed(unit, 2, "watchdog timeout", "permanent", 0)
+			err = j.Failed(unit, "watchdog timeout", "permanent", 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -94,13 +94,13 @@ func (j *Journal) Started(unit string, epoch uint64) error {
 // Completed journals that a unit finished, binding it to the digest of
 // its persisted artifact. The artifact must be durable first (WAL
 // ordering); Dir.Commit, the one caller outside tests, makes it so.
-func (j *Journal) Completed(unit, digest string, attempts int, epoch uint64) error {
-	return j.write(Record{Status: StatusCompleted, Unit: unit, Digest: digest, Attempt: attempts, Epoch: epoch})
+func (j *Journal) Completed(unit, digest string, epoch uint64) error {
+	return j.write(Record{Status: StatusCompleted, Unit: unit, Digest: digest, Epoch: epoch})
 }
 
 // Failed journals a unit's typed terminal failure.
-func (j *Journal) Failed(unit string, attempts int, errText, class string, epoch uint64) error {
-	return j.write(Record{Status: StatusFailed, Unit: unit, Attempt: attempts, Error: errText, Class: class, Epoch: epoch})
+func (j *Journal) Failed(unit, errText, class string, epoch uint64) error {
+	return j.write(Record{Status: StatusFailed, Unit: unit, Error: errText, Class: class, Epoch: epoch})
 }
 
 // Close releases the journal file. Records are already durable; Close

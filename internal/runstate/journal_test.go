@@ -2,6 +2,8 @@ package runstate
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +13,8 @@ import (
 
 // TestJournalRoundTrip: records written through the journal come back
 // from recovery verbatim, in order, with the lifecycle maps agreeing —
-// the WAL-format smoke check CI runs on every push.
+// the WAL-format smoke check CI runs on every push. A record in the
+// older shape, with an attempt count no field reads, recovers too.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, rec, err := Create(path)
@@ -28,11 +31,12 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 	must(j.Started("alpha", 0))
-	must(j.Completed("alpha", "digest-a", 1, 0))
+	must(j.Completed("alpha", "digest-a", 0))
 	must(j.Started("beta", 0))
-	must(j.Failed("beta", 3, "kernel hang", "permanent", 0))
+	must(j.Failed("beta", "kernel hang", "permanent", 0))
 	must(j.Started("gamma", 0)) // left in flight
 	must(j.Close())
+	appendRawRecord(t, path, `{"seq":6,"status":"completed","unit":"delta","digest":"digest-d","attempt":3}`)
 
 	rec, err = Recover(path)
 	if err != nil {
@@ -41,15 +45,15 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(rec.Dropped) != 0 || rec.Torn {
 		t.Fatalf("clean journal reported damage: %+v", rec.Dropped)
 	}
-	if len(rec.Records) != 5 || rec.MaxSeq != 5 {
-		t.Fatalf("got %d records, max seq %d, want 5/5", len(rec.Records), rec.MaxSeq)
+	if len(rec.Records) != 6 || rec.MaxSeq != 6 {
+		t.Fatalf("got %d records, max seq %d, want 6/6", len(rec.Records), rec.MaxSeq)
 	}
 	for i, r := range rec.Records {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
 	}
-	if c := rec.Completed(); len(c) != 1 || c["alpha"].Digest != "digest-a" || c["alpha"].Attempt != 1 {
+	if c := rec.Completed(); len(c) != 2 || c["alpha"].Digest != "digest-a" || c["delta"].Digest != "digest-d" {
 		t.Fatalf("Completed() = %+v", c)
 	}
 	if f := rec.Failed(); len(f) != 1 || f["beta"].Error != "kernel hang" || f["beta"].Class != "permanent" {
@@ -57,6 +61,20 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if inf := rec.InFlight(); len(inf) != 1 || inf["gamma"].Status != StatusStarted {
 		t.Fatalf("InFlight() = %+v", inf)
+	}
+}
+
+// appendRawRecord appends body to the journal at path as one line,
+// framed with a valid CRC over exactly those bytes.
+func appendRawRecord(t *testing.T, path, body string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := fmt.Fprintf(f, `{"c":%d,"r":%s}`+"\n", crc32.ChecksumIEEE([]byte(body)), body); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -80,7 +98,7 @@ func TestJournalReopenContinuesSequence(t *testing.T) {
 	if rec.MaxSeq != 1 {
 		t.Fatalf("recovered max seq %d, want 1", rec.MaxSeq)
 	}
-	if err := j2.Completed("one", "d", 1, 0); err != nil {
+	if err := j2.Completed("one", "d", 0); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -105,7 +123,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err := j.Started("u1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Completed("u1", "d1", 1, 0); err != nil {
+	if err := j.Completed("u1", "d1", 0); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -178,7 +196,7 @@ func TestRecoverSeqRegression(t *testing.T) {
 	if err := j.Started("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Completed("a", "d", 1, 0); err != nil {
+	if err := j.Completed("a", "d", 0); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -94,7 +94,7 @@ func TestOpenDirSweepsTornTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d1.Commit("unit-a", []byte(`{"ok":true}`), nil, 1, 0); err != nil {
+	if err := d1.Commit("unit-a", []byte(`{"ok":true}`), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.Close(); err != nil {

@@ -66,8 +66,9 @@ const (
 // Record is one journal entry. Unit is an opaque caller-defined key
 // identifying the work unit (the sweeps use app|config|scale|trial|
 // fault-seed). Digest is the artifact digest for completed units;
-// Error/Class carry the typed failure for failed ones; Attempt counts
-// execution attempts consumed, supervised restarts included.
+// Error/Class carry the typed failure for failed ones. Older journals
+// also carry an "attempt" count per record; decoding ignores it, and
+// the CRC covers the raw record bytes, so those journals still recover.
 //
 // Epoch is the fencing token of the distributed fleet (internal/fleet):
 // every dispatch of a unit to a worker process carries a fresh epoch,
@@ -77,12 +78,11 @@ const (
 // re-dispatched cannot smuggle a late write into the merged report.
 // Single-process sweeps leave it zero.
 type Record struct {
-	Seq     uint64 `json:"seq"`
-	Status  Status `json:"status"`
-	Unit    string `json:"unit"`
-	Digest  string `json:"digest,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
-	Class   string `json:"class,omitempty"`
-	Epoch   uint64 `json:"epoch,omitempty"`
+	Seq    uint64 `json:"seq"`
+	Status Status `json:"status"`
+	Unit   string `json:"unit"`
+	Digest string `json:"digest,omitempty"`
+	Error  string `json:"error,omitempty"`
+	Class  string `json:"class,omitempty"`
+	Epoch  uint64 `json:"epoch,omitempty"`
 }

@@ -10,29 +10,24 @@ import (
 	"testing"
 
 	"gtpin/internal/faults"
+	"gtpin/internal/runstate"
 	"gtpin/internal/workloads"
 )
 
-// scriptedRunner drives executeJob with a per-(unit, pass) script while
+// scriptedRunner drives executeJob with a per-unit script while
 // honoring the pool contract the real RunPool provides: outcomes settle
 // in unit order, OnOutcome fires per settled unit, and cancellation
 // stops dispatch (undispatched units keep zero-value outcomes, i.e.
 // "skipped").
-func scriptedRunner(script func(u workloads.Unit, pass int) workloads.Outcome) runner {
-	var mu sync.Mutex
-	pass := 0
+func scriptedRunner(script func(u workloads.Unit) workloads.Outcome) runner {
 	return func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
-		mu.Lock()
-		p := pass
-		pass++
-		mu.Unlock()
 		outs := make([]workloads.Outcome, len(units))
 		for i, u := range units {
 			outs[i].Unit = u
 			if ctx.Err() != nil {
 				continue // undispatched
 			}
-			outs[i] = script(u, p)
+			outs[i] = script(u)
 			outs[i].Unit = u
 			if opts.OnOutcome != nil {
 				opts.OnOutcome(outs[i])
@@ -46,59 +41,28 @@ func transientErr() error {
 	return fmt.Errorf("scripted: %w", faults.ErrSendFault)
 }
 
-// TestRetryPassRecoversTransientFailure: a unit that fails transiently
-// on the first pass is re-dispatched after backoff and succeeds; the
-// job still settles done.
-func TestRetryPassRecoversTransientFailure(t *testing.T) {
-	s := newTestServer(t, Config{JobWorkers: 1, MaxRetryPasses: 2})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
-		if pass == 0 && u.TrialSeed == 2 {
-			return workloads.Outcome{Err: transientErr(), Attempts: 3}
-		}
-		return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
-	})
-
-	r := postJob(t, s, `{"id":"r1","kind":"characterize","apps":["cb-gaussian-buffer"],"trials":3}`, "")
-	r.Body.Close()
-	if r.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: %s", r.Status)
-	}
-	j := mustJob(t, s, "r1")
-	if st := waitTerminal(t, j); st != StateDone {
-		t.Fatalf("job settled %s (%s), want done", st, j.View().Error)
-	}
-	v := j.View()
-	if v.Passes != 2 || v.Retries != 1 || v.UnitsDone != 3 || v.UnitsFailed != 0 {
-		t.Fatalf("progress = %+v", v.Progress)
-	}
-
-	// result.json records the recovered unit as completed.
-	var rf resultFile
-	readJSONFile(t, filepath.Join(s.jobDir("r1"), "result.json"), &rf)
-	for _, u := range rf.Units {
-		if u.Status != "completed" {
-			t.Fatalf("unit %s status %s after retry", u.Key, u.Status)
-		}
-	}
-}
-
-// TestPermanentFailureNotRetried: permanent faults burn no retry
-// passes; the job degrades to partial with the failure classified.
+// TestPermanentFailureNotRetried: a unit runs once whatever its
+// failure's class — a transient fault repeats on a rerun exactly as a
+// permanent one does — and the job degrades to partial with each
+// failure classified.
 func TestPermanentFailureNotRetried(t *testing.T) {
-	calls := 0
 	var mu sync.Mutex
-	s := newTestServer(t, Config{JobWorkers: 1, MaxRetryPasses: 3})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
+	runs := map[string]int{}
+	s := newTestServer(t, Config{JobWorkers: 1})
+	s.runPool = scriptedRunner(func(u workloads.Unit) workloads.Outcome {
 		mu.Lock()
-		calls++
+		runs[u.Key()]++
 		mu.Unlock()
-		if u.TrialSeed == 1 {
-			return workloads.Outcome{Err: fmt.Errorf("scripted: %w", faults.ErrBadBinary), Attempts: 1}
+		switch u.TrialSeed {
+		case 1:
+			return workloads.Outcome{Err: fmt.Errorf("scripted: %w", faults.ErrBadBinary)}
+		case 2:
+			return workloads.Outcome{Err: transientErr()}
 		}
-		return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
+		return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}}
 	})
 
-	r := postJob(t, s, `{"id":"p1","kind":"characterize","apps":["cb-gaussian-buffer"],"trials":2}`, "")
+	r := postJob(t, s, `{"id":"p1","kind":"characterize","apps":["cb-gaussian-buffer"],"trials":3}`, "")
 	r.Body.Close()
 	j := mustJob(t, s, "p1")
 	if st := waitTerminal(t, j); st != StatePartial {
@@ -106,13 +70,28 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if calls != 2 {
-		t.Fatalf("permanent failure was re-dispatched: %d unit executions, want 2", calls)
+	if len(runs) != 3 {
+		t.Fatalf("%d distinct units ran, want 3", len(runs))
+	}
+	for key, n := range runs {
+		if n != 1 {
+			t.Errorf("unit %s ran %d times, want 1", key, n)
+		}
 	}
 	var rf resultFile
 	readJSONFile(t, filepath.Join(s.jobDir("p1"), "result.json"), &rf)
-	if rf.Units[0].Status != "failed" || rf.Units[0].Class != "bad kernel binary" {
-		t.Fatalf("failed unit row = %+v", rf.Units[0])
+	want := []resultUnit{
+		{Status: "failed", Class: "bad kernel binary"},
+		{Status: "failed", Class: faults.Kind(faults.ErrSendFault)},
+		{Status: "completed"},
+	}
+	if len(rf.Units) != len(want) {
+		t.Fatalf("result has %d unit rows, want %d", len(rf.Units), len(want))
+	}
+	for i, w := range want {
+		if got := rf.Units[i]; got.Status != w.Status || got.Class != w.Class {
+			t.Errorf("unit row %d = %+v, want status %s class %q", i, got, w.Status, w.Class)
+		}
 	}
 }
 
@@ -120,12 +99,12 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 // breaker; the remaining units are skipped, not executed, and the job
 // settles partial.
 func TestBreakerDegradesToPartial(t *testing.T) {
-	s := newTestServer(t, Config{JobWorkers: 1, BreakerThreshold: 3, MaxRetryPasses: -1})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
+	s := newTestServer(t, Config{JobWorkers: 1, BreakerThreshold: 3})
+	s.runPool = scriptedRunner(func(u workloads.Unit) workloads.Outcome {
 		if u.TrialSeed <= 2 {
-			return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
+			return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}}
 		}
-		return workloads.Outcome{Err: transientErr(), Attempts: 3}
+		return workloads.Outcome{Err: transientErr()}
 	})
 
 	r := postJob(t, s, `{"id":"b1","kind":"characterize","apps":["cb-gaussian-buffer"],"trials":8}`, "")
@@ -155,15 +134,15 @@ func TestBreakerDegradesToPartial(t *testing.T) {
 }
 
 // TestChaosInjectorDeterministic runs the real pool under the real
-// fault injector at rate 1: every execution attempt fails the same way
-// every time, so retry passes are exercised end to end and two
-// independent runs of the same spec settle identically — including
-// their result.json bytes.
+// fault injector at rate 1: every execution of a unit fails the same
+// way, so each unit runs once — its journal holds one started and one
+// terminal record — and two independent runs of the same spec settle
+// identically, including their result.json bytes.
 func TestChaosInjectorDeterministic(t *testing.T) {
 	const spec = `{"id":"x1","kind":"characterize","apps":["cb-gaussian-buffer"],"scale":"tiny","fault_rate":1,"fault_seed":7}`
 
 	run := func() (State, Progress, []byte) {
-		s := newTestServer(t, Config{JobWorkers: 1, UnitWorkers: 1, MaxRetryPasses: 1, BreakerThreshold: -1})
+		s := newTestServer(t, Config{JobWorkers: 1, UnitWorkers: 1, BreakerThreshold: -1})
 		r := postJob(t, s, spec, "")
 		r.Body.Close()
 		if r.StatusCode != http.StatusCreated {
@@ -175,9 +154,28 @@ func TestChaosInjectorDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read result.json: %v", err)
 		}
+		rec, err := runstate.Recover(filepath.Join(s.jobDir("x1"), "state", "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, terminal := map[string]int{}, map[string]int{}
+		for _, r := range rec.Records {
+			if r.Status == runstate.StatusStarted {
+				started[r.Unit]++
+			} else {
+				terminal[r.Unit]++
+			}
+		}
+		if len(started) != j.View().UnitsTotal || len(terminal) != len(started) {
+			t.Fatalf("journal covers %d started / %d settled units, want %d each", len(started), len(terminal), j.View().UnitsTotal)
+		}
+		for unit, n := range started {
+			if n != 1 || terminal[unit] != 1 {
+				t.Fatalf("unit %s journaled %d started / %d terminal records, want 1 / 1", unit, n, terminal[unit])
+			}
+		}
 		return st, j.View().Progress, data
 	}
-
 	st1, p1, res1 := run()
 	st2, p2, res2 := run()
 	if st1 != st2 || p1 != p2 {

@@ -23,10 +23,10 @@ type runner func(ctx context.Context, units []workloads.Unit, opts workloads.Poo
 type fleetRunner func(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions, opts fleet.Options) ([]workloads.Outcome, error)
 
 // fleetAdapter wraps the fleet coordinator in the pool's runner shape so
-// runJob's retry-pass loop drives distributed jobs unchanged: each pass
-// leases its pending units across Spec.Fleet worker processes (spawned
-// by re-executing this binary) and the merged outcomes come back in the
-// same order and byte-for-byte form the in-process pool would produce.
+// runJob drives distributed jobs unchanged: the job's units are leased
+// across Spec.Fleet worker processes (spawned by re-executing this
+// binary) and the merged outcomes come back in the same order and
+// byte-for-byte form the in-process pool would produce.
 func (s *Server) fleetAdapter(j *Job) runner {
 	return func(ctx context.Context, units []workloads.Unit, pool workloads.PoolOptions) ([]workloads.Outcome, error) {
 		return s.runFleet(ctx, units, pool, fleet.Options{
@@ -104,14 +104,15 @@ func suffixIf(errText string) string {
 	return ": " + errText
 }
 
-// runJob executes the job's units on the pool, or on a fleet when the
-// spec asks for one: pass 0 resumes from the journal, later passes
-// re-dispatch only transiently-failed units with backoff between
-// passes, and the per-job breaker degrades a failing job to partial
-// results. A run error that is not the job's own cancellation, such as
-// a state dir that cannot be written, fails the job. It returns the
-// terminal state the job earned; the caller overrides it for
-// cancellation/shutdown/deadline.
+// runJob executes the job's units once, on the pool or on a fleet when
+// the spec asks for one, resuming from the journal when it holds a
+// previous run. A unit's execution is a function of the unit, so a
+// failed unit is not sent out again: it would fail the same way. The
+// per-job breaker degrades a failing job to partial results. A run
+// error that is not the job's own cancellation, such as a state dir
+// that cannot be written, fails the job. It returns the terminal state
+// the job earned; the caller overrides it for cancellation/shutdown/
+// deadline.
 func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 	units, err := j.Spec.units(j.Spec.faultOptions())
 	if err != nil {
@@ -129,92 +130,53 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 	hasJournal := len(sd.Recovered.Completed())+len(sd.Recovered.InFlight())+len(sd.Recovered.Failed()) > 0
 
 	br := newBreaker(s.cfg.BreakerThreshold)
-	backoff := Backoff{Base: s.cfg.RetryBase, Cap: s.cfg.RetryCap}
 
 	run := s.runPool
 	if j.Spec.Fleet > 0 {
 		run = s.fleetAdapter(j)
 	}
 
-	final := make([]workloads.Outcome, len(units))
-	pending := make([]int, len(units))
-	for i := range pending {
-		pending[i] = i
-	}
-
-	for pass := 0; ; pass++ {
-		passUnits := make([]workloads.Unit, len(pending))
-		for k, idx := range pending {
-			passUnits[k] = units[idx]
-		}
-		pctx, pcancel := context.WithCancel(ctx)
-		outs, perr := run(pctx, passUnits, workloads.PoolOptions{
-			State:          sd,
-			Resume:         pass == 0 && hasJournal,
-			SaveRecordings: j.Spec.Kind == KindRepro,
-			Workers:        s.cfg.UnitWorkers,
-			UnitTimeout:    s.cfg.UnitTimeout,
-			OnOutcome: func(o workloads.Outcome) {
-				j.noteOutcome(o)
-				if o.Err == nil && !o.Resumed && o.WallNs > 0 {
-					s.lat.observe(o.WallNs)
-				}
-				// Cancellation is not a unit failure; everything else
-				// (including abandonment) feeds the breaker.
-				failed := o.Err != nil && !errors.Is(o.Err, context.Canceled)
-				if br.observe(failed) {
-					mBreakerTrips.Inc()
-					s.cfg.Logf("gtpind: job %s: breaker tripped after %d consecutive failures; degrading to partial",
-						j.ID, s.cfg.BreakerThreshold)
-					pcancel()
-				}
-			},
-		})
-		pcancel()
-		for k, idx := range pending {
-			if k < len(outs) {
-				final[idx] = outs[k]
+	rctx, rcancel := context.WithCancel(ctx)
+	final, rerr := run(rctx, units, workloads.PoolOptions{
+		State:          sd,
+		Resume:         hasJournal,
+		SaveRecordings: j.Spec.Kind == KindRepro,
+		Workers:        s.cfg.UnitWorkers,
+		UnitTimeout:    s.cfg.UnitTimeout,
+		OnOutcome: func(o workloads.Outcome) {
+			j.noteOutcome(o)
+			if o.Err == nil && !o.Resumed && o.WallNs > 0 {
+				s.lat.observe(o.WallNs)
 			}
-		}
-		tripped := br.Tripped()
-		reconcileProgress(j, final, pass+1, tripped)
-		if perr != nil && ctx.Err() == nil && !tripped {
-			// A run error that is not our own cancellation: the job's
-			// state dir could not be written, or the fleet itself
-			// failed. Nothing downstream is trustworthy.
-			return StateFailed, perr.Error()
-		}
-		if ctx.Err() != nil || tripped {
-			break
-		}
-
-		retry := retryableIndices(final)
-		if len(retry) == 0 || pass >= s.cfg.MaxRetryPasses {
-			break
-		}
-		mRetryPasses.Inc()
-		mUnitRetries.Add(uint64(len(retry)))
-		j.mutateProgress(func(p *Progress) { p.Retries += len(retry) })
-		d := backoff.Delay(pass, j.ID)
-		s.cfg.Logf("gtpind: job %s: retry pass %d: %d transient unit(s), backoff %v",
-			j.ID, pass+1, len(retry), d)
-		if err := s.cfg.sleep(ctx, d); err != nil {
-			break
-		}
-		pending = retry
+			// Cancellation is not a unit failure; everything else
+			// (including abandonment) feeds the breaker.
+			failed := o.Err != nil && !errors.Is(o.Err, context.Canceled)
+			if br.observe(failed) {
+				mBreakerTrips.Inc()
+				s.cfg.Logf("gtpind: job %s: breaker tripped after %d consecutive failures; degrading to partial",
+					j.ID, s.cfg.BreakerThreshold)
+				rcancel()
+			}
+		},
+	})
+	rcancel()
+	tripped := br.Tripped()
+	reconcileProgress(j, final, tripped)
+	if rerr != nil && ctx.Err() == nil && !tripped {
+		// A run error that is not our own cancellation: the job's
+		// state dir could not be written, or the fleet itself failed.
+		// Nothing downstream is trustworthy.
+		return StateFailed, rerr.Error()
 	}
 
-	done, failed := 0, 0
+	done := 0
 	var firstErr error
 	for i := range final {
 		switch {
 		case final[i].Artifact != nil:
 			done++
-		case final[i].Err != nil:
-			failed++
-			if firstErr == nil {
-				firstErr = final[i].Err
-			}
+		case final[i].Err != nil && firstErr == nil:
+			firstErr = final[i].Err
 		}
 	}
 
@@ -231,30 +193,16 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 		return StateFailed, fmt.Sprintf("all %d unit(s) failed; first: %v", len(final), firstErr)
 	default:
 		text := fmt.Sprintf("%d/%d unit(s) usable", done, len(final))
-		if br.Tripped() {
+		if tripped {
 			text += " (breaker tripped)"
 		}
 		return StatePartial, text
 	}
 }
 
-// retryableIndices selects the units worth another pass: failed with a
-// transient classification. Permanent failures (bad input, panic past
-// the restart budget, timeout abandonment) are not retried — the pool
-// already spent its restart budget on anything restartable.
-func retryableIndices(final []workloads.Outcome) []int {
-	var retry []int
-	for i := range final {
-		if final[i].Err != nil && faults.IsTransient(final[i].Err) {
-			retry = append(retry, i)
-		}
-	}
-	return retry
-}
-
 // reconcileProgress replaces the approximate live counters with the
-// exact merged state at a pass boundary.
-func reconcileProgress(j *Job, final []workloads.Outcome, passes int, tripped bool) {
+// exact settled state.
+func reconcileProgress(j *Job, final []workloads.Outcome, tripped bool) {
 	var p Progress
 	p.UnitsTotal = len(final)
 	for i := range final {
@@ -271,8 +219,6 @@ func reconcileProgress(j *Job, final []workloads.Outcome, passes int, tripped bo
 		}
 	}
 	j.mutateProgress(func(old *Progress) {
-		p.Retries = old.Retries
-		p.Passes = passes
 		p.BreakerTripped = old.BreakerTripped || tripped
 		*old = p
 	})
@@ -280,11 +226,10 @@ func reconcileProgress(j *Job, final []workloads.Outcome, passes int, tripped bo
 
 // resultUnit is one row of result.json.
 type resultUnit struct {
-	Key      string `json:"key"`
-	Status   string `json:"status"` // completed | failed | skipped
-	Digest   string `json:"digest,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Class    string `json:"class,omitempty"` // fault taxonomy kind for failures
+	Key    string `json:"key"`
+	Status string `json:"status"` // completed | failed | skipped
+	Digest string `json:"digest,omitempty"`
+	Class  string `json:"class,omitempty"` // fault taxonomy kind for failures
 }
 
 // resultFile is result.json, the job's summary artifact. It is
@@ -308,7 +253,7 @@ func writeResult(j *Job, sd *runstate.Dir, final []workloads.Outcome) error {
 	}
 	for i := range final {
 		o := &final[i]
-		ru := resultUnit{Key: o.Unit.Key(), Attempts: o.Attempts}
+		ru := resultUnit{Key: o.Unit.Key()}
 		switch {
 		case o.Artifact != nil:
 			data, err := o.Artifact.Encode()
@@ -322,7 +267,6 @@ func writeResult(j *Job, sd *runstate.Dir, final []workloads.Outcome) error {
 			ru.Class = faults.Label(o.Err)
 		default:
 			ru.Status = "skipped"
-			ru.Attempts = 0
 		}
 		rf.Units = append(rf.Units, ru)
 	}

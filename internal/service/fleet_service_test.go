@@ -112,7 +112,7 @@ func TestLatencyFedFromOutcomes(t *testing.T) {
 		for i, u := range units {
 			outs[i] = workloads.Outcome{
 				Unit: u, Artifact: &workloads.Artifact{App: u.Spec.Name},
-				Attempts: 1, WallNs: int64(3 * time.Second),
+				WallNs: int64(3 * time.Second),
 			}
 			if opts.OnOutcome != nil {
 				opts.OnOutcome(outs[i])
@@ -143,7 +143,7 @@ func TestFleetJobUsesFleetRunner(t *testing.T) {
 		gotPool, gotOpts = pool, opts
 		outs := make([]workloads.Outcome, len(units))
 		for i, u := range units {
-			outs[i] = workloads.Outcome{Unit: u, Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
+			outs[i] = workloads.Outcome{Unit: u, Artifact: &workloads.Artifact{App: u.Spec.Name}}
 			if pool.OnOutcome != nil {
 				pool.OnOutcome(outs[i])
 			}

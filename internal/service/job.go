@@ -240,8 +240,6 @@ type Progress struct {
 	UnitsFailed    int  `json:"units_failed"`
 	UnitsSkipped   int  `json:"units_skipped"`
 	UnitsResumed   int  `json:"units_resumed"`
-	Retries        int  `json:"retries"`
-	Passes         int  `json:"passes"`
 	BreakerTripped bool `json:"breaker_tripped,omitempty"`
 }
 
@@ -327,9 +325,8 @@ func (j *Job) setState(st State, errText string) error {
 }
 
 // noteOutcome folds one settled unit into the live progress counters.
-// They are approximate across retry passes (a unit that fails and then
-// retries successfully counts in both columns for a moment); the pass
-// boundary recomputes them exactly (mutateProgress in exec.go).
+// Once the run returns, reconcileProgress (exec.go) recomputes them
+// exactly, skipped units included.
 func (j *Job) noteOutcome(o workloads.Outcome) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

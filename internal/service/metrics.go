@@ -26,10 +26,6 @@ var (
 		"Jobs currently waiting in the admission queue.")
 	mJobsRunning = obs.DefaultGauge("gtpind_jobs_running",
 		"Jobs currently executing on the pool.")
-	mUnitRetries = obs.DefaultCounter("gtpind_unit_retries_total",
-		"Failed units re-dispatched by a service-level retry pass.")
-	mRetryPasses = obs.DefaultCounter("gtpind_retry_passes_total",
-		"Service-level retry passes executed across all jobs.")
 	mBreakerTrips = obs.DefaultCounter("gtpind_breaker_trips_total",
 		"Per-job circuit breakers tripped by consecutive unit failures.")
 )

@@ -11,9 +11,9 @@
 //     Retry-After instead of accepting work it would lose (queue.go);
 //   - per-job deadlines and context cancellation threaded through the
 //     pool, with hung units abandoned via faults.ErrUnitTimeout;
-//   - automatic retry of transiently-failed units across passes with
-//     capped exponential backoff + deterministic jitter (retry.go),
-//     classified by the internal/faults taxonomy;
+//   - one execution per unit: a unit's run is a function of the unit,
+//     fault injection included, so a failure settles typed by the
+//     internal/faults taxonomy instead of being sent out again;
 //   - a per-job circuit breaker that degrades a job to partial results
 //     after N consecutive unit failures instead of wedging the queue
 //     (breaker.go);
@@ -55,9 +55,6 @@ import (
 const (
 	DefaultQueueCap         = 16
 	DefaultJobWorkers       = 2
-	DefaultMaxRetryPasses   = 2
-	DefaultRetryBase        = 500 * time.Millisecond
-	DefaultRetryCap         = 8 * time.Second
 	DefaultBreakerThreshold = 5
 	DefaultDrainTimeout     = 30 * time.Second
 )
@@ -76,14 +73,6 @@ type Config struct {
 	JobWorkers int
 	// UnitWorkers is the per-job pool shard count (0 = GOMAXPROCS).
 	UnitWorkers int
-	// MaxRetryPasses bounds service-level retry of transiently-failed
-	// units (in addition to the pool's own virtual-time restarts).
-	// Negative disables retry passes; 0 means DefaultMaxRetryPasses.
-	MaxRetryPasses int
-	// RetryBase/RetryCap shape the capped exponential backoff between
-	// retry passes; jitter is deterministic per job (retry.go).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// BreakerThreshold trips a job's circuit breaker after this many
 	// consecutive unit failures, degrading the job to partial results.
 	// Negative disables the breaker; 0 means DefaultBreakerThreshold.
@@ -91,7 +80,7 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight jobs
 	// before abandoning them to their journals.
 	DrainTimeout time.Duration
-	// UnitTimeout bounds each unit attempt's wall time (see
+	// UnitTimeout bounds each unit's wall time (see
 	// workloads.PoolOptions.UnitTimeout). 0 disables.
 	UnitTimeout time.Duration
 	// Tenants maps API keys to policies; nil admits every caller under
@@ -105,10 +94,6 @@ type Config struct {
 	// flip. The smoke harness and tests use it to pin the drain
 	// ordering without racing the drain.
 	DrainHook func()
-
-	// sleep is the backoff clock, replaceable by tests. nil sleeps on
-	// a real timer, honoring ctx.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (c *Config) withDefaults() Config {
@@ -118,18 +103,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.JobWorkers <= 0 {
 		out.JobWorkers = DefaultJobWorkers
-	}
-	switch {
-	case out.MaxRetryPasses == 0:
-		out.MaxRetryPasses = DefaultMaxRetryPasses
-	case out.MaxRetryPasses < 0:
-		out.MaxRetryPasses = 0
-	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = DefaultRetryBase
-	}
-	if out.RetryCap <= 0 {
-		out.RetryCap = DefaultRetryCap
 	}
 	switch {
 	case out.BreakerThreshold == 0:
@@ -146,21 +119,7 @@ func (c *Config) withDefaults() Config {
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
-	if out.sleep == nil {
-		out.sleep = sleepCtx
-	}
 	return out
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Server is one daemon instance: the job registry, the bounded queue,

@@ -17,15 +17,11 @@ import (
 )
 
 // newTestServer builds and starts a server on a loopback port, closing
-// it at cleanup. cfg.StateDir defaults to a temp dir and cfg.sleep to a
-// no-op so retry passes don't slow tests down.
+// it at cleanup. cfg.StateDir defaults to a temp dir.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = func(context.Context, time.Duration) error { return nil }
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -115,7 +111,6 @@ func blockingRunner(release <-chan struct{}) runner {
 				continue
 			}
 			outs[i].Artifact = &workloads.Artifact{App: u.Spec.Name}
-			outs[i].Attempts = 1
 			if opts.OnOutcome != nil {
 				opts.OnOutcome(outs[i])
 			}
@@ -554,28 +549,6 @@ func TestConcurrentSubmitsNeverShareAnID(t *testing.T) {
 	}
 	if total := len(s.listJobs()); listed != 1 || total != n+1 {
 		t.Fatalf("registry lists %q %d times among %d jobs, want once among %d", "same", listed, total, n+1)
-	}
-}
-
-// TestBackoffDeterministicAndCapped pins the retry backoff shape.
-func TestBackoffDeterministicAndCapped(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond}
-	for pass := 0; pass < 6; pass++ {
-		d1 := b.Delay(pass, "job-a")
-		d2 := b.Delay(pass, "job-a")
-		if d1 != d2 {
-			t.Fatalf("pass %d: non-deterministic delay %v != %v", pass, d1, d2)
-		}
-		nominal := 100 * time.Millisecond << uint(pass)
-		if nominal > b.Cap {
-			nominal = b.Cap
-		}
-		if d1 < nominal/2 || d1 >= nominal*3/2 {
-			t.Fatalf("pass %d: delay %v outside [%v, %v)", pass, d1, nominal/2, nominal*3/2)
-		}
-	}
-	if b.Delay(0, "job-a") == b.Delay(0, "job-b") {
-		t.Fatalf("jitter identical across keys")
 	}
 }
 

@@ -25,13 +25,13 @@ func TestPoolCancelPrompt(t *testing.T) {
 
 	release := make(chan struct{})
 	entered := make(chan struct{}, len(units))
-	poolTestHook = func(u Unit, attempt int) {
+	poolTestHook = func(u Unit) {
 		entered <- struct{}{}
 		<-release
 	}
 	defer func() {
 		poolTestHook = nil
-		close(release) // unblock abandoned attempt goroutines
+		close(release) // unblock abandoned unit goroutines
 	}()
 
 	ctx, cancel := context.WithCancel(context.Background())

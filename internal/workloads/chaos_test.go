@@ -36,8 +36,9 @@ func chaosFingerprint(res *Result, err error) string {
 // TestChaosSweep sweeps fault rates over the pipeline and asserts the
 // robustness contract: every run either completes with exactly the
 // fault-free counts (all injected faults absorbed by retry/degradation) or
-// fails with an error classified by the taxonomy — and two identical runs
-// are byte-identical.
+// fails with an error classified by the taxonomy — and identical runs are
+// byte-identical, cold or through a replay cache, fresh or warm. That is
+// why the pool runs each unit once: a rerun could only repeat it.
 func TestChaosSweep(t *testing.T) {
 	cfg := device.IvyBridgeHD4000()
 	for _, name := range chaosApps {
@@ -63,6 +64,19 @@ func TestChaosSweep(t *testing.T) {
 			f1, f2 := chaosFingerprint(r1, err1), chaosFingerprint(r2, err2)
 			if f1 != f2 {
 				t.Fatalf("%s rate %v: two identical runs diverged:\n--- run 1\n%s\n--- run 2\n%s", name, rate, f1, f2)
+			}
+			// The pool's path: a fresh replay cache, then the same cache
+			// warm. Memos never store a failure, so the warm run
+			// re-executes a failed replay, and it must fail the same way.
+			rc := NewReplayCache()
+			for _, cache := range []string{"fresh", "warm"} {
+				foc := fo
+				u.Faults = &foc
+				rr, rerr := runPipeline(u, rc)
+				if fc := chaosFingerprint(rr, rerr); fc != f1 {
+					t.Fatalf("%s rate %v: run through a %s replay cache diverged from a cold run:\n--- cold\n%s\n--- %s cache\n%s",
+						name, rate, cache, f1, cache, fc)
+				}
 			}
 
 			if err1 != nil {

@@ -13,11 +13,9 @@ var (
 	mUnitsCompleted = obs.DefaultCounter("workloads_units_completed_total",
 		"sweep units that produced a usable artifact by executing")
 	mUnitsFailed = obs.DefaultCounter("workloads_units_failed_total",
-		"sweep units that failed past the restart budget")
+		"sweep units that settled with a failure")
 	mUnitsResumed = obs.DefaultCounter("workloads_units_resumed_total",
 		"sweep units satisfied from a journaled artifact without executing")
-	mUnitRestarts = obs.DefaultCounter("workloads_unit_restarts_total",
-		"supervised restarts consumed across all units")
 	mUnitsInflight = obs.DefaultGauge("workloads_units_inflight",
 		"sweep units currently executing on pool workers")
 	mUnitWallNs = obs.DefaultHistogram("workloads_unit_wall_ns",
@@ -36,9 +34,6 @@ func observeOutcome(o *Outcome, start time.Time) {
 	default:
 		mUnitsCompleted.Inc()
 	}
-	if o.Attempts > 1 {
-		mUnitRestarts.Add(uint64(o.Attempts - 1))
-	}
 	if o.Resumed {
 		return
 	}
@@ -48,7 +43,6 @@ func observeOutcome(o *Outcome, start time.Time) {
 		if o.Err != nil {
 			status = "failed"
 		}
-		t.SpanWall("unit", o.Unit.Key(), "pool", start,
-			obs.A("attempts", o.Attempts), obs.A("status", status))
+		t.SpanWall("unit", o.Unit.Key(), "pool", start, obs.A("status", status))
 	}
 }

@@ -16,11 +16,6 @@ import (
 	"gtpin/internal/runstate"
 )
 
-// maxRestarts is the per-unit restart budget: a panicked or
-// transiently-failed unit runs at most maxRestarts+1 times. Journals and
-// gtpind's result.json record the attempts a unit consumed.
-const maxRestarts = 2
-
 // Unit is one schedulable work item of a characterization sweep: an
 // application profiled on one device configuration at one scale, with
 // one trial seed, one fault model, and one ISA configuration. Its Key
@@ -126,13 +121,12 @@ type Outcome struct {
 	Artifact *Artifact // nil only when the unit failed or never ran
 	// Result is the live pipeline result; nil when the unit was
 	// resumed from a journaled artifact instead of executed.
-	Result   *Result
-	Err      error
-	Attempts int  // execution attempts consumed, restarts included
-	Resumed  bool // satisfied from the journal without executing
+	Result  *Result
+	Err     error
+	Resumed bool // satisfied from the journal without executing
 	// WallNs is the wall-clock time the unit spent settling (resume
-	// lookup or supervised execution, restarts included) — what the
-	// service's adaptive Retry-After hint is derived from.
+	// lookup or supervised execution) — what the service's adaptive
+	// Retry-After hint is derived from.
 	WallNs int64
 }
 
@@ -164,31 +158,32 @@ type PoolOptions struct {
 	// pre-optimization baseline the benchmark harness measures against.
 	// Artifacts are byte-identical either way.
 	DisableReplayCache bool
-	// UnitTimeout bounds each execution attempt's wall-clock time. A
-	// unit that exceeds it is abandoned (its worker goroutine keeps
-	// running, detached, but the outcome settles) and fails with
+	// UnitTimeout bounds each unit's wall-clock execution time. A unit
+	// that exceeds it is abandoned (its worker goroutine keeps running,
+	// detached, but the outcome settles) and fails with
 	// faults.ErrUnitTimeout — a hung unit trips the fault taxonomy
-	// instead of wedging the pool. 0 disables the per-attempt bound.
+	// instead of wedging the pool. 0 disables the bound.
 	UnitTimeout time.Duration
 }
 
-// poolTestHook, when non-nil, runs at the start of every execution
-// attempt — the crash-recovery suite uses it to inject worker panics at
-// chosen units and attempts.
-var poolTestHook func(u Unit, attempt int)
+// poolTestHook, when non-nil, runs at the start of every unit
+// execution — the crash-recovery suite uses it to inject worker panics
+// and hangs at chosen units.
+var poolTestHook func(u Unit)
 
 // RunPool executes units as a supervised worker pool over internal/par.
 //
 // Each unit is journaled started before execution and completed/failed
 // after; a completion goes through runstate.Dir.Commit, so the artifact
 // is durable before the completion record and a crash between the two
-// re-executes the unit rather than trusting a phantom artifact. Worker
-// panics are recovered and converted to typed failures
-// (faults.ErrWorkerPanic); panicked and transiently-failed units are
-// restarted up to maxRestarts times. Unit failures never abort the
-// sweep — they settle into Outcomes — and cancelling ctx stops
-// dispatching new units and promptly abandons in-flight attempts (their
-// outcomes settle with the context error and no terminal journal
+// re-executes the unit rather than trusting a phantom artifact. Each
+// unit executes once: its execution is a function of the unit alone
+// (fault injection included, seeded per unit and phase), so running it
+// again could only repeat the outcome. Worker panics are recovered and
+// converted to typed failures (faults.ErrWorkerPanic). Unit failures
+// never abort the sweep — they settle into Outcomes — and cancelling
+// ctx stops dispatching new units and promptly abandons in-flight ones
+// (their outcomes settle with the context error and no terminal journal
 // record, so a resume re-executes them), exactly the shape a resumable,
 // cancellable sweep needs.
 //
@@ -197,10 +192,10 @@ var poolTestHook func(u Unit, attempt int)
 // unit whose state could not be written also carries the failure in its
 // Outcome.Err, and the other units still run.
 //
-// When ctx carries a deadline or PoolOptions.UnitTimeout is set,
-// attempts are additionally time-bounded: a unit still executing when
-// its bound expires settles with a faults.ErrUnitTimeout-classified
-// failure instead of wedging the pool (see runAttempt).
+// When ctx carries a deadline or PoolOptions.UnitTimeout is set, units
+// are additionally time-bounded: a unit still executing when its bound
+// expires settles with a faults.ErrUnitTimeout-classified failure
+// instead of wedging the pool (see runAttempt).
 func RunPool(ctx context.Context, units []Unit, opts PoolOptions) ([]Outcome, error) {
 	if opts.Resume && opts.State == nil {
 		return nil, errors.New("workloads: PoolOptions.Resume requires a state dir")
@@ -242,20 +237,21 @@ func RunPool(ctx context.Context, units []Unit, opts PoolOptions) ([]Outcome, er
 // record in completed (nil when not resuming), an artifact in sd that
 // passes the record's digest check, and bytes that decode. A missing,
 // torn or stale artifact is refused, and the unit re-executes: a resume
-// never surfaces unverifiable data. attempts is the record's count.
-func Adopt(sd *runstate.Dir, completed map[string]runstate.Record, key string) (art *Artifact, attempts int, ok bool) {
+// never surfaces unverifiable data.
+func Adopt(sd *runstate.Dir, completed map[string]runstate.Record, key string) (*Artifact, bool) {
 	rec, ok := completed[key]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	data, err := sd.ReadArtifact(key, rec.Digest)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	if art, err = DecodeArtifact(data); err != nil {
-		return nil, 0, false
+	art, err := DecodeArtifact(data)
+	if err != nil {
+		return nil, false
 	}
-	return art, rec.Attempt, true
+	return art, true
 }
 
 // runUnit drives one unit to a settled outcome: adopted from the
@@ -263,8 +259,8 @@ func Adopt(sd *runstate.Dir, completed map[string]runstate.Record, key string) (
 // state dir's I/O failure, which o.Err carries too.
 func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Record, opts PoolOptions, rc *ReplayCache) error {
 	key := o.Unit.Key()
-	if art, attempts, ok := Adopt(opts.State, completed, key); ok {
-		o.Artifact, o.Resumed, o.Attempts = art, true, attempts
+	if art, ok := Adopt(opts.State, completed, key); ok {
+		o.Artifact, o.Resumed = art, true
 		return nil
 	}
 
@@ -276,23 +272,14 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 		}
 	}
 
-	var res *Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		res, err = runAttempt(ctx, o.Unit, attempt, rc, opts.UnitTimeout)
-		o.Attempts = attempt + 1
-		if err == nil || !restartable(err) || attempt >= maxRestarts || ctx.Err() != nil {
-			break
-		}
-	}
-
+	res, err := runAttempt(ctx, o.Unit, rc, opts.UnitTimeout)
 	if err != nil {
 		o.Err = err
 		// A cancelled unit is a simulated crash: leave it in-flight
 		// (started without a terminal record) so a resume re-executes
 		// it, and don't journal a terminal state.
 		if sd != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			if jerr := sd.Journal.Failed(key, o.Attempts, err.Error(), faults.Label(err), 0); jerr != nil {
+			if jerr := sd.Journal.Failed(key, err.Error(), faults.Label(err), 0); jerr != nil {
 				o.Err = errors.Join(err, jerr)
 				return jerr
 			}
@@ -315,17 +302,17 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 		o.Err = err
 		return nil
 	}
-	if err := sd.Commit(key, data, rec, o.Attempts, 0); err != nil {
+	if err := sd.Commit(key, data, rec, 0); err != nil {
 		o.Err = err
 		return err
 	}
 	return nil
 }
 
-// runAttempt executes one attempt, bounded in wall-clock time when a
+// runAttempt executes the unit, bounded in wall-clock time when a
 // per-unit timeout applies or the context can end (cancellation or a
-// deadline). On the bounded path the attempt runs in its own goroutine
-// so a hung or long-running unit can be abandoned: the goroutine keeps
+// deadline). On the bounded path the unit runs in its own goroutine so
+// a hung or long-running unit can be abandoned: the goroutine keeps
 // running (Go cannot kill it) but its result is discarded and the unit
 // settles with a classified error — faults.ErrUnitTimeout for an
 // expired per-unit budget, the context's own error (additionally marked
@@ -333,15 +320,19 @@ func runUnit(ctx context.Context, o *Outcome, completed map[string]runstate.Reco
 // sweep deadline, and context.Canceled for a cancelled sweep. Threading
 // cancellation through the dispatch itself is what makes a service-side
 // job cancel (DELETE /api/v1/jobs/{id}) take effect promptly instead of
-// waiting for the in-flight unit to finish. The unbounded path — only
-// reachable with an uncancellable context and no timeout — is
-// byte-for-byte the pre-existing inline call.
-func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeout time.Duration) (*Result, error) {
-	// Read the hook here, not in the goroutine: an abandoned attempt
+// waiting for the in-flight unit to finish.
+//
+// With no timeout and an uncancellable context the unit runs inline, on
+// the calling goroutine. That path must stay: the benchmark charges
+// each characterize op the CPU time of its locked OS thread, which
+// counts the unit's work only because one worker under
+// context.Background() runs every unit on the calling goroutine.
+func runAttempt(ctx context.Context, u Unit, rc *ReplayCache, timeout time.Duration) (*Result, error) {
+	// Read the hook here, not in the goroutine: an abandoned unit
 	// outlives its test, whose cleanup clears the hook.
 	hook := poolTestHook
 	if timeout <= 0 && ctx.Done() == nil {
-		return runSupervised(u, attempt, rc, hook)
+		return runSupervised(u, rc, hook)
 	}
 	type attemptResult struct {
 		res *Result
@@ -349,7 +340,7 @@ func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeo
 	}
 	ch := make(chan attemptResult, 1)
 	go func() {
-		res, err := runSupervised(u, attempt, rc, hook)
+		res, err := runSupervised(u, rc, hook)
 		ch <- attemptResult{res, err}
 	}()
 	var expire <-chan time.Time
@@ -362,43 +353,33 @@ func runAttempt(ctx context.Context, u Unit, attempt int, rc *ReplayCache, timeo
 	case r := <-ch:
 		return r.res, r.err
 	case <-expire:
-		return nil, fmt.Errorf("workloads: unit %s attempt %d: %w after %v (worker abandoned)",
-			u.Key(), attempt, faults.ErrUnitTimeout, timeout)
+		return nil, fmt.Errorf("workloads: unit %s: %w after %v (worker abandoned)",
+			u.Key(), faults.ErrUnitTimeout, timeout)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// Sweep deadline: carry both the taxonomy sentinel (for
 			// failure tables) and the context error (so the journal
 			// leaves the unit in-flight for a resume with more time).
-			return nil, fmt.Errorf("workloads: unit %s attempt %d abandoned at sweep deadline: %w: %w",
-				u.Key(), attempt, faults.ErrUnitTimeout, ctx.Err())
+			return nil, fmt.Errorf("workloads: unit %s abandoned at sweep deadline: %w: %w",
+				u.Key(), faults.ErrUnitTimeout, ctx.Err())
 		}
-		return nil, fmt.Errorf("workloads: unit %s attempt %d abandoned: %w", u.Key(), attempt, ctx.Err())
+		return nil, fmt.Errorf("workloads: unit %s abandoned: %w", u.Key(), ctx.Err())
 	}
 }
 
-// runSupervised executes one attempt with panic isolation: a panicking
+// runSupervised executes the unit with panic isolation: a panicking
 // worker is converted into a typed, classified error carrying the panic
 // value and stack, so one bad unit can never take down the sweep. A
 // non-nil hook (poolTestHook) runs first.
-func runSupervised(u Unit, attempt int, rc *ReplayCache, hook func(Unit, int)) (res *Result, err error) {
+func runSupervised(u Unit, rc *ReplayCache, hook func(Unit)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("workloads: unit %s attempt %d: %w: %v\n%s",
-				u.Key(), attempt, faults.ErrWorkerPanic, r, debug.Stack())
+			err = fmt.Errorf("workloads: unit %s: %w: %v\n%s",
+				u.Key(), faults.ErrWorkerPanic, r, debug.Stack())
 		}
 	}()
 	if hook != nil {
-		hook(u, attempt)
+		hook(u)
 	}
 	return runPipeline(u, rc)
-}
-
-// restartable reports whether the supervision budget applies: recovered
-// panics and transient faults get restarts; permanent failures and
-// cancellation surface immediately.
-func restartable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return errors.Is(err, faults.ErrWorkerPanic) || faults.IsTransient(err)
 }

@@ -32,8 +32,8 @@ type ReplayCacheStats struct {
 // execution whose GT-Pin state every trial's profile join shares
 // read-only. Artifacts stay byte-identical to uncached runs because the
 // memoized result is exactly what each trial would have recomputed.
-// Failed phases are never cached, so supervised restarts re-execute
-// from scratch.
+// Failed phases are never cached, so a later unit with the same replay
+// configuration re-executes a failed replay from scratch.
 type ReplayCache struct {
 	replays *memo.Memo[replayEntry]
 	natives *memo.Memo[*nativeEntry]

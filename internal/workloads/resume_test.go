@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -147,10 +148,9 @@ func TestResumeAfterCancellation(t *testing.T) {
 }
 
 // TestResumeAfterWorkerPanic simulates a sweep brought down by a
-// persistently panicking unit (restart budget exhausted, typed failure
-// journaled), then resumes after the "fix": the failed unit re-executes,
-// completed ones are skipped, and the final state is byte-identical to a
-// run that never panicked.
+// panicking unit (typed failure journaled), then resumes after the
+// "fix": the failed unit re-executes, completed ones are skipped, and
+// the final state is byte-identical to a run that never panicked.
 func TestResumeAfterWorkerPanic(t *testing.T) {
 	units := chaosUnits(t)
 	refOuts, _ := runUninterrupted(t, units)
@@ -162,7 +162,7 @@ func TestResumeAfterWorkerPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := units[2].Key()
-	poolTestHook = func(u Unit, attempt int) {
+	poolTestHook = func(u Unit) {
 		if u.Key() == target {
 			panic("crash in worker")
 		}
@@ -354,7 +354,8 @@ func TestPoolJournalConcurrency(t *testing.T) {
 
 // TestAdopt is the resume rule: a unit is adopted only with a
 // completion record, an artifact that passes the record's digest check,
-// and bytes that decode; the record's attempt count comes back.
+// and bytes that decode. A completion in the older record shape, which
+// also carried an attempt count, is adopted like any other.
 func TestAdopt(t *testing.T) {
 	sd, err := runstate.OpenDir(t.TempDir())
 	if err != nil {
@@ -363,16 +364,35 @@ func TestAdopt(t *testing.T) {
 	defer sd.Close()
 	good := encodeArtifact(t, &Artifact{App: "a", Invocations: []profile.Invocation{{Instrs: 1}}})
 	for key, data := range map[string][]byte{"good": good, "stale": good, "garbled": []byte(`{"app":""}`)} {
-		if err := sd.Commit(key, data, nil, 2, 0); err != nil {
+		if err := sd.Commit(key, data, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec, err := runstate.Recover(filepath.Join(sd.Path, "journal.jsonl"))
+	if err := runstate.WriteFileAtomic(sd.UnitFile("older", ".json"), good); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(sd.Path, "journal.jsonl")
+	older := fmt.Sprintf(`{"seq":4,"status":"completed","unit":"older","digest":%q,"attempt":3}`, runstate.Digest(good))
+	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, err = fmt.Fprintf(f, `{"c":%d,"r":%s}`+"\n", crc32.ChecksumIEEE([]byte(older)), older)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := runstate.Recover(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Dropped) != 0 {
+		t.Fatalf("recovery dropped %v", rec.Dropped)
+	}
 	completed := rec.Completed()
-	completed["missing"] = runstate.Record{Status: runstate.StatusCompleted, Unit: "missing", Digest: runstate.Digest(good), Attempt: 2}
+	completed["missing"] = runstate.Record{Status: runstate.StatusCompleted, Unit: "missing", Digest: runstate.Digest(good)}
 	stale := completed["stale"]
 	stale.Digest = runstate.Digest([]byte("other bytes"))
 	completed["stale"] = stale
@@ -386,14 +406,15 @@ func TestAdopt(t *testing.T) {
 		{"stale", false},      // digest mismatch
 		{"garbled", false},    // verified but undecodable
 		{"good", true},
+		{"older", true}, // record carries an attempt count
 	} {
-		art, attempts, ok := Adopt(sd, completed, tc.key)
+		art, ok := Adopt(sd, completed, tc.key)
 		if ok != tc.ok || (art != nil) != tc.ok {
-			t.Errorf("%s: Adopt = (%v, %d, %v), want ok %v", tc.key, art, attempts, ok, tc.ok)
+			t.Errorf("%s: Adopt = (%v, %v), want ok %v", tc.key, art, ok, tc.ok)
 			continue
 		}
-		if ok && (attempts != 2 || !bytes.Equal(encodeArtifact(t, art), good)) {
-			t.Errorf("%s: adopted %d attempts and %s, want 2 and %s", tc.key, attempts, encodeArtifact(t, art), good)
+		if ok && !bytes.Equal(encodeArtifact(t, art), good) {
+			t.Errorf("%s: adopted %s, want %s", tc.key, encodeArtifact(t, art), good)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func hangUnits(t *testing.T) ([]Unit, string) {
 	hung := units[1].Key()
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	poolTestHook = func(u Unit, attempt int) {
+	poolTestHook = func(u Unit) {
 		if u.Key() == hung {
 			<-release
 		}
@@ -128,15 +129,31 @@ func TestSweepDeadlineAbandonsHungUnit(t *testing.T) {
 }
 
 // TestUnitTimeoutDisabledKeepsInlinePath: without a timeout or a
-// deadline, outcomes are the plain supervised path (no goroutine
-// detour), byte-identical to before.
+// deadline, a one-worker pool runs the unit on the calling goroutine —
+// the condition under which the benchmark's per-op thread CPU time
+// counts the unit's work.
 func TestUnitTimeoutDisabledKeepsInlinePath(t *testing.T) {
+	caller := goroutineID()
+	var ran string
+	poolTestHook = func(Unit) { ran = goroutineID() }
+	t.Cleanup(func() { poolTestHook = nil })
+
 	units := poolUnits(t)[:1]
-	outs, err := RunPool(context.Background(), units, PoolOptions{})
+	outs, err := RunPool(context.Background(), units, PoolOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Err != nil || outs[0].Attempts != 1 {
+	if outs[0].Err != nil || outs[0].Result == nil {
 		t.Fatalf("outcome %+v", outs[0])
 	}
+	if ran != caller {
+		t.Fatalf("unit ran on goroutine %s, want the caller's, %s", ran, caller)
+	}
+}
+
+// goroutineID returns the calling goroutine's number from the header
+// of its stack trace, "goroutine N [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
