@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke bench-module service-race serve-smoke fleet-chaos bench bench-smoke bench-baseline clean
+.PHONY: all build test race vet fmt check crash smoke snippets-smoke xlate-smoke bench-module service-race serve-smoke fleet-chaos bench bench-smoke bench-baseline clean
 
 all: build
 
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails unless every Go file of the root module is gofmt-formatted
+# (the nested benchmark module is not listed).
+fmt:
+	test -z "$$(gofmt -l cmd internal examples *.go)"
 
 # crash runs the crash-recovery suite under the race detector: journal
 # append/recover, torn-tail and bit-flip fuzzing, atomic-writer
@@ -132,13 +137,13 @@ fleet-chaos:
 	GTPIN_FLEET_SEED=7 $(GO) test -race -count=1 ./internal/fleet
 	GTPIN_FLEET_SEED=1302 $(GO) test -race -count=1 ./internal/fleet
 
-# check is the CI gate: static analysis, a full build, the service suite
-# then the full test suite under the race detector (the chaos and
-# crash-recovery suites must never panic or deadlock under -race), the
-# distributed-fleet chaos matrix, the resume smoke test, the ISA
-# configuration gate, the daemon smoke test, and the nested benchmark
-# module's vet and tests.
-check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke bench-module
+# check is the CI gate: formatting, static analysis, a full build, the
+# service suite then the full test suite under the race detector (the
+# chaos and crash-recovery suites must never panic or deadlock under
+# -race), the distributed-fleet chaos matrix, the resume smoke test, the
+# ISA configuration gate, the daemon smoke test, and the nested
+# benchmark module's vet and tests.
+check: fmt vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke bench-module
 
 # bench runs the Go benchmark suites (instrumentation rewrite, SimPoint
 # clustering, interpreters, end-to-end sweep) and then the benchmark-regression
@@ -183,9 +188,11 @@ bench-baseline:
 # and a tiny traced sweep whose -trace/-metrics artifacts are
 # schema-validated by cmd/obscheck. The engine line carries the
 # predecode differential fuzz (threaded-code loops vs the reference
-# interpreter) and the oracle tests of the lane bodies and the
-# pre-decoded ALU and compare handlers, and the paged surface held to
-# the flat one it replaced (PagedBuffer), under the race detector. The
+# interpreter, whose ALU and compare lanes run isa.Eval), the oracle
+# tests of the pre-decoded ALU and compare handlers (against isa.Eval)
+# and of the send lane mover (against a byte-slice model), and the
+# paged surface held to the flat one it replaced (PagedBuffer), under
+# the race detector. The
 # GT-Pin trace-buffer line runs the Detach checks and concurrent
 # Attach/replay/Detach (every new instance's buffer must read zero and
 # every profile must equal a serial run's) ten times under the race

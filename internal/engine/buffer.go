@@ -189,10 +189,13 @@ func (b *Buffer) AtomicAdd(off uint32, elem int, v uint64) uint64 {
 // loadLanes, storeLanes and addLanes are the lane loops of an
 // unpredicated, unobserved gather, scatter and atomic add: lane i
 // accesses the wrapped offset addrs[i] exactly as LoadElem, StoreElem
-// and AtomicAdd do, lanes run in order (so duplicate addresses resolve
-// as they do lane by lane), and the element size is fixed outside each
-// loop. Each reports false, touching nothing, for an element size the
-// typed accessors reject, leaving the caller to take the per-lane path.
+// and AtomicAdd do, and lanes run in order (so duplicate addresses
+// resolve as they do lane by lane). They take the element sizes the
+// workloads and GT-Pin's rewriter emit: loadLanes and storeLanes 4-byte
+// elements, addLanes 4- and 8-byte ones (TestRosterSendsTakeLaneLoops
+// in internal/workloads pins that traffic). Each reports false,
+// touching nothing, for any other size, leaving the caller to take the
+// per-lane path.
 //
 // A lane looks its page up once. An element of elem bytes starts at a
 // multiple of elem, so within its page it starts at o&(PageSize-elem),
@@ -202,101 +205,38 @@ func (b *Buffer) AtomicAdd(off uint32, elem int, v uint64) uint64 {
 // zero; leaving the loop, rather than allocating in it, keeps the
 // loop's values in registers.
 
-// loadLanes sets dst[i] to the low 32 bits of the element at addrs[i].
+// loadLanes sets dst[i] to the 4-byte element at addrs[i].
 func (b *Buffer) loadLanes(dst, addrs []uint32, elem int) bool {
-	pages, n, mask, dst := b.pages, b.size, b.mask, dst[:len(addrs)]
-	switch elem {
-	case 1:
-		for i, a := range addrs {
-			o := wrapOff(a, 1, n, mask)
-			if p := pages[o>>pageShift]; p != nil {
-				dst[i] = uint32(p[o&pageMask])
-			} else {
-				dst[i] = 0
-			}
-		}
-	case 2:
-		for i, a := range addrs {
-			o := wrapOff(a, 2, n, mask)
-			if p := pages[o>>pageShift]; p != nil {
-				j := uint(o) & (PageSize - 2)
-				dst[i] = uint32(binary.LittleEndian.Uint16(p[j : j+2 : j+2]))
-			} else {
-				dst[i] = 0
-			}
-		}
-	case 4:
-		for i, a := range addrs {
-			o := wrapOff(a, 4, n, mask)
-			if p := pages[o>>pageShift]; p != nil {
-				j := uint(o) & (PageSize - 4)
-				dst[i] = binary.LittleEndian.Uint32(p[j : j+4 : j+4])
-			} else {
-				dst[i] = 0
-			}
-		}
-	case 8:
-		for i, a := range addrs {
-			o := wrapOff(a, 8, n, mask)
-			if p := pages[o>>pageShift]; p != nil {
-				j := uint(o) & (PageSize - 8)
-				dst[i] = uint32(binary.LittleEndian.Uint64(p[j : j+8 : j+8]))
-			} else {
-				dst[i] = 0
-			}
-		}
-	default:
+	if elem != 4 {
 		return false
+	}
+	pages, n, mask, dst := b.pages, b.size, b.mask, dst[:len(addrs)]
+	for i, a := range addrs {
+		o := wrapOff(a, 4, n, mask)
+		if p := pages[o>>pageShift]; p != nil {
+			j := uint(o) & (PageSize - 4)
+			dst[i] = binary.LittleEndian.Uint32(p[j : j+4 : j+4])
+		} else {
+			dst[i] = 0
+		}
 	}
 	return true
 }
 
-// storeLanes writes vals[i], truncated or zero-extended to the element
-// size, at addrs[i].
+// storeLanes writes vals[i] as the 4-byte element at addrs[i].
 func (b *Buffer) storeLanes(addrs, vals []uint32, elem int) bool {
-	pages, n, mask, vals := b.pages, b.size, b.mask, vals[:len(addrs)]
-	switch elem {
-	case 1:
-		for i, a := range addrs {
-			o := wrapOff(a, 1, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.storeEach(addrs[i:], vals[i:], 1)
-			}
-			p[o&pageMask] = byte(vals[i])
-		}
-	case 2:
-		for i, a := range addrs {
-			o := wrapOff(a, 2, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.storeEach(addrs[i:], vals[i:], 2)
-			}
-			j := uint(o) & (PageSize - 2)
-			binary.LittleEndian.PutUint16(p[j:j+2:j+2], uint16(vals[i]))
-		}
-	case 4:
-		for i, a := range addrs {
-			o := wrapOff(a, 4, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.storeEach(addrs[i:], vals[i:], 4)
-			}
-			j := uint(o) & (PageSize - 4)
-			binary.LittleEndian.PutUint32(p[j:j+4:j+4], vals[i])
-		}
-	case 8:
-		for i, a := range addrs {
-			o := wrapOff(a, 8, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.storeEach(addrs[i:], vals[i:], 8)
-			}
-			j := uint(o) & (PageSize - 8)
-			binary.LittleEndian.PutUint64(p[j:j+8:j+8], uint64(vals[i]))
-		}
-	default:
+	if elem != 4 {
 		return false
+	}
+	pages, n, mask, vals := b.pages, b.size, b.mask, vals[:len(addrs)]
+	for i, a := range addrs {
+		o := wrapOff(a, 4, n, mask)
+		p := pages[o>>pageShift]
+		if p == nil {
+			return b.storeEach(addrs[i:], vals[i:], 4)
+		}
+		j := uint(o) & (PageSize - 4)
+		binary.LittleEndian.PutUint32(p[j:j+4:j+4], vals[i])
 	}
 	return true
 }
@@ -316,30 +256,6 @@ func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
 	pages, n, mask := b.pages, b.size, b.mask
 	old, vals = old[:len(addrs)], vals[:len(addrs)]
 	switch elem {
-	case 1:
-		for i, a := range addrs {
-			o := wrapOff(a, 1, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.addEach(old[i:], addrs[i:], vals[i:], 1)
-			}
-			v := p[o&pageMask]
-			p[o&pageMask] = v + byte(vals[i])
-			old[i] = uint32(v)
-		}
-	case 2:
-		for i, a := range addrs {
-			o := wrapOff(a, 2, n, mask)
-			p := pages[o>>pageShift]
-			if p == nil {
-				return b.addEach(old[i:], addrs[i:], vals[i:], 2)
-			}
-			j := uint(o) & (PageSize - 2)
-			e := p[j : j+2 : j+2]
-			v := binary.LittleEndian.Uint16(e)
-			binary.LittleEndian.PutUint16(e, v+uint16(vals[i]))
-			old[i] = uint32(v)
-		}
 	case 4:
 		for i, a := range addrs {
 			o := wrapOff(a, 4, n, mask)

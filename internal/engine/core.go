@@ -53,6 +53,23 @@ func (c *Core) laneOn(pred isa.PredMode, i int) bool {
 	return true
 }
 
+// countOn returns how many of the first width channels execute under the
+// predication mode — what the cycle-level loop charges as lane work and
+// consults to suppress phantom scoreboard writes when every lane is
+// predicated off.
+func (c *Core) countOn(pred isa.PredMode, width int) int {
+	if pred == isa.PredNoneMode {
+		return width
+	}
+	n := 0
+	for i := 0; i < width; i++ {
+		if c.laneOn(pred, i) {
+			n++
+		}
+	}
+	return n
+}
+
 // reduceFlag reduces the flag vector over the first active channels.
 func (c *Core) reduceFlag(mode isa.BranchMode, active int) bool {
 	switch mode {

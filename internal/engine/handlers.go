@@ -15,10 +15,11 @@ import "gtpin/internal/isa"
 // scalar counter moves a single-lane W1 move. The constant trip count
 // lets the compiler drop every bounds check from the lane statements,
 // and stepping four lanes at a time leaves one increment and branch per
-// four lanes. Every other record (predicated, W2, W4, other W1 ops, an undefined
-// condition) gets aluGeneric or cmpGeneric, which run execALUVec or
-// execCmp at the width the calling loop passes. The specialized
-// handlers ignore that width: predecode chose them for it.
+// four lanes. Every other record (predicated, W2, W4, other W1 ops, an
+// undefined condition) gets aluGeneric or cmpGeneric, which evaluate
+// each lane through isa.Eval or isa.EvalCmp, the ISA's own definition,
+// at the width the calling loop passes. The specialized handlers ignore
+// that width: predecode chose them for it.
 //
 // Handlers are package-level functions, so a record's handler fields
 // are plain code pointers and calling one allocates nothing. Each body
@@ -66,18 +67,26 @@ func handlerFor(op isa.Opcode, cond isa.CondMod, pred isa.PredMode, width int) h
 	return h
 }
 
-// aluGeneric runs execALUVec at the calling loop's width.
+// aluGeneric sets each lane below width that predication enables to
+// isa.Eval of its source lanes. A lane reads its sources before its
+// destination is written, so the destination may alias any source.
 func aluGeneric(c *Core, p *pOp, width int) {
-	var s2 *[isa.MaxWidth]uint32
-	if p.op == isa.OpMad {
-		s2 = c.vec(&p.src2)
+	d, a := c.GRF[p.dst][:width], c.vec(&p.src0)[:width]
+	b, m := c.vec(&p.src1)[:width], c.vec(&p.src2)[:width]
+	for i := range d {
+		if c.laneOn(p.pred, i) {
+			d[i] = isa.Eval(p.op, p.fn, a[i], b[i], m[i], c.Flag[i])
+		}
 	}
-	c.execALUVec(p.op, p.fn, p.pred, p.dst, c.vec(&p.src0), c.vec(&p.src1), s2, width)
 }
 
-// cmpGeneric runs execCmp at the calling loop's width.
+// cmpGeneric sets every flag below width to isa.EvalCmp of its source
+// lanes; a compare ignores predication.
 func cmpGeneric(c *Core, p *pOp, width int) {
-	c.execCmp(p.cond, c.vec(&p.src0), c.vec(&p.src1), width)
+	f, a, b := c.Flag[:width], c.vec(&p.src0)[:width], c.vec(&p.src1)[:width]
+	for i := range f {
+		f[i] = isa.EvalCmp(p.cond, a[i], b[i])
+	}
 }
 
 // mov1 is GT-Pin's scalar counter move: channel 0 only.

@@ -14,13 +14,12 @@ import (
 )
 
 // The oracle tests check the engine's lane bodies against definitions
-// written independently of them: execALUVec and execCmp, which the
-// functional reference loop in reference_test.go runs and the
-// production loops reach through the generic handlers; every handler
-// Predecode selects (handlers.go); and the send body moveLanes, which
-// both send paths run. The differential tests cannot check a body the
-// reference loop shares, since a bug inside it would be on both sides
-// of the comparison.
+// written independently of them: every handler Predecode selects
+// (handlers.go), against isa.Eval and isa.EvalCmp; and the send body
+// moveLanes, which both send paths and the functional reference loop
+// run, against a byte-slice model. The differential tests cannot check
+// a body the reference loop shares, since a bug inside it would be on
+// both sides of the comparison.
 
 // oracleValue draws an operand that often lands on an edge case: zero, one,
 // all ones, the sign bit, a shift amount around 31, or a small divisor.
@@ -109,12 +108,12 @@ func requireHandlers(t *testing.T, seen map[uintptr]bool, tables ...[]handler) {
 	}
 }
 
-// TestOracleALU holds execALUVec, and the handlers Predecode selects for
-// each loop, to isa.Eval lane by lane: every data opcode and math
-// function, every width, every predication mode, with the destination
-// distinct from the sources or aliasing src0 or src1. Lanes at or beyond
-// the width and lanes predicated off must keep their value, and no other
-// register or flag may change. Every ALU handler must be selected.
+// TestOracleALU holds the handlers Predecode selects for each loop to
+// isa.Eval lane by lane: every data opcode and math function, every
+// width, every predication mode, with the destination distinct from the
+// sources or aliasing src0 or src1. Lanes at or beyond the width and
+// lanes predicated off must keep their value, and no other register or
+// flag may change. Every ALU handler must be selected.
 func TestOracleALU(t *testing.T) {
 	type alu struct {
 		op isa.Opcode
@@ -141,13 +140,7 @@ func TestOracleALU(t *testing.T) {
 				for _, dst := range []isa.Reg{rd, r0, r1} {
 					p := oracleRecord(isa.Instruction{Op: o.op, Fn: o.fn, Pred: pred, Dst: dst, Width: isa.Width(width),
 						Src0: isa.R(r0), Src1: isa.R(r1), Src2: isa.R(r2)})
-					legs := append(handlerLegs(p, seen), oracleLeg{"execALUVec", func(c *Core) {
-						var s2 *[isa.MaxWidth]uint32
-						if o.op == isa.OpMad {
-							s2 = &c.GRF[r2]
-						}
-						c.execALUVec(o.op, o.fn, pred, dst, &c.GRF[r0], &c.GRF[r1], s2, width)
-					}})
+					legs := handlerLegs(p, seen)
 					for trial := 0; trial < 4; trial++ {
 						c := oracleCore(rng)
 						want := *c
@@ -171,13 +164,12 @@ func TestOracleALU(t *testing.T) {
 	requireHandlers(t, seen, alu8[:], alu16[:], []handler{mov1, aluGeneric})
 }
 
-// TestOracleCmp holds execCmp, and the handlers Predecode selects for
-// each loop, to isa.EvalCmp lane by lane for every condition (and two
-// undefined ones, which compare false) at every width and under every
-// predication mode, which a compare ignores, with distinct and with
-// identical source registers. Flags at or beyond the width and every
-// register must keep their value. Every compare handler must be
-// selected.
+// TestOracleCmp holds the handlers Predecode selects for each loop to
+// isa.EvalCmp lane by lane for every condition (and two undefined ones,
+// which compare false) at every width and under every predication mode,
+// which a compare ignores, with distinct and with identical source
+// registers. Flags at or beyond the width and every register must keep
+// their value. Every compare handler must be selected.
 func TestOracleCmp(t *testing.T) {
 	const r0, r1 = 11, 12
 	rng := rand.New(rand.NewSource(16))
@@ -188,9 +180,7 @@ func TestOracleCmp(t *testing.T) {
 				for _, src1 := range []isa.Reg{r1, r0} {
 					p := oracleRecord(isa.Instruction{Op: isa.OpCmp, Cond: cond, Pred: pred, Width: isa.Width(width),
 						Src0: isa.R(r0), Src1: isa.R(src1)})
-					legs := append(handlerLegs(p, seen), oracleLeg{"execCmp", func(c *Core) {
-						c.execCmp(cond, &c.GRF[r0], &c.GRF[src1], width)
-					}})
+					legs := handlerLegs(p, seen)
 					for trial := 0; trial < 4; trial++ {
 						c := oracleCore(rng)
 						want := *c

@@ -12,30 +12,33 @@ import (
 // straight-from-IR interpreter loops, kept as the semantic ground truth
 // the pre-decoded production loops (functional.go, detailed.go) are
 // differentially fuzzed against. They interpret kernel.Block directly —
-// per-instruction operand resolution, per-lane isa.Eval in the detailed
-// loop, a watchdog check on every dynamic instruction — with none of
-// the threaded-code derivations, so a predecode bug cannot hide in a
-// shared lowering. Deliberate divergence from the production loops is a
-// bug in exactly one of the two; the differential tests compare
-// architectural state, memory images, block traces, returned cycles,
-// and work counters. The loops live in a test file, so production
-// binaries do not carry them.
+// per-instruction operand resolution, per-lane isa.Eval and isa.EvalCmp,
+// a watchdog check on every dynamic instruction — with none of the
+// threaded-code derivations, so a predecode bug cannot hide in a shared
+// lowering. Deliberate divergence from the production loops is a bug in
+// exactly one of the two; the differential tests compare architectural
+// state, memory images, block traces, returned cycles, and work
+// counters. The loops live in a test file, so production binaries do
+// not carry them.
 //
-// RunGroupRef runs every ALU and compare instruction through execALUVec
-// (via execALU below) and execCmp. RunGroup reaches those bodies only
-// through its generic handlers, for predicated ops, W2 and W4 ops,
-// scalar ops other than moves and undefined conditions; its scalar
-// moves and unpredicated W8 and W16 ops run the specialized handlers in
-// handlers.go, so the differential fuzz checks those against an
-// independent body. The two loops still share the send body
-// (execSendMsg and its lane mover, moveLanes). A bug inside a shared
-// body would be in both sides of a differential test, so oracle_test.go
-// checks execALUVec, execCmp and every handler against isa.Eval and
-// isa.EvalCmp, and both send paths against a byte-slice model. RunGroupDetailedRef shares no send code
-// with RunGroupDetailed: detSendRef below moves each lane through
-// LoadElem, StoreElem or AtomicAdd and walks the cache model one key at
-// a time, so the differential fuzz also checks how detSendMsg groups a
-// message's lanes into one cache walk.
+// Both reference loops evaluate every ALU and compare lane through
+// isa.Eval and isa.EvalCmp, the ISA's definition, from the
+// instruction's own operands. RunGroup and RunGroupDetailed run the
+// handlers in handlers.go instead: straight-line lane loops for scalar
+// moves and unpredicated W8 and W16 ops, and generic handlers that call
+// isa.Eval and isa.EvalCmp over pre-decoded operands for the rest. So
+// the differential fuzz checks every production ALU and compare path
+// against an independent body: the specification itself, reached
+// without predecode's operand lowering, handler choice or width.
+// RunGroupRef still shares the send body with RunGroup (execSendMsg and
+// its lane mover, moveLanes). A bug inside a shared body would be in
+// both sides of a differential test, so oracle_test.go checks both send
+// paths against a byte-slice model, and every handler against isa.Eval
+// and isa.EvalCmp. RunGroupDetailedRef shares no send code with
+// RunGroupDetailed: detSendRef below moves each lane through LoadElem,
+// StoreElem or AtomicAdd and walks the cache model one key at a time, so
+// the differential fuzz also checks how detSendMsg groups a message's
+// lanes into one cache walk.
 //
 // The interpreter-fidelity fixes apply here too (the spec defines the
 // intended semantics, not the historical bugs): timer sends receive the
@@ -49,7 +52,6 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 	width := int(k.SIMD)
 	c.InitGroup(k, args, group, width)
 
-	var imm [3][isa.MaxWidth]uint32 // broadcast scratch for immediate operands
 	var retStack [16]int
 	sp := 0
 	blk := 0
@@ -77,11 +79,16 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 			iw := int(in.Width) // instruction execution width
 			switch OpClass[in.Op] {
 			case ClassALU:
-				c.execALU(in, &imm, iw)
+				for l := 0; l < iw; l++ {
+					if c.laneOn(in.Pred, l) {
+						a, b2, d2 := c.srcLane(in.Src0, l), c.srcLane(in.Src1, l), c.srcLane(in.Src2, l)
+						c.GRF[in.Dst][l] = isa.Eval(in.Op, in.Fn, a, b2, d2, c.Flag[l])
+					}
+				}
 			case ClassCmp:
-				s0 := c.operand(in.Src0, &imm[0], iw)
-				s1 := c.operand(in.Src1, &imm[1], iw)
-				c.execCmp(in.Cond, s0, s1, iw)
+				for l := 0; l < iw; l++ {
+					c.Flag[l] = isa.EvalCmp(in.Cond, c.srcLane(in.Src0, l), c.srcLane(in.Src1, l))
+				}
 			case ClassSend:
 				sendActive := active
 				if iw < sendActive {
@@ -131,39 +138,8 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 	}
 }
 
-// execALU executes one ALU-class instruction over the full execution
-// width, resolving its operands from the instruction form into imm.
-func (c *Core) execALU(in *isa.Instruction, imm *[3][isa.MaxWidth]uint32, width int) {
-	s0 := c.operand(in.Src0, &imm[0], width)
-	s1 := c.operand(in.Src1, &imm[1], width)
-	var s2 *[isa.MaxWidth]uint32
-	if in.Op == isa.OpMad {
-		s2 = c.operand(in.Src2, &imm[2], width)
-	}
-	c.execALUVec(in.Op, in.Fn, in.Pred, in.Dst, s0, s1, s2, width)
-}
-
-// operand resolves an instruction source to a channel vector: a
-// register reads the live GRF, an immediate or an absent operand is
-// broadcast into scratch.
-func (c *Core) operand(o isa.Operand, scratch *[isa.MaxWidth]uint32, width int) *[isa.MaxWidth]uint32 {
-	switch o.Kind {
-	case isa.OperandReg:
-		return &c.GRF[o.Reg]
-	case isa.OperandImm:
-		for i := 0; i < width; i++ {
-			scratch[i] = o.Imm
-		}
-		return scratch
-	}
-	for i := 0; i < width; i++ {
-		scratch[i] = 0
-	}
-	return scratch
-}
-
 // srcLane resolves one channel of an instruction source, for the
-// cycle-level loop's lane-by-lane evaluation.
+// reference loops' lane-by-lane evaluation.
 func (c *Core) srcLane(o isa.Operand, l int) uint32 {
 	switch o.Kind {
 	case isa.OperandReg:

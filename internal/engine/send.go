@@ -59,11 +59,12 @@ func sendError(msg *isa.MsgDesc, bound int) error {
 // lanes it accessed, or sendError's error before touching anything. A
 // block message accesses lanes [0, width) at consecutive elements from
 // channel 0's address; the others access the lanes below active that
-// predication enables. An unpredicated message goes through the
-// direct-indexed lane loops (loadLanes, storeLanes, addLanes); a
-// predicated one, or an element size the lane loops reject (which
-// panics in the per-lane accessors, as it always has), goes lane by
-// lane in moveEach. Lanes run in order either way.
+// predication enables. An unpredicated message of an element size the
+// direct-indexed lane loops take (loadLanes, storeLanes, addLanes: 4
+// bytes, and 8 for an add) goes through them; a predicated one, or any
+// other element size, goes lane by lane in moveEach, whose per-lane
+// accessors panic on a size no message may carry. Lanes run in order
+// either way.
 //
 // With record set, moveLanes also stores each accessed lane's hierarchy
 // key, surface<<32|addr, in e.keys[:n] in lane order. A lane's key is

@@ -156,7 +156,7 @@ func (c *coordinator) pump() error {
 }
 
 // checkHeartbeat declares a worker lost when its heartbeat file stops
-// changing: HeartbeatTTL once ready, StartupGrace before the first
+// changing: HeartbeatTTL once ready, startupGrace before the first
 // beat. Content change, not mtime, so coarse filesystem timestamps
 // cannot fake liveness.
 func (c *coordinator) checkHeartbeat(w *workerState, now time.Time) error {
@@ -170,7 +170,7 @@ func (c *coordinator) checkHeartbeat(w *workerState, now time.Time) error {
 	ttl := c.opts.HeartbeatTTL
 	ref := w.hbSeen
 	if !w.ready {
-		ttl = c.opts.StartupGrace
+		ttl = startupGrace
 		ref = w.spawned
 	}
 	if now.Sub(ref) <= ttl {
@@ -181,7 +181,7 @@ func (c *coordinator) checkHeartbeat(w *workerState, now time.Time) error {
 
 // checkLease handles the two recoverable lease states on a live,
 // heartbeating worker: a nacked (corrupt) lease file is re-dispatched
-// immediately, and a lease older than LeaseTTL means the unit has the
+// immediately, and a lease older than leaseTTL means the unit has the
 // worker wedged in a way the in-process supervisor couldn't catch — the
 // worker is expendable, the unit is not.
 func (c *coordinator) checkLease(w *workerState, now time.Time) error {
@@ -196,7 +196,7 @@ func (c *coordinator) checkLease(w *workerState, now time.Time) error {
 		w.lease = nil
 		return nil
 	}
-	if now.Sub(w.lease.granted) <= c.opts.LeaseTTL {
+	if now.Sub(w.lease.granted) <= leaseTTL {
 		return nil
 	}
 	return c.expireWorker(w, fmt.Sprintf("lease for %s exceeded TTL", w.lease.unit.key))

@@ -52,13 +52,24 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	DefaultLeaseTTL        = 2 * time.Minute
 	DefaultHeartbeatTTL    = 5 * time.Second
 	DefaultPollInterval    = 25 * time.Millisecond
-	DefaultStartupGrace    = 30 * time.Second
 	DefaultPoisonThreshold = 3
 	DefaultMaxRespawns     = 8
 	DefaultWorkers         = 2
+)
+
+// The coordinator's fixed supervision bounds.
+const (
+	// leaseTTL bounds how long a single lease may stay outstanding on a
+	// heartbeating worker before the coordinator declares the unit hung,
+	// kills the worker, and re-dispatches. It is independent of
+	// PoolOptions.UnitTimeout, which bounds the unit's execution inside
+	// the worker.
+	leaseTTL = 2 * time.Minute
+	// startupGrace bounds how long a spawned worker may take to produce
+	// its first heartbeat.
+	startupGrace = 30 * time.Second
 )
 
 // Options holds a fleet run's own settings: where it keeps its scratch
@@ -72,12 +83,6 @@ type Options struct {
 	// Workers is the number of worker processes; 0 means
 	// DefaultWorkers.
 	Workers int
-	// LeaseTTL bounds how long a single lease may stay outstanding on a
-	// heartbeating worker before the coordinator declares the unit hung,
-	// kills the worker, and re-dispatches. 0 means DefaultLeaseTTL. It
-	// is independent of PoolOptions.UnitTimeout, which bounds the
-	// unit's execution inside the worker.
-	LeaseTTL time.Duration
 	// HeartbeatTTL is how long a ready worker's heartbeat file may stay
 	// unchanged before the worker is declared lost. 0 means
 	// DefaultHeartbeatTTL.
@@ -85,9 +90,6 @@ type Options struct {
 	// PollInterval is the coordinator's supervision cadence. 0 means
 	// DefaultPollInterval.
 	PollInterval time.Duration
-	// StartupGrace bounds how long a spawned worker may take to produce
-	// its first heartbeat. 0 means DefaultStartupGrace.
-	StartupGrace time.Duration
 	// PoisonThreshold quarantines a unit after it loses this many
 	// leases to dead or expired workers. It must exceed the number of
 	// unrelated worker crashes a single unit can plausibly be caught in
@@ -173,17 +175,11 @@ func applyDefaults(o *Options) {
 	if o.Workers <= 0 {
 		o.Workers = DefaultWorkers
 	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = DefaultLeaseTTL
-	}
 	if o.HeartbeatTTL <= 0 {
 		o.HeartbeatTTL = DefaultHeartbeatTTL
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = DefaultPollInterval
-	}
-	if o.StartupGrace <= 0 {
-		o.StartupGrace = DefaultStartupGrace
 	}
 	if o.PoisonThreshold <= 0 {
 		o.PoisonThreshold = DefaultPoisonThreshold

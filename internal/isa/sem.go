@@ -3,10 +3,11 @@ package isa
 import "math"
 
 // Per-lane semantic evaluation shared by simulators. The execution
-// engine (gtpin/internal/engine) inlines these operations in vectorized
-// lane loops for speed; its oracle tests check those loops against Eval
-// and EvalCmp lane by lane on every opcode, so the implementations
-// cannot drift apart.
+// engine (gtpin/internal/engine) inlines these operations in
+// straight-line W8 and W16 lane loops for speed and calls them for every
+// other record; its oracle tests check every handler against Eval and
+// EvalCmp lane by lane on every opcode, so the implementations cannot
+// drift apart.
 
 // Eval computes a data-processing opcode on one channel. flag is the
 // channel's flag bit (consumed by OpSel). Control opcodes, sends, and

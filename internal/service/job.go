@@ -63,7 +63,8 @@ type JobSpec struct {
 	ID string `json:"id,omitempty"`
 	// Kind is characterize, repro, or subsets.
 	Kind string `json:"kind"`
-	// Apps selects benchmarks by name; empty means the full roster.
+	// Apps selects benchmarks by name, each at most once; empty means
+	// the full roster.
 	Apps []string `json:"apps,omitempty"`
 	// Scale is full, small, or tiny (default tiny).
 	Scale string `json:"scale,omitempty"`
@@ -88,7 +89,8 @@ type JobSpec struct {
 }
 
 // Validate canonicalizes the spec in place (defaults filled, apps
-// verified) and rejects malformed submissions.
+// verified) and rejects malformed submissions. An app named twice is
+// refused: its units would share a key, which no topology runs.
 func (sp *JobSpec) Validate() error {
 	switch sp.Kind {
 	case KindCharacterize, KindRepro, KindSubsets:
@@ -129,10 +131,15 @@ func (sp *JobSpec) Validate() error {
 	if _, err := parseConfig(sp.Config); err != nil {
 		return err
 	}
+	named := make(map[string]bool, len(sp.Apps))
 	for _, name := range sp.Apps {
 		if _, err := workloads.ByName(name); err != nil {
 			return err
 		}
+		if named[name] {
+			return fmt.Errorf("app %q named twice", name)
+		}
+		named[name] = true
 	}
 	if sp.FaultRate < 0 || sp.FaultRate > 1 {
 		return fmt.Errorf("fault_rate %v outside [0,1]", sp.FaultRate)

@@ -593,6 +593,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: KindRepro, Trials: 65},
 		{Kind: KindRepro, Config: "hd9999"},
 		{Kind: KindRepro, Apps: []string{"no-such-app"}},
+		{Kind: KindRepro, Apps: []string{"cb-gaussian-buffer", "cb-gaussian-buffer"}},
 		{Kind: KindRepro, FaultRate: 1.5},
 		{Kind: KindRepro, TimeoutSec: -1},
 	}
@@ -600,6 +601,18 @@ func TestJobSpecValidate(t *testing.T) {
 		if err := sp.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, sp)
 		}
+	}
+}
+
+// TestSubmitRepeatedAppRejected: a job that names an app twice would
+// run two units under one key, which the in-process pool and the fleet
+// both refuse, so admission answers 400 before anything runs.
+func TestSubmitRepeatedAppRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	resp := postJob(t, s, `{"kind":"characterize","apps":["cb-gaussian-buffer","cb-gaussian-buffer"],"scale":"tiny"}`, "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("repeated app got %s, want 400", resp.Status)
 	}
 }
 

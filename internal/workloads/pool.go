@@ -172,6 +172,8 @@ type PoolOptions struct {
 var poolTestHook func(u Unit)
 
 // RunPool executes units as a supervised worker pool over internal/par.
+// Like fleet.Run, it refuses units that share a key before running any:
+// a key names one unit's journal records and artifact.
 //
 // Each unit is journaled started before execution and completed/failed
 // after; a completion goes through runstate.Dir.Commit, so the artifact
@@ -199,6 +201,14 @@ var poolTestHook func(u Unit)
 func RunPool(ctx context.Context, units []Unit, opts PoolOptions) ([]Outcome, error) {
 	if opts.Resume && opts.State == nil {
 		return nil, errors.New("workloads: PoolOptions.Resume requires a state dir")
+	}
+	first := make(map[string]int, len(units))
+	for i, u := range units {
+		key := u.Key()
+		if j, ok := first[key]; ok {
+			return nil, fmt.Errorf("workloads: units %d and %d share key %s", j, i, key)
+		}
+		first[key] = i
 	}
 	var completed map[string]runstate.Record
 	if opts.Resume {

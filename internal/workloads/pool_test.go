@@ -181,3 +181,20 @@ func TestPoolReturnsStateIOErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRejectsDuplicateUnits: units that share a key are refused
+// before any runs, as fleet.Run refuses them, so a sweep that names one
+// unit twice fails alike in every topology.
+func TestPoolRejectsDuplicateUnits(t *testing.T) {
+	u := poolUnits(t)[0]
+	var runs atomic.Int32
+	poolTestHook = func(Unit) { runs.Add(1) }
+	defer func() { poolTestHook = nil }()
+	_, err := RunPool(context.Background(), []Unit{u, u}, PoolOptions{})
+	if err == nil || !strings.Contains(err.Error(), "units 0 and 1 share key "+u.Key()) {
+		t.Fatalf("RunPool error = %v, want units 0 and 1 sharing key %s", err, u.Key())
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("RunPool ran %d units, want none", n)
+	}
+}
