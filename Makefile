@@ -201,23 +201,28 @@ bench-baseline:
 # and drops pages allocated since) ten times under it.
 # The capture line runs, ten times under the race detector, the checks
 # that Capture stops at its last window (exactly that many dispatches,
-# and faults after it change no snippet) and that a kernel's stored
-# fingerprint equals a fresh one, concurrent first calls included; the
+# and faults after it change no snippet), that the capture memo gives
+# every design what a fresh capture on it gives (the eight sweep designs
+# in either order, and all eight capturing one recording at once before
+# the memo holds it), never stores a timer-reading recording, and leaves
+# returned snippets unchanged, and that a kernel's stored fingerprint
+# equals a fresh one, concurrent first calls included; the
 # jit line runs the same checks on a binary's stored decoded kernel
 # (one kernel per binary, whatever the calls race, and a malformed
 # binary keeps its error). The cachesim line holds the paged cache to
 # the flat-array reference and AccessLanes to per-key walks under the
 # race detector; the allocation checks (a functional group, a detailed
 # group and a hooked send allocate nothing, detsim.New stays under
-# 64 KiB, a new surface allocates only its page table, a snippet replay
-# and a SimPoint Run make at most their pinned counts, and a stored
+# 64 KiB, a new surface allocates only its page table, a snippet replay,
+# a capture the memo holds and a SimPoint Run make at most their pinned
+# counts, and a stored
 # kernel fingerprint, a stored decoded kernel and a memo hit allocate
 # nothing) run without it, because the race detector allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
 	$(GO) test -race -count=10 -run Snapshot ./internal/cl
-	$(GO) test -race -count=10 -run 'CaptureStops|Fingerprint' ./internal/detsim ./internal/kernel
+	$(GO) test -race -count=10 -run 'CaptureStops|CaptureMemo|Fingerprint' ./internal/detsim ./internal/kernel
 	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle|PagedBuffer' ./internal/engine
 	$(GO) test -race ./internal/cachesim

@@ -57,3 +57,32 @@ func TestRunSnippetAllocs(t *testing.T) {
 		t.Fatalf("RunSnippet allocates %.0f times per snippet, want at most 32", n)
 	}
 }
+
+// TestCaptureHitAllocs pins what a capture the memo holds allocates:
+// the content key over the recording (a scratch buffer, the hash, its
+// sum and hex text), the memo lookup's closure, the clock fold and the
+// returned snippets with their slice. It walks nothing and copies no
+// image or code, so the count does not grow with the recording, the
+// windows or their memory.
+func TestCaptureHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	rec, n, _ := record(t, 8801, 12)
+	sim, err := detsim.New(detsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := snippetRanges(n)
+	if _, err := sim.Capture(rec, ranges); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := sim.Capture(rec, ranges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 9 {
+		t.Fatalf("a capture hit allocates %.0f times, want at most 9", got)
+	}
+}

@@ -34,6 +34,8 @@ func TestCaptureStopsAtLastWindow(t *testing.T) {
 	}
 
 	t.Run("dispatches", func(t *testing.T) {
+		// Only a capture the memo does not hold walks the recording.
+		detsim.ResetCompileCache()
 		dispatches := obs.DefaultCounter("engine_dispatches_total", "")
 		before := dispatches.Load()
 		if _, err := capture(t, rec, ranges); err != nil {

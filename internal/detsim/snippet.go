@@ -15,7 +15,9 @@
 // isolation — cache warmup first, then the detailed range — producing
 // bit-identical detailed results to a full fast-forwarding Run of the
 // same range, without executing any of the prefix. That makes subset
-// simulation embarrassingly parallel over intervals (cmd/subsets).
+// simulation embarrassingly parallel over intervals (cmd/subsets). Only
+// the clock seed depends on the design, so one capture of a recording
+// serves every design (capture.go).
 //
 // Snippets are digest-verified twice over: the runstate store seals the
 // serialized bytes, and the snippet itself records a SHA-256 digest of
@@ -35,16 +37,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"gtpin/internal/cachesim"
-	"gtpin/internal/cl"
-	"gtpin/internal/cofluent"
 	"gtpin/internal/device"
 	"gtpin/internal/engine"
 	"gtpin/internal/faults"
 	"gtpin/internal/jit"
-	"gtpin/internal/kernel"
 	"gtpin/internal/memo"
 )
 
@@ -62,6 +60,11 @@ var zeroPage [pageSize]byte
 // Snippet is one captured interval: everything needed to replay the
 // invocation window [max(0, From-Warmup), To) on a fresh simulator,
 // independent of the recording it came from.
+//
+// A snippet Capture returns may share its kernels, memory images,
+// events and digests with the capture memo and with every other caller
+// that captures the same recording, so it is read-only: code that edits
+// a snippet edits a copy it decoded (DecodeSnippet) or built itself.
 type Snippet struct {
 	Version int    `json:"version"`
 	App     string `json:"app"`
@@ -287,260 +290,6 @@ func (sn *Snippet) validate() error {
 	return nil
 }
 
-// capWindow is one in-progress capture.
-type capWindow struct {
-	r      Range
-	wstart int // max(0, From-Warmup): first invocation in the window
-	open   bool
-	done   bool
-	sn     *Snippet
-
-	images  map[int][]SnippetPage // buffer ID -> contents at window open
-	sizes   map[int]int           // buffer ID -> size (every referenced buffer)
-	touched map[int]bool          // buffer ID -> read/written/host-referenced
-	kidx    map[string]int        // kernel fingerprint -> index into sn.Kernels
-}
-
-// reference snapshots a buffer the window is about to observe or
-// mutate. The first reference wins: every later mutation flows through
-// a recorded event, so contents at first reference are contents at
-// window open.
-func (w *capWindow) reference(id int, b *device.Buffer, touch bool) {
-	if _, ok := w.sizes[id]; !ok {
-		w.sizes[id] = b.Size()
-		w.images[id] = imagePages(b)
-	}
-	if touch {
-		w.touched[id] = true
-	}
-}
-
-// errCaptured ends a capture walk once every window is sealed.
-var errCaptured = errors.New("detsim: every window captured")
-
-// Capture replays the recording once functionally and extracts one
-// snippet per requested range. Ranges are validated individually (each
-// snippet replays alone, so cross-range overlap is allowed — warmup
-// windows of different snippets may cover the same invocations). The
-// returned snippets align with the input ranges.
-//
-// The capture pass executes invocations on a fresh fast-forward device
-// configured like Run's (same watchdog budget, same timer hook), so the
-// clock seeds recorded at each window's start equal the values a real
-// fast-forwarding replay reaches. It stops after the last window's last
-// invocation: every image and digest is sealed by then, and host events
-// after a window's last launch are ignored, so nothing later can change
-// a snippet. The recording past that point is neither executed nor
-// validated; Run, which walks all of it, still fails on a fault there.
-func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet, error) {
-	windows := make([]*capWindow, len(ranges))
-	for i, r := range ranges {
-		if err := validateRanges([]Range{r}); err != nil {
-			return nil, err
-		}
-		wstart := r.From - r.Warmup
-		if wstart < 0 {
-			wstart = 0
-		}
-		windows[i] = &capWindow{
-			r: r, wstart: wstart,
-			sn:      &Snippet{Version: SnippetVersion, App: rec.App, Range: r},
-			images:  make(map[int][]SnippetPage),
-			sizes:   make(map[int]int),
-			touched: make(map[int]bool),
-			kidx:    make(map[string]int),
-		}
-	}
-	if len(windows) == 0 {
-		return []*Snippet{}, nil
-	}
-	pending := len(windows) // windows not yet finalized
-
-	dev, err := device.New(s.cfg.Device)
-	if err != nil {
-		return nil, fmt.Errorf("detsim: %w", err)
-	}
-	dev.SetWatchdog(s.cfg.WatchdogInstrs)
-	dev.SetTimerHook(s.timerHook)
-	var cur *engine.TouchSet
-	dev.SetTouchHook(func(keys []uint64, write bool) {
-		if cur != nil {
-			cur.Observe(keys, write)
-		}
-	})
-
-	// Per-walk memo of timer scans.
-	timers := make(map[*kernel.Kernel]bool)
-
-	openAt := func(inv int) []*capWindow {
-		var out []*capWindow
-		for _, w := range windows {
-			if !w.done && inv >= w.wstart && inv < w.r.To {
-				if !w.open {
-					w.open = true
-					w.sn.StartCycles = dev.Timestamp()
-					w.sn.StartDispatches = dev.Dispatches()
-				}
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	// hostOpen: windows receiving host events — those already opened by
-	// their first launch and not yet closed. Host calls before a window's
-	// first launch are prefix state (baked into the images); host calls
-	// after its last launch cannot affect the window.
-	hostOpen := func() []*capWindow {
-		var out []*capWindow
-		for _, w := range windows {
-			if w.open && !w.done {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-
-	buffers := make(map[int]*device.Buffer)
-	err = walkRecording(rec, buffers, walkHooks{
-		onCreate: func(id int, b *device.Buffer, c *cl.APICall) error {
-			for _, w := range hostOpen() {
-				// Created inside the window: defined by the event, touched
-				// by definition (its zeroed birth state is observable).
-				w.sizes[id] = b.Size()
-				w.touched[id] = true
-				w.sn.Events = append(w.sn.Events, SnippetEvent{Kind: evCreate, Buffer: id, Size: b.Size()})
-			}
-			return nil
-		},
-		beforeWrite: func(c *cl.APICall, dst *device.Buffer) error {
-			for _, w := range hostOpen() {
-				w.reference(c.Buffer, dst, true)
-				w.sn.Events = append(w.sn.Events, SnippetEvent{
-					Kind: evWrite, Buffer: c.Buffer, Offset: c.Offset,
-					Payload: append([]byte(nil), c.Payload...),
-				})
-			}
-			return nil
-		},
-		beforeCopy: func(c *cl.APICall, src, dst *device.Buffer) error {
-			for _, w := range hostOpen() {
-				w.reference(c.Buffer, src, true)
-				w.reference(c.Buffer2, dst, true)
-				w.sn.Events = append(w.sn.Events, SnippetEvent{
-					Kind: evCopy, Buffer: c.Buffer, Buffer2: c.Buffer2,
-					Offset: c.Offset, Offset2: c.Offset2, Size: c.Size,
-				})
-			}
-			return nil
-		},
-		onLaunch: func(l *launch) error {
-			open := openAt(l.Invocation)
-			for _, w := range open {
-				for si, b := range l.Surfaces {
-					w.reference(l.SurfIDs[si], b, false)
-				}
-				fp, ferr := l.Kernel.Fingerprint()
-				if ferr != nil {
-					return fmt.Errorf("detsim: capture invocation %d: %w", l.Invocation, ferr)
-				}
-				if _, ok := timers[l.Kernel]; !ok {
-					timers[l.Kernel] = engine.KernelReadsTimer(l.Kernel)
-				}
-				ki, ok := w.kidx[fp]
-				if !ok {
-					ki = len(w.sn.Kernels)
-					w.kidx[fp] = ki
-					w.sn.Kernels = append(w.sn.Kernels, SnippetKernel{
-						Name: l.Kernel.Name, Fingerprint: fp,
-						Code: append([]byte(nil), l.Bin.Code...),
-					})
-				}
-				if timers[l.Kernel] {
-					w.sn.HasTimer = true
-				}
-				w.sn.Events = append(w.sn.Events, SnippetEvent{
-					Kind:     evLaunch,
-					Kernel:   ki,
-					Args:     append([]uint32(nil), l.Args...),
-					Surfaces: append([]int(nil), l.SurfIDs...),
-					GWS:      l.GWS,
-					Detailed: l.Invocation >= w.r.From,
-				})
-			}
-			cur = engine.NewTouchSet(len(l.Surfaces))
-			_, derr := dev.Run(device.Dispatch{
-				Binary: l.Bin, Args: l.Args, Surfaces: l.Surfaces, GlobalWorkSize: l.GWS,
-			})
-			ts := cur
-			cur = nil
-			if derr != nil {
-				return fmt.Errorf("detsim: capture invocation %d (%s): %w", l.Invocation, l.Kernel.Name, derr)
-			}
-			for _, w := range open {
-				for si, id := range l.SurfIDs {
-					if ts.Touched(si) {
-						w.touched[id] = true
-					}
-				}
-				if l.Invocation == w.r.To-1 {
-					w.finalize(buffers)
-					pending--
-				}
-			}
-			if pending == 0 {
-				return errCaptured
-			}
-			return nil
-		},
-	})
-	if err != nil && !errors.Is(err, errCaptured) {
-		return nil, err
-	}
-
-	out := make([]*Snippet, len(windows))
-	var totalBytes uint64
-	for i, w := range windows {
-		if !w.done {
-			return nil, fmt.Errorf("detsim: range [%d, %d) extends past the recording's invocations: %w",
-				w.r.From, w.r.To, faults.ErrBadConfig)
-		}
-		out[i] = w.sn
-		if n, err := w.sn.encodedLen(); err == nil {
-			totalBytes += uint64(n)
-		}
-	}
-	mSnippetsCaptured.Add(uint64(len(out)))
-	mSnippetBytes.Add(totalBytes)
-	return out, nil
-}
-
-// finalize seals a window: assemble the buffer table (images kept only
-// for touched surfaces) and digest the touched surfaces' bytes at
-// window close.
-func (w *capWindow) finalize(buffers map[int]*device.Buffer) {
-	ids := make([]int, 0, len(w.sizes))
-	for id := range w.sizes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		sb := SnippetBuffer{ID: id, Size: w.sizes[id]}
-		if img, ok := w.images[id]; ok {
-			if w.touched[id] {
-				sb.Image = img
-			}
-			w.sn.Buffers = append(w.sn.Buffers, sb)
-		}
-		// Buffers created inside the window are defined by their create
-		// events, not the buffer table.
-		if w.touched[id] {
-			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id])})
-		}
-	}
-	w.done = true
-	w.open = false
-}
-
 // nonZeroPages calls f with each page of b that holds a non-zero byte,
 // in offset order. The last page is short when the size is not a
 // multiple of the page size. Only allocated pages can hold one, but an
@@ -551,15 +300,6 @@ func nonZeroPages(b *device.Buffer, f func(off int, page []byte)) {
 			f(off, page)
 		}
 	})
-}
-
-// imagePages copies the non-zero pages of a surface into a memory image.
-func imagePages(b *device.Buffer) []SnippetPage {
-	var img []SnippetPage
-	nonZeroPages(b, func(off int, page []byte) {
-		img = append(img, SnippetPage{Offset: off, Bytes: bytes.Clone(page)})
-	})
-	return img
 }
 
 // surfaceDigest is the hex SHA-256 post-digest of a surface: its size

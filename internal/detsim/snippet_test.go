@@ -41,8 +41,15 @@ func recordOut(t testing.TB, seed int64, steps int, cfg testgen.Config, timer fu
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := testgen.Program(rng, fmt.Sprintf("snip%d", seed), cfg)
-	sched := testgen.Driver(rng, p, steps, cfg)
+	return recordSchedule(t, p, testgen.Driver(rng, p, steps, cfg), timer, outSize, outInit)
+}
 
+// recordSchedule records the host schedule sched over program p, whose
+// kernels take one scalar argument (the trip count) and bind an input
+// surface (recording buffer ID 0) and the output surface (ID 1), as
+// testgen's kernels do.
+func recordSchedule(t testing.TB, p *kernel.Program, sched []testgen.DriverStep, timer func(uint64) uint32, outSize int, outInit []byte) (*cofluent.Recording, int) {
+	t.Helper()
 	dev, err := device.New(device.IvyBridgeHD4000())
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +426,15 @@ func TestSnippetDivergenceDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn := snips[0]
+		// Captured snippets are shared and read-only: corrupt a copy.
+		data, err := snips[0].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := detsim.DecodeSnippet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
 		flipped := false
 		for i := range sn.Buffers {
 			if len(sn.Buffers[i].Image) > 0 {

@@ -240,9 +240,11 @@ func CompileCacheStats() (hits, misses uint64, entries int) {
 	return st.Hits, st.Misses, st.Entries
 }
 
-// ResetCompileCache drops every cached program and snippet kernel and
-// zeroes the counters (tests and benchmark baselines).
+// ResetCompileCache drops every cached program, snippet kernel and
+// capture and zeroes the counters (tests and benchmark baselines).
 func ResetCompileCache() {
 	progCache.Reset()
 	snippetBins.Reset()
+	captures.Reset()
+	mCaptureBytes.Set(0)
 }

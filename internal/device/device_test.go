@@ -349,19 +349,16 @@ func TestJitterBoundsAndDeterminism(t *testing.T) {
 
 func TestThermalDriftBounded(t *testing.T) {
 	cfg := IvyBridgeHD4000()
-	dev, _ := New(cfg)
 	maxAmp := cfg.ThermalAmp + cfg.ContentionAmp
-	for i := 0; i < 3000; i++ {
-		f := dev.thermalDrift()
+	for n := uint64(0); n < 3000; n++ {
+		f := cfg.thermalDrift(n)
 		if f < 1-maxAmp-1e-9 || f > 1+maxAmp+1e-9 {
 			t.Fatalf("drift %f out of [%f, %f]", f, 1-maxAmp, 1+maxAmp)
 		}
-		dev.dispatches++
 	}
 	// Disabled drift is exactly 1.
 	cfg.ThermalAmp, cfg.ContentionAmp = 0, 0
-	dev2, _ := New(cfg)
-	if dev2.thermalDrift() != 1 {
+	if cfg.thermalDrift(0) != 1 {
 		t.Error("disabled drift must be identity")
 	}
 }

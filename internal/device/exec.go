@@ -31,6 +31,7 @@ type ExecStats struct {
 	BytesRead     uint64  // bytes read from surfaces
 	BytesWritten  uint64  // bytes written to surfaces
 	ComputeCycles uint64  // summed per-thread execution cycles
+	MemSends      uint64  // sends charged Config.MemStallCycles in ComputeCycles
 	TimeNs        float64 // modelled wall-clock time of the dispatch
 
 	// Resilience bookkeeping, filled by the cl layer's resilient drain.
@@ -83,10 +84,7 @@ func New(cfg Config) (*Device, error) {
 		cfg: cfg,
 		id:  deviceIDs.Add(1) - 1,
 	}
-	// memory stall: the per-send latency charged to a thread — the
-	// wall-clock latency in cycles, divided by the EU's SMT depth
-	// (co-resident threads hide most of each other's latency).
-	d.eng.MemStallCycles = uint64(cfg.MemLatencyNs * cfg.freqGHz() / float64(cfg.ThreadsPerEU))
+	d.eng.MemStallCycles = cfg.MemStallCycles()
 	d.eng.Timer = func(groupCycles uint64) uint32 { return uint32(d.cycles + groupCycles) }
 	return d, nil
 }
@@ -177,6 +175,7 @@ func (st *ExecStats) fill(es *engine.Stats) {
 	st.BytesRead = es.BytesRead
 	st.BytesWritten = es.BytesWritten
 	st.ComputeCycles = es.Cycles
+	st.MemSends = es.MemSends
 }
 
 // Run executes one dispatch to completion and returns its statistics.
@@ -251,9 +250,10 @@ func (d *Device) Run(disp Dispatch) (ExecStats, error) {
 		return st, fmt.Errorf("device: kernel %s: %w", k.Name, faults.ErrCorruptResult)
 	}
 	st.Groups = groups
-	st.TimeNs = d.jitter.Perturb(d.cfg.dispatchTimeNs(&st) * d.thermalDrift())
+	var step uint64
+	st.TimeNs, step = d.cfg.clockStep(&st, d.dispatches, d.jitter)
 	d.dispatches++
-	d.cycles += uint64(st.TimeNs * d.cfg.freqGHz())
+	d.cycles += step
 	d.observeDispatch(k, &st)
 	return st, nil
 }

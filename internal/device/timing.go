@@ -5,18 +5,65 @@ import (
 	"math/rand"
 )
 
-// thermalDrift returns the current performance-drift factor; see
-// Config.ThermalAmp.
-func (d *Device) thermalDrift() float64 {
+// thermalDrift returns the performance-drift factor of the device's
+// n-th dispatch (counting from 0); see Config.ThermalAmp.
+func (c Config) thermalDrift(n uint64) float64 {
 	f := 1.0
-	n := float64(d.dispatches)
-	if d.cfg.ThermalAmp != 0 {
-		f += d.cfg.ThermalAmp * math.Sin(2*math.Pi*n/d.cfg.ThermalPeriod)
+	x := float64(n)
+	if c.ThermalAmp != 0 {
+		f += c.ThermalAmp * math.Sin(2*math.Pi*x/c.ThermalPeriod)
 	}
-	if d.cfg.ContentionAmp != 0 {
-		f += d.cfg.ContentionAmp * math.Sin(2*math.Pi*n/d.cfg.ContentionPeriod)
+	if c.ContentionAmp != 0 {
+		f += c.ContentionAmp * math.Sin(2*math.Pi*x/c.ContentionPeriod)
 	}
 	return f
+}
+
+// MemStallCycles returns the memory stall a thread is charged per
+// memory send (ExecStats.MemSends): the wall-clock latency in cycles,
+// divided by the EU's SMT depth, since co-resident threads hide most of
+// each other's latency.
+func (c Config) MemStallCycles() uint64 {
+	return uint64(c.MemLatencyNs * c.freqGHz() / float64(c.ThreadsPerEU))
+}
+
+// clockStep is the device clock's one step: the modelled time of a
+// dispatch with statistics st that runs as the device's n-th dispatch
+// (counting from 0), perturbed by j, and the cycles that time advances
+// the timestamp counter by. Device.Run advances its clock through it and
+// Clock folds it over recorded work, so the two cannot disagree.
+func (c Config) clockStep(st *ExecStats, n uint64, j *TimingJitter) (timeNs float64, cycles uint64) {
+	timeNs = j.Perturb(c.dispatchTimeNs(st) * c.thermalDrift(n))
+	return timeNs, uint64(timeNs * c.freqGHz())
+}
+
+// Work returns the part of a dispatch's statistics st, measured on
+// configuration c, that no configuration changes: st with c's memory
+// stall, MemSends × MemStallCycles, taken out of ComputeCycles, which
+// then holds issue cycles alone, and TimeNs cleared. Every count a
+// dispatch measures comes from functional execution, which no
+// configuration changes unless a kernel reads the timer.
+func (c Config) Work(st ExecStats) ExecStats {
+	st.ComputeCycles -= st.MemSends * c.MemStallCycles()
+	st.TimeNs = 0
+	return st
+}
+
+// Clock folds the clock step over a run of dispatches: out[i] is the
+// timestamp counter of a fresh, jitter-free device of configuration c
+// once the first i dispatches have run, for i from 0 to len(work). Each
+// entry of work is a dispatch's Work, measured on any configuration:
+// Clock charges each dispatch c's own memory stall, as c's device would
+// have, so one run's work serves every configuration.
+func (c Config) Clock(work []ExecStats) []uint64 {
+	out := make([]uint64, len(work)+1)
+	stall := c.MemStallCycles()
+	for i, st := range work {
+		st.ComputeCycles += st.MemSends * stall
+		_, step := c.clockStep(&st, uint64(i), nil)
+		out[i+1] = out[i] + step
+	}
+	return out
 }
 
 // dispatchTimeNs converts a dispatch's raw execution statistics into a

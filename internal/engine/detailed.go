@@ -91,55 +91,22 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 	var bytesMoved uint64
 	depth := det.Depth
 
-	// In-order pipeline: stageFree[st] is the cycle at which stage st
-	// can next accept an instruction. Every instruction walks all
-	// stages, exposing structural hazards; memory operations occupy the
-	// execute stage for their access latency.
-	var stageFree [numStages]uint64
-	// The stage walk is manually unrolled (numStages == 7, execStage == 4,
-	// asserted below): it runs once per dynamic instruction and the rolled
-	// loop's per-stage branch showed up in profiles.
-	var _ [1]struct{} = [numStages - 6]struct{}{}
-	var _ [1]struct{} = [execStage - 3]struct{}{}
+	// In-order pipeline: every instruction walks all numStages stages,
+	// and a memory or long op holds the execute stage. No stage
+	// back-pressures the one before it and every stage but execute takes
+	// one cycle, so two clocks describe the walk exactly: fetch, the
+	// cycle the instruction leaves the fetch stage, and exec, the cycle
+	// it leaves execute. The stages between them and those after execute
+	// are always free when it arrives, so it leaves the last stage at
+	// exec + numStages - 1 - execStage, and the issue cycle the walk
+	// reports, numStages - 1 before that, is exec - execStage.
+	// RunGroupDetailedRef walks every stage's clock.
+	var fetch, exec uint64
 	issue := func(ready uint64, execHold uint64) uint64 {
-		t := ready
-		if stageFree[0] > t {
-			t = stageFree[0]
-		}
-		t++
-		stageFree[0] = t
-		if stageFree[1] > t {
-			t = stageFree[1]
-		}
-		t++
-		stageFree[1] = t
-		if stageFree[2] > t {
-			t = stageFree[2]
-		}
-		t++
-		stageFree[2] = t
-		if stageFree[3] > t {
-			t = stageFree[3]
-		}
-		t++
-		stageFree[3] = t
-		if stageFree[4] > t {
-			t = stageFree[4]
-		}
-		t += 1 + execHold // execute stage holds for memory/long ops
-		stageFree[4] = t
-		if stageFree[5] > t {
-			t = stageFree[5]
-		}
-		t++
-		stageFree[5] = t
-		if stageFree[6] > t {
-			t = stageFree[6]
-		}
-		t++
-		stageFree[6] = t
-		ds.LaneOps += numStages          // pipeline event bookkeeping
-		return t - uint64(numStages) + 1 // cycle the instruction issued
+		fetch = max(ready, fetch) + 1
+		exec = max(fetch+execStage-1, exec) + 1 + execHold
+		ds.LaneOps += numStages // pipeline event bookkeeping
+		return exec - execStage
 	}
 
 	// readyAt consults the pre-computed scoreboard source set: the
@@ -249,11 +216,11 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 					det.regReady[p.dst] = cycle + lat
 				}
 			default: // ClassALU
-				exec := iw
+				lanes := iw
 				if p.pred != isa.PredNoneMode {
-					exec = c.countOn(p.pred, iw)
+					lanes = c.countOn(p.pred, iw)
 				}
-				if exec == 0 {
+				if lanes == 0 {
 					// Every channel predicated off: the instruction still
 					// occupies the pipeline, but writes nothing — no
 					// execute-stage hold and no scoreboard update, so no
@@ -262,7 +229,7 @@ func (e *Env) RunGroupDetailed(det *Detailed, k *kernel.Kernel, args []uint32, s
 					continue
 				}
 				p.runDet(c, p, iw)
-				ds.LaneOps += uint64(exec)
+				ds.LaneOps += uint64(lanes)
 				cycle = issue(start, p.hold)
 				det.regReady[p.dst] = cycle + depth
 			}

@@ -57,13 +57,18 @@ var OpClass = func() [isa.NumOpcodes]uint8 {
 }()
 
 // Stats accumulates what the functional loop executed on behalf of one
-// enqueue. Instrs and Cycles commit when a channel-group retires — a
-// watchdog kill does not count the partial group — while Sends and the
-// byte counts accumulate as the transactions happen, mirroring what a
-// bus observer would have seen before the kill.
+// enqueue. Instrs, Cycles and MemSends commit when a channel-group
+// retires — a watchdog kill does not count the partial group — while
+// Sends and the byte counts accumulate as the transactions happen,
+// mirroring what a bus observer would have seen before the kill.
+//
+// Cycles is the issue cost of every committed instruction plus
+// MemSends × Env.MemStallCycles, exactly: the stall is the only part of
+// a dispatch's cycles a backend's configuration sets.
 type Stats struct {
 	Instrs       uint64 // dynamic instructions executed
 	Cycles       uint64 // summed per-thread execution cycles
+	MemSends     uint64 // sends charged MemStallCycles in Cycles
 	Sends        uint64 // send instructions executed
 	BytesRead    uint64 // bytes read from surfaces
 	BytesWritten uint64 // bytes written to surfaces

@@ -57,6 +57,7 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 	blk := 0
 	groupInstrs := uint64(0)
 	groupCycles := uint64(0)
+	groupMemSends := uint64(0)
 
 	for {
 		if blk >= len(k.Blocks) {
@@ -99,10 +100,12 @@ func (e *Env) RunGroupRef(k *kernel.Kernel, args []uint32, surfs []*Buffer, grou
 				}
 				if in.Msg.Kind.Reads() || in.Msg.Kind.Writes() {
 					groupCycles += e.MemStallCycles
+					groupMemSends++
 				}
 			case ClassEnd:
 				st.Instrs += groupInstrs
 				st.Cycles += groupCycles
+				st.MemSends += groupMemSends
 				e.Watchdog.commit(groupInstrs)
 				return nil
 			default: // ClassControl

@@ -1,8 +1,8 @@
 // Package memo is the one memoization primitive behind every
-// process-wide, content-addressed cache in the reproduction: the GT-Pin
-// rewrite, engine predecode, detsim program compile and snippet-kernel
-// decode, and the instrumented-replay and native phases of the profiling
-// pipeline.
+// process-wide, content-addressed cache in the reproduction, seven in
+// all: the GT-Pin rewrite, engine predecode, detsim program compile,
+// snippet-kernel decode and snippet capture, and the instrumented-replay
+// and native phases of the profiling pipeline.
 //
 // Each of those steps is a deterministic function of its inputs, so a
 // Memo stores the first value computed under a key and serves it to

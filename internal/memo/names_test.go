@@ -5,14 +5,14 @@ import (
 
 	"gtpin/internal/obs"
 
-	// The packages that own the six process-wide caches.
+	// The packages that own the seven process-wide caches.
 	_ "gtpin/internal/detsim"
 	_ "gtpin/internal/engine"
 	_ "gtpin/internal/gtpin"
 	_ "gtpin/internal/workloads"
 )
 
-// TestCacheCounterNamesStayRegistered pins the twelve cache counters that
+// TestCacheCounterNamesStayRegistered pins the fourteen cache counters that
 // metrics snapshots, dashboards and the benchmark read by name: linking
 // the caches' packages must register all of them, before any lookup.
 func TestCacheCounterNamesStayRegistered(t *testing.T) {
@@ -22,6 +22,7 @@ func TestCacheCounterNamesStayRegistered(t *testing.T) {
 		"engine_predecode",
 		"detsim_compile_cache",
 		"detsim_snippet_kernel_cache",
+		"detsim_capture_cache",
 		"workloads_replay_cache",
 		"workloads_native_cache",
 	} {

@@ -63,6 +63,9 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
+// Add adds n, which may be negative.
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
