@@ -190,8 +190,10 @@ bench-baseline:
 # predecode differential fuzz (threaded-code loops vs the reference
 # interpreter, whose ALU and compare lanes run isa.Eval), the oracle
 # tests of the pre-decoded ALU and compare handlers (against isa.Eval)
-# and of the send lane mover (against a byte-slice model), and the
-# paged surface held to the flat one it replaced (PagedBuffer), under
+# and of the send lane mover (against a byte-slice model), the paged
+# surface held to the flat one it replaced (PagedBuffer, shared pages
+# included), and shared pages (Share: the refusals, and surfaces that
+# share arrays writing them at once, which must copy them first), under
 # the race detector. The
 # GT-Pin trace-buffer line runs the Detach checks and concurrent
 # Attach/replay/Detach (every new instance's buffer must read zero and
@@ -205,8 +207,11 @@ bench-baseline:
 # every design what a fresh capture on it gives (the eight sweep designs
 # in either order, and all eight capturing one recording at once before
 # the memo holds it), never stores a timer-reading recording, and leaves
-# returned snippets unchanged, and that a kernel's stored fingerprint
-# equals a fresh one, concurrent first calls included; the
+# returned snippets unchanged when they replay under all eight designs,
+# several at once over shared image pages, that a corrupted snippet
+# fails replay (SnippetDivergence, after a clean replay too), and that
+# a kernel's and a recording's stored fingerprints equal fresh ones,
+# concurrent first calls included; the
 # jit line runs the same checks on a binary's stored decoded kernel
 # (one kernel per binary, whatever the calls race, and a malformed
 # binary keeps its error). The cachesim line holds the paged cache to
@@ -215,16 +220,17 @@ bench-baseline:
 # group and a hooked send allocate nothing, detsim.New stays under
 # 64 KiB, a new surface allocates only its page table, a snippet replay,
 # a capture the memo holds and a SimPoint Run make at most their pinned
-# counts, and a stored
+# counts, a replay allocates fewer bytes than its images' unwritten
+# pages hold, and a stored
 # kernel fingerprint, a stored decoded kernel and a memo hit allocate
 # nothing) run without it, because the race detector allocates.
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
 	$(GO) test -race -count=10 -run Snapshot ./internal/cl
-	$(GO) test -race -count=10 -run 'CaptureStops|CaptureMemo|Fingerprint' ./internal/detsim ./internal/kernel
+	$(GO) test -race -count=10 -run 'CaptureStops|CaptureMemo|Fingerprint|SnippetDivergence' ./internal/detsim ./internal/kernel ./internal/cofluent
 	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
-	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle|PagedBuffer' ./internal/engine
+	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle|PagedBuffer|Share' ./internal/engine
 	$(GO) test -race ./internal/cachesim
 	$(GO) test -run Allocs ./internal/engine ./internal/detsim ./internal/kernel ./internal/jit ./internal/memo ./internal/simpoint
 	$(GO) test -race ./internal/obs/...

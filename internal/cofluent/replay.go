@@ -2,6 +2,7 @@ package cofluent
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/device"
@@ -24,6 +25,9 @@ type Recording struct {
 	// Translate, when set, is the dialect every compiled kernel was
 	// binary-translated to; Replay registers the same translation.
 	Translate *isa.Dialect
+
+	// fp is the first Fingerprint result, shared by every later call.
+	fp atomic.Pointer[fingerprint]
 }
 
 // Record finalizes a recording from a traced execution. programs must be

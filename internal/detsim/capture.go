@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"slices"
 	"sort"
 	"strconv"
@@ -35,8 +33,8 @@ type capture struct {
 	work []device.ExecStats
 	// lens is each snippet's encodedLen with StartCycles zero.
 	lens []int
-	// bytes counts the memory-image pages, kernel code and write
-	// payloads the snippets hold, each interned copy once.
+	// bytes counts the memory-image pages with their sums, kernel code
+	// and write payloads the snippets hold, each interned copy once.
 	bytes int64
 }
 
@@ -46,11 +44,11 @@ type capture struct {
 var captures = memo.New[*capture]("detsim_capture_cache")
 
 var mCaptureBytes = obs.DefaultGauge("detsim_capture_cache_bytes",
-	"memory-image pages, kernel code and write payloads the capture memo holds")
+	"memory-image pages and their SHA-256 sums, kernel code and write payloads the capture memo holds")
 
 // CaptureCacheStats reports the capture memo: captures served from it,
-// captures computed, captures held, and the bytes of memory-image pages,
-// kernel code and write payloads they hold.
+// captures computed, captures held, and the bytes of memory-image pages
+// and their sums, kernel code and write payloads they hold.
 func CaptureCacheStats() (hits, misses uint64, entries int, bytes int64) {
 	st := captures.Stats()
 	return st.Hits, st.Misses, st.Entries, mCaptureBytes.Load()
@@ -150,91 +148,46 @@ func recordingReadsTimer(rec *cofluent.Recording) bool {
 	return false
 }
 
-// keyWriter writes length-delimited fields into a hash.
-type keyWriter struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func (w *keyWriter) num(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-func (w *keyWriter) str(s string) {
-	w.num(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// flush hashes the buffered fields, then b, length-prefixed.
-func (w *keyWriter) flush(b []byte) {
-	w.num(uint64(len(b)))
-	w.h.Write(w.buf)
-	w.h.Write(b)
-	w.buf = w.buf[:0]
-}
-
-// captureKey content-addresses a capture: everything the capture walk
-// reads — the app name, the translate target, each program's content,
-// and each call's fields and payload bytes — and the ranges and watchdog
-// budget, which decide what it captures and where it fails.
+// captureKey content-addresses a capture: the recording's fingerprint,
+// which covers everything the capture walk reads, then the ranges and
+// the watchdog budget, which decide what it captures and where it fails.
 func captureKey(rec *cofluent.Recording, ranges []Range, watchdog uint64) (string, error) {
-	w := keyWriter{h: sha256.New(), buf: make([]byte, 0, 256)}
-	w.str(rec.App)
-	if rec.Translate == nil {
-		w.num(0)
-	} else {
-		w.num(1 + uint64(*rec.Translate))
+	fp, err := rec.Fingerprint()
+	if err != nil {
+		return "", fmt.Errorf("detsim: %w", err)
 	}
-	w.num(uint64(len(rec.Programs)))
-	for _, p := range rec.Programs {
-		// What programKey addresses: each kernel's name and executable
-		// fingerprint.
-		w.num(uint64(len(p.Kernels)))
-		for _, k := range p.Kernels {
-			fp, err := k.Fingerprint()
-			if err != nil {
-				return "", fmt.Errorf("detsim: jit: %w", err)
-			}
-			w.str(k.Name)
-			w.str(fp)
-		}
-	}
-	w.num(uint64(len(rec.Calls)))
-	for i := range rec.Calls {
-		c := &rec.Calls[i]
-		w.str(c.Name)
-		w.str(c.Kernel)
-		for _, v := range [...]int{c.Seq, int(c.Kind), c.Program, c.KID, c.ArgIdx, c.Buffer, c.Buffer2, c.Offset, c.Offset2, c.Size, c.GWS} {
-			w.num(uint64(v))
-		}
-		w.num(uint64(c.ArgVal))
-		w.flush(c.Payload)
-	}
-	w.num(uint64(len(ranges)))
+	key := make([]byte, 0, len(fp)+8*(4*len(ranges)+2))
+	key = append(key, fp...)
+	key = binary.LittleEndian.AppendUint64(key, uint64(len(ranges)))
 	for _, r := range ranges {
-		w.num(uint64(r.From))
-		w.num(uint64(r.To))
-		w.num(uint64(r.SampleGroups))
-		w.num(uint64(r.Warmup))
+		for _, v := range [...]int{r.From, r.To, r.SampleGroups, r.Warmup} {
+			key = binary.LittleEndian.AppendUint64(key, uint64(v))
+		}
 	}
-	w.num(watchdog)
-	w.flush(nil)
-	return hex.EncodeToString(w.h.Sum(nil)), nil
+	key = binary.LittleEndian.AppendUint64(key, watchdog)
+	return string(key), nil
 }
 
 // interner keeps one copy of each byte string a capture pass puts in its
-// snippets: each distinct memory-image page content, each binary's code
-// and each write's payload, however many windows hold it.
+// snippets: each distinct memory-image page content with its SHA-256
+// sum, each binary's code and each write's payload, however many windows
+// hold it.
 type interner struct {
-	pages    map[string][]byte
+	pages    map[string]SnippetPage
 	code     map[*jit.Binary][]byte
 	payloads map[*cl.APICall][]byte
 }
 
-func (in *interner) page(p []byte) []byte {
-	if c, ok := in.pages[string(p)]; ok {
-		return c
+// page returns the image page at offset off holding p's bytes, copying
+// and hashing a content the first time it is seen.
+func (in *interner) page(off int, p []byte) SnippetPage {
+	c, ok := in.pages[string(p)]
+	if !ok {
+		sum := sha256.Sum256(p)
+		c = SnippetPage{Bytes: bytes.Clone(p), sum: &sum}
+		in.pages[string(c.Bytes)] = c
 	}
-	c := bytes.Clone(p)
-	in.pages[string(c)] = c
+	c.Offset = off
 	return c
 }
 
@@ -260,7 +213,7 @@ func (in *interner) payload(call *cl.APICall) []byte {
 func (in *interner) image(b *device.Buffer) []SnippetPage {
 	var img []SnippetPage
 	nonZeroPages(b, func(off int, page []byte) {
-		img = append(img, SnippetPage{Offset: off, Bytes: in.page(page)})
+		img = append(img, in.page(off, page))
 	})
 	return img
 }
@@ -313,7 +266,7 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 	}
 	pending := len(windows) // windows not yet finalized
 	in := &interner{
-		pages:    make(map[string][]byte),
+		pages:    make(map[string]SnippetPage),
 		code:     make(map[*jit.Binary][]byte),
 		payloads: make(map[*cl.APICall][]byte),
 	}
@@ -477,16 +430,18 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 	return c, nil
 }
 
-// heldBytes counts the bytes of the code, image pages and payloads the
-// snippets hold, each interned copy once.
+// heldBytes counts the bytes of the code, image pages with their sums
+// and payloads the snippets hold, each interned copy once.
 func heldBytes(snips []*Snippet) int64 {
 	seen := make(map[*byte]bool)
 	var n int64
-	add := func(b []byte) {
-		if len(b) > 0 && !seen[&b[0]] {
-			seen[&b[0]] = true
-			n += int64(len(b))
+	add := func(b []byte) bool {
+		if len(b) == 0 || seen[&b[0]] {
+			return false
 		}
+		seen[&b[0]] = true
+		n += int64(len(b))
+		return true
 	}
 	for _, sn := range snips {
 		for _, k := range sn.Kernels {
@@ -494,7 +449,9 @@ func heldBytes(snips []*Snippet) int64 {
 		}
 		for _, b := range sn.Buffers {
 			for _, p := range b.Image {
-				add(p.Bytes)
+				if add(p.Bytes) && p.sum != nil {
+					n += sha256.Size
+				}
 			}
 		}
 		for _, ev := range sn.Events {
@@ -524,7 +481,7 @@ func (w *capWindow) finalize(buffers map[int]*device.Buffer) {
 		// Buffers created inside the window are defined by their create
 		// events, not the buffer table.
 		if w.touched[id] {
-			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id])})
+			w.sn.PostDigests = append(w.sn.PostDigests, BufferDigest{ID: id, SHA256: surfaceDigest(buffers[id], nil)})
 		}
 	}
 	w.done = true

@@ -2,6 +2,7 @@ package detsim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"slices"
 	"sync"
@@ -143,7 +144,8 @@ func TestCaptureMemoSharedMatchesFresh(t *testing.T) {
 
 	// Every window's image of the input surface, which no kernel writes,
 	// holds the same pages: the memo keeps each distinct copy once, and
-	// its gauge counts exactly the distinct bytes the snippets hold.
+	// its gauge counts exactly the distinct bytes the snippets hold, and
+	// the SHA-256 sum kept with each distinct image page.
 	sim, err := detsim.New(designs[0].cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +164,7 @@ func TestCaptureMemoSharedMatchesFresh(t *testing.T) {
 			seen[&b[0]] = true
 			distinct += int64(len(b))
 			if page {
+				distinct += sha256.Size
 				distinctPages += int64(len(b))
 			}
 		}
@@ -315,9 +318,12 @@ func decodeZeroSeed(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// TestCaptureMemoSnippetsStayUnchanged: replaying a captured snippet and
+// TestCaptureMemoSnippetsStayUnchanged: replaying captured snippets and
 // capturing the same recording again, under its design and others, leave
-// the snippet's encoding as it was.
+// the snippets' encodings as they were. Every snippet replays under all
+// eight designs, the replays of different snippets at once, so the race
+// detector sees image pages that several replays' surfaces share, and
+// writes into them, which must copy them first.
 func TestCaptureMemoSnippetsStayUnchanged(t *testing.T) {
 	rec, n, _ := record(t, 8814, 12)
 	ranges := snippetRanges(n)
@@ -340,15 +346,24 @@ func TestCaptureMemoSnippetsStayUnchanged(t *testing.T) {
 			}
 		}
 	}
+	var wg sync.WaitGroup
 	for _, sn := range snips {
-		rsim, err := detsim.New(designs[0].cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rsim.RunSnippet(sn); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range designs {
+				rsim, err := detsim.New(d.cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := rsim.RunSnippet(sn); err != nil {
+					t.Errorf("%s: %v", d.name, err)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	check("RunSnippet")
 	for _, d := range designs {
 		dsim, err := detsim.New(d.cfg)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gtpin/internal/device"
@@ -30,8 +31,9 @@ func pagedSurfaces() [][]byte {
 	return [][]byte{zero, a, b}
 }
 
-// refDigest is surfaceDigest written from its definition: the size,
-// then each page holding a non-zero byte as its offset and bytes.
+// refDigest is surfaceDigest written from its definition: SHA-256 over
+// the size, then each page holding a non-zero byte as its offset and the
+// SHA-256 of its bytes.
 func refDigest(data []byte) string {
 	var enc []byte
 	enc = binary.LittleEndian.AppendUint64(enc, uint64(len(data)))
@@ -40,7 +42,8 @@ func refDigest(data []byte) string {
 		for _, c := range page {
 			if c != 0 {
 				enc = binary.LittleEndian.AppendUint64(enc, uint64(off))
-				enc = append(enc, page...)
+				sum := sha256.Sum256(page)
+				enc = append(enc, sum[:]...)
 				break
 			}
 		}
@@ -99,21 +102,21 @@ func TestSurfaceDigest(t *testing.T) {
 	}
 	for si, s := range pagedSurfaces() {
 		b := bufferOf(t, s)
-		base := surfaceDigest(b)
+		base := surfaceDigest(b, nil)
 		if want := refDigest(s); base != want {
 			t.Fatalf("surface %d: digest %s, definition gives %s", si, base, want)
 		}
-		if got := surfaceDigest(bufferOf(t, bytes.Clone(s))); got != base {
+		if got := surfaceDigest(bufferOf(t, bytes.Clone(s)), nil); got != base {
 			t.Fatalf("surface %d: equal bytes digest to %s and %s", si, base, got)
 		}
 		distinct(base, origin{surface: si, flipped: -1})
 		for i := range s {
 			flip(t, b, i)
-			distinct(surfaceDigest(b), origin{surface: si, flipped: i})
+			distinct(surfaceDigest(b, nil), origin{surface: si, flipped: i})
 			flip(t, b, i)
 		}
 		// Every page is allocated now, the zero ones included.
-		if got := surfaceDigest(b); got != base {
+		if got := surfaceDigest(b, nil); got != base {
 			t.Fatalf("surface %d: flipping every byte twice moved the digest", si)
 		}
 	}
@@ -129,7 +132,7 @@ func TestSurfaceDigest(t *testing.T) {
 	}
 	allocated := 0
 	b.Pages(func(int, []byte) { allocated++ })
-	if got, want := surfaceDigest(b), refDigest(make([]byte, size)); allocated != 1 || got != want {
+	if got, want := surfaceDigest(b, nil), refDigest(make([]byte, size)); allocated != 1 || got != want {
 		t.Fatalf("a zeroed page (%d allocated) digests to %s, a never-written one to %s", allocated, got, want)
 	}
 
@@ -137,9 +140,63 @@ func TestSurfaceDigest(t *testing.T) {
 	s := pagedSurfaces()[2]
 	for _, pad := range []int{8, pageSize - 8, pageSize, pageSize + 8} {
 		longer := append(bytes.Clone(s), make([]byte, pad)...)
-		distinct(surfaceDigest(bufferOf(t, longer)), origin{name: fmt.Sprintf("surface 2 and %d zero bytes", pad)})
+		distinct(surfaceDigest(bufferOf(t, longer), nil), origin{name: fmt.Sprintf("surface 2 and %d zero bytes", pad)})
 	}
 	for _, n := range []int{8, 16, pageSize, pageSize + 8} {
-		distinct(surfaceDigest(bufferOf(t, make([]byte, n))), origin{name: fmt.Sprintf("%d zero bytes", n)})
+		distinct(surfaceDigest(bufferOf(t, make([]byte, n)), nil), origin{name: fmt.Sprintf("%d zero bytes", n)})
+	}
+}
+
+// TestSurfaceDigestReusesSums: a page of a surface that is still the
+// array of its image page contributes the sum the image carries instead
+// of its hashed bytes, and every other page is hashed: one written since
+// it was shared, one copied rather than shared, and every page of an
+// image without sums. The image here carries sums Capture's interner
+// computed, and then a planted wrong sum, which shows which path each
+// page takes.
+func TestSurfaceDigestReusesSums(t *testing.T) {
+	data := pagedSurfaces()[1] // pages 0 and 2 non-zero, 1 and the tail zero
+	in := &interner{pages: make(map[string]SnippetPage)}
+	img := in.image(bufferOf(t, data))
+	if len(img) != 2 || img[0].sum == nil || img[1].sum == nil {
+		t.Fatalf("the interner gave %d image pages, or pages without sums", len(img))
+	}
+	shared := func(img []SnippetPage) *device.Buffer {
+		b, err := device.NewBuffer(len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range img {
+			if err := b.Share(p.Offset, (*[pageSize]byte)(p.Bytes)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	want := refDigest(data)
+	if got := surfaceDigest(shared(img), img); got != want {
+		t.Fatalf("shared pages with their sums digest to %s, the definition gives %s", got, want)
+	}
+
+	// The same arrays with a wrong sum at offset 0.
+	var wrong [32]byte
+	planted := slices.Clone(img)
+	planted[0].sum = &wrong
+	if got := surfaceDigest(shared(planted), planted); got == want {
+		t.Fatal("an unwritten shared page was hashed, not given its sum")
+	}
+	if got := surfaceDigest(bufferOf(t, data), planted); got != want {
+		t.Fatal("a copied page, not the image's array, took the image's sum")
+	}
+	b := shared(planted)
+	flip(t, b, 8)
+	flip(t, b, 8) // page 0 holds its old bytes in a new array
+	if got := surfaceDigest(b, planted); got != want {
+		t.Fatal("a page written since it was shared took the image's sum")
+	}
+	noSums := slices.Clone(planted)
+	noSums[0].sum, noSums[1].sum = nil, nil
+	if got := surfaceDigest(shared(noSums), noSums); got != want {
+		t.Fatal("a shared page without a sum was not hashed")
 	}
 }

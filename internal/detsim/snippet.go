@@ -24,7 +24,10 @@
 // every touched surface at window close, which RunSnippet checks after
 // replay (faults.ErrSnippetDiverged on mismatch). Images and digests
 // both skip all-zero pages, so a snippet costs what its surfaces hold,
-// not what they span.
+// not what they span. A replay shares the images' pages into its
+// surfaces rather than copying them, and the digest hashes each page on
+// its own, so a replay of a captured snippet reuses the page sums
+// Capture computed for the pages its window leaves as they were.
 package detsim
 
 import (
@@ -47,9 +50,10 @@ import (
 )
 
 // SnippetVersion is the serialization version Encode writes and Decode
-// requires. Version 2 carries memory images as page lists and digests
-// surfaces page by page (surfaceDigest).
-const SnippetVersion = 2
+// requires. Version 2 carried memory images as page lists; version 3
+// keeps them and digests a surface as a list of page sums
+// (surfaceDigest).
+const SnippetVersion = 3
 
 // pageSize is the granularity of memory images and post-digests, a
 // surface's own page: a page of zeros is neither carried nor hashed.
@@ -65,6 +69,8 @@ var zeroPage [pageSize]byte
 // events and digests with the capture memo and with every other caller
 // that captures the same recording, so it is read-only: code that edits
 // a snippet edits a copy it decoded (DecodeSnippet) or built itself.
+// RunSnippet relies on that: it reads a captured snippet's image pages in
+// place and trusts the sums Capture computed for them.
 type Snippet struct {
 	Version int    `json:"version"`
 	App     string `json:"app"`
@@ -121,6 +127,11 @@ type SnippetBuffer struct {
 type SnippetPage struct {
 	Offset int    `json:"offset"`
 	Bytes  []byte `json:"bytes"`
+
+	// sum is the SHA-256 of Bytes, set by Capture when it interns the
+	// page. The encoding never carries it and DecodeSnippet never sets
+	// it, so every page of a decoded snippet is hashed at every replay.
+	sum *[sha256.Size]byte
 }
 
 // SnippetEvent is one window event in recording order: a kernel launch
@@ -302,23 +313,51 @@ func nonZeroPages(b *device.Buffer, f func(off int, page []byte)) {
 	})
 }
 
-// surfaceDigest is the hex SHA-256 post-digest of a surface: its size
-// (uint64 LE), then the offset (uint64 LE) and bytes of each non-zero
-// page in offset order. Size and offset fix every page's length, so the
-// encoding is injective on the surface's bytes: two surfaces share a
-// digest exactly when a whole-surface SHA-256 would say they are equal
-// (up to a collision), while the zero pages cost a compare, not a hash.
-func surfaceDigest(b *device.Buffer) string {
+// surfaceDigest is the hex SHA-256 post-digest of a surface: SHA-256
+// over its size (uint64 LE), then, for each non-zero page in offset
+// order, the page's offset (uint64 LE) and the SHA-256 of its bytes.
+// Size and offset fix every page's length, so two surfaces share a
+// digest only when their bytes are equal (barring a collision), while
+// the zero pages cost a compare, not a hash.
+//
+// img is the memory image the surface was built from, or nil. A page of
+// the surface that is still the array of img's page at its offset, and
+// that carries the sum Capture computed, contributes that sum unhashed:
+// a Buffer never writes a shared array and a captured snippet is
+// read-only, so its bytes are the ones Capture hashed (and non-zero, as
+// every image page is). Every other non-zero page is hashed.
+func surfaceDigest(b *device.Buffer, img []SnippetPage) string {
 	h := sha256.New()
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(b.Size()))
-	h.Write(word[:])
-	nonZeroPages(b, func(off int, page []byte) {
-		binary.LittleEndian.PutUint64(word[:], uint64(off))
-		h.Write(word[:])
-		h.Write(page)
+	var rec [8 + sha256.Size]byte // the size, then a page's offset and sum
+	binary.LittleEndian.PutUint64(rec[:8], uint64(b.Size()))
+	h.Write(rec[:8])
+	b.Pages(func(off int, page []byte) {
+		for len(img) > 0 && img[0].Offset < off {
+			img = img[1:]
+		}
+		switch {
+		case len(img) > 0 && img[0].Offset == off && img[0].sum != nil && &img[0].Bytes[0] == &page[0]:
+			*(*[sha256.Size]byte)(rec[8:]) = *img[0].sum
+		case bytes.Equal(page, zeroPage[:len(page)]):
+			return
+		default:
+			*(*[sha256.Size]byte)(rec[8:]) = sha256.Sum256(page)
+		}
+		binary.LittleEndian.PutUint64(rec[:8], uint64(off))
+		h.Write(rec[:])
 	})
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// image returns the memory image of the snippet's buffer id, nil when it
+// has none.
+func (sn *Snippet) image(id int) []SnippetPage {
+	for _, b := range sn.Buffers {
+		if b.ID == id {
+			return b.Image
+		}
+	}
+	return nil
 }
 
 // snippetBins memoizes snippet kernels by their code bytes. Each entry
@@ -350,6 +389,10 @@ func snippetBinary(code []byte) (*jit.Binary, error) {
 // images against the capture-time digests. The detailed results —
 // range report, cache statistics, warmup time — are bit-identical to
 // Run(rec, []Range{sn.Range}) on the originating recording.
+//
+// The surfaces share the images' whole pages (engine.Buffer.Share), so a
+// replay copies only the pages its window writes, and the surfaces read
+// the snippet's pages in place until the next run replaces them.
 //
 // Digest verification is skipped for timer-reading windows when no
 // deterministic timer hook is installed (the capture pass and the
@@ -384,9 +427,15 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("detsim: snippet buffer %d: %w", sb.ID, err)
 		}
-		// validate bounded every page by sb.Size, and b is no smaller.
+		// validate bounded every page by sb.Size, and b is no smaller. A
+		// short last page is copied.
 		for _, p := range sb.Image {
-			if _, err := b.WriteAt(p.Bytes, int64(p.Offset)); err != nil {
+			if len(p.Bytes) == pageSize {
+				err = b.Share(p.Offset, (*[pageSize]byte)(p.Bytes))
+			} else {
+				_, err = b.WriteAt(p.Bytes, int64(p.Offset))
+			}
+			if err != nil {
 				return nil, fmt.Errorf("detsim: snippet buffer %d: %w", sb.ID, err)
 			}
 		}
@@ -434,7 +483,7 @@ func (s *Simulator) RunSnippet(sn *Snippet) (*Report, error) {
 
 	if !sn.HasTimer || s.timerHook != nil {
 		for _, d := range sn.PostDigests {
-			if got := surfaceDigest(buffers[d.ID]); got != d.SHA256 {
+			if got := surfaceDigest(buffers[d.ID], sn.image(d.ID)); got != d.SHA256 {
 				return nil, fmt.Errorf("detsim: snippet %s range [%d, %d): buffer %d: sha256 %s != captured %s: %w",
 					sn.App, sn.Range.From, sn.Range.To, d.ID, got, d.SHA256, faults.ErrSnippetDiverged)
 			}

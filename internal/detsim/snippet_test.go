@@ -187,9 +187,12 @@ func comparable(rep *detsim.Report) comparableReport {
 // random workloads — including timer-reading, predication-heavy ones —
 // capturing interval snippets and replaying them in parallel must
 // reproduce the exact per-range reports, cache statistics, and memory
-// images of the serial fast-forwarding path. Snippets round-trip
-// through their serialized form on the way, so the portability format
-// is under the same microscope.
+// images of the serial fast-forwarding path. The captured snippets are
+// replayed as they are, which verifies their pages with the sums Capture
+// computed, and after a round trip through their serialized form, which
+// hashes every page: the portability format is under the same
+// microscope. A round trip gives back every exported field; only the
+// page sums, which the encoding never carries, are gone.
 func TestSnippetReplayMatchesSerial(t *testing.T) {
 	outSize, outInit := pagedOut()
 	cases := []struct {
@@ -248,6 +251,9 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 				if len(snips) != len(ranges) {
 					t.Fatalf("captured %d snippets for %d ranges", len(snips), len(ranges))
 				}
+				// replays holds the captured snippets, then their decoded
+				// copies.
+				replays := slices.Clone(snips)
 				for i, sn := range snips {
 					data, err := sn.Encode()
 					if err != nil {
@@ -257,28 +263,28 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(sn, rt) {
+					if !reflect.DeepEqual(detsim.WithoutSums(sn), rt) {
 						t.Fatalf("snippet %d did not survive the encode/decode round trip", i)
 					}
-					snips[i] = rt
+					replays = append(replays, rt)
 				}
 
 				type replayOut struct {
 					rep  comparableReport
 					bufs [][]byte
 				}
-				outs, err := par.Map(context.Background(), len(snips), 4, func(i int) (replayOut, error) {
+				outs, err := par.Map(context.Background(), len(replays), 4, func(i int) (replayOut, error) {
 					sim, err := detsim.New(detsim.DefaultConfig())
 					if err != nil {
 						return replayOut{}, err
 					}
 					sim.SetTimerHook(tc.timer)
-					rep, err := sim.RunSnippet(snips[i])
+					rep, err := sim.RunSnippet(replays[i])
 					if err != nil {
 						return replayOut{}, err
 					}
 					o := replayOut{rep: comparable(rep)}
-					if i == len(snips)-1 && snips[i].Range.To == n {
+					if i%len(snips) == len(snips)-1 && replays[i].Range.To == n {
 						o.bufs = append(o.bufs, surfaceBytes(sim.Buffer(0)))
 						o.bufs = append(o.bufs, surfaceBytes(sim.Buffer(1)))
 					}
@@ -288,23 +294,27 @@ func TestSnippetReplayMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				for i := range ranges {
-					if outs[i].rep != serial[i] {
-						t.Errorf("range %d: snippet replay diverged from serial:\nserial:  %+v\nsnippet: %+v",
-							i, serial[i], outs[i].rep)
+				for i, o := range outs {
+					kind, r := "captured", i%len(snips)
+					if i >= len(snips) {
+						kind = "decoded"
 					}
-				}
-				// The last range ends the recording, so its replay's final
-				// images must equal the serial path's (which in turn equal
-				// the original device's).
-				if len(serialOut) > 0 {
-					last := outs[len(outs)-1]
-					if len(last.bufs) != len(serialOut) {
-						t.Fatalf("buffer image sets differ in size")
+					if o.rep != serial[r] {
+						t.Errorf("range %d: %s snippet replay diverged from serial:\nserial:  %+v\nsnippet: %+v",
+							r, kind, serial[r], o.rep)
+					}
+					// The last range ends the recording, so its replay's
+					// final images must equal the serial path's (which in
+					// turn equal the original device's).
+					if r != len(snips)-1 || len(serialOut) == 0 {
+						continue
+					}
+					if len(o.bufs) != len(serialOut) {
+						t.Fatalf("%s: buffer image sets differ in size", kind)
 					}
 					for b := range serialOut {
-						if !bytes.Equal(last.bufs[b], serialOut[b]) {
-							t.Errorf("buffer %d: snippet replay memory diverged from serial", b)
+						if !bytes.Equal(o.bufs[b], serialOut[b]) {
+							t.Errorf("buffer %d: %s snippet replay memory diverged from serial", b, kind)
 						}
 					}
 				}
@@ -404,7 +414,9 @@ func TestSnippetTrimsUntouchedBuffers(t *testing.T) {
 // must surface as faults.ErrSnippetDiverged at replay, not as silently
 // wrong results — wherever in a surface of several pages the corruption
 // sits, including pages the window never writes and pages the image
-// leaves out because they were zero.
+// leaves out because they were zero, and after the snippet has replayed
+// cleanly once: a decoded snippet's pages carry no sums, so no replay
+// may keep one for a page that can change.
 func TestSnippetDivergenceDetected(t *testing.T) {
 	replay := func(t *testing.T, sn *detsim.Snippet) error {
 		t.Helper()
@@ -512,6 +524,16 @@ func TestSnippetDivergenceDetected(t *testing.T) {
 			}
 		})
 	}
+	t.Run("replayed-then-flipped", func(t *testing.T) {
+		sn, b, j := fresh(t)
+		if err := replay(t, sn); err != nil {
+			t.Fatalf("first replay: %v", err)
+		}
+		b.Image[j].Bytes[100] ^= 0x01
+		if err := replay(t, sn); !errors.Is(err, faults.ErrSnippetDiverged) {
+			t.Fatalf("want ErrSnippetDiverged, got %v", err)
+		}
+	})
 }
 
 // TestSnippetRejectsMalformed: structural validation refuses snippets
@@ -541,6 +563,19 @@ func TestSnippetRejectsMalformed(t *testing.T) {
 	v1 := `{"version":1,"range":{"From":0,"To":1},"buffers":[{"id":0,"size":8,"image":"AQIDBAUGBwg="}]}`
 	if _, err := detsim.DecodeSnippet([]byte(v1)); !errors.Is(err, faults.ErrBadRecording) || !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version-1 snippet: got %v", err)
+	}
+	// A version-2 snippet has version 3's shape, but its digests hash
+	// the pages' bytes rather than their sums.
+	v2 := `{"version":2,"range":{"From":0,"To":1},"buffers":[{"id":0,"size":8,"image":[{"offset":0,"bytes":"AQIDBAUGBwg="}]}]}`
+	if _, err := detsim.DecodeSnippet([]byte(v2)); !errors.Is(err, faults.ErrBadRecording) || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 snippet: got %v", err)
+	}
+	sim, err := detsim.New(detsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunSnippet(&detsim.Snippet{Version: 2, Range: detsim.Range{From: 0, To: 1}}); !errors.Is(err, faults.ErrBadRecording) || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 snippet replayed: got %v", err)
 	}
 
 	// Page lists of a 3·4096+8-byte surface. The valid one decodes and

@@ -39,13 +39,23 @@ var zeroPage [PageSize]byte
 // its size. Host code reads and writes through ReadAt, WriteAt, CopyFrom,
 // Pages and Clear; no method hands out the backing store for writing.
 // A Buffer must not be copied by value: small tables live inside it.
+//
+// A page may also be shared (Share): an array the buffer reads but never
+// writes, which other buffers may read at the same time. The first write
+// into a shared page copies it, so a surface built from a read-only
+// image pays only for the pages it writes.
 type Buffer struct {
 	// pages[i] holds bytes [i*PageSize, (i+1)*PageSize), nil while they
 	// are all zero. The last page may extend past size; those bytes are
-	// never read or written.
-	pages  []*[PageSize]byte
-	inline [inlinePages]*[PageSize]byte
-	size   int
+	// never read or written. Reads take their page from here.
+	pages []*[PageSize]byte
+	// own[i] is pages[i] when the buffer may write that page in place,
+	// and nil when it is shared or unallocated. Writes take their page
+	// from here. Until the first Share, own is pages itself.
+	own       []*[PageSize]byte
+	inline    [inlinePages]*[PageSize]byte
+	ownInline [inlinePages]*[PageSize]byte // own's table after a Share, for small surfaces
+	size      int
 	// mask is size-1 when the size is a power of two (the common case),
 	// letting wrap use a bitwise AND instead of an integer division on
 	// the per-lane access path; 0 selects the modulo path.
@@ -66,6 +76,7 @@ func NewBuffer(size int) (*Buffer, error) {
 	} else {
 		b.pages = make([]*[PageSize]byte, n)
 	}
+	b.own = b.pages
 	if size&(size-1) == 0 {
 		b.mask = size - 1
 	}
@@ -84,11 +95,45 @@ func (b *Buffer) read(o int) *[PageSize]byte {
 	return &zeroPage
 }
 
-// alloc allocates the zeroed page holding byte o.
+// alloc gives the buffer its own page holding byte o, whose own entry
+// is nil: a copy of the shared page there, or a zeroed page when none is
+// allocated.
 func (b *Buffer) alloc(o int) *[PageSize]byte {
+	i := o >> pageShift
 	p := new([PageSize]byte)
-	b.pages[o>>pageShift] = p
+	if s := b.pages[i]; s != nil {
+		*p = *s
+	}
+	b.pages[i], b.own[i] = p, p
 	return p
+}
+
+// Share puts page at byte offset off, which must be page-aligned, inside
+// the surface, and in a page not yet allocated. The buffer reads page
+// there but never writes it: the first write into that page copies it.
+// The caller must not change page while the buffer may read it.
+func (b *Buffer) Share(off int, page *[PageSize]byte) error {
+	if page == nil {
+		return fmt.Errorf("Share: nil page at offset %d", off)
+	}
+	if off < 0 || off >= b.size || off&pageMask != 0 {
+		return fmt.Errorf("Share: offset %d is not a page boundary inside the surface (size %d)", off, b.size)
+	}
+	i := off >> pageShift
+	if b.pages[i] != nil {
+		return fmt.Errorf("Share: page at offset %d is already allocated", off)
+	}
+	if &b.own[0] == &b.pages[0] {
+		// Every page allocated so far is the buffer's own.
+		if n := len(b.pages); n <= inlinePages {
+			b.own = b.ownInline[:n]
+		} else {
+			b.own = make([]*[PageSize]byte, n)
+		}
+		copy(b.own, b.pages)
+	}
+	b.pages[i] = page
+	return nil
 }
 
 // wrap clamps a device byte offset into the buffer, aligned to elem bytes.
@@ -156,9 +201,9 @@ func (b *Buffer) StoreElem(off uint32, elem int, v uint64) {
 		panic(fmt.Sprintf("StoreElem: bad element size %d", elem))
 	}
 	o := b.wrap(off, elem)
-	page := b.pages[o>>pageShift]
+	page := b.own[o>>pageShift]
 	if page == nil {
-		if v<<(64-8*elem) == 0 {
+		if v<<(64-8*elem) == 0 && b.pages[o>>pageShift] == nil {
 			return
 		}
 		page = b.alloc(o)
@@ -199,9 +244,10 @@ func (b *Buffer) AtomicAdd(off uint32, elem int, v uint64) uint64 {
 //
 // A lane looks its page up once. An element of elem bytes starts at a
 // multiple of elem, so within its page it starts at o&(PageSize-elem),
-// at most PageSize-elem, which needs no bounds check. A store or add
-// that meets an unallocated page hands that lane and the rest to the
-// per-lane accessors, which allocate the page unless the lane writes
+// at most PageSize-elem, which needs no bounds check. Stores and adds
+// look pages up in own. One that meets a page the buffer does not own
+// hands that lane and the rest to the per-lane accessors, which copy a
+// shared page and allocate an unallocated one unless the lane writes
 // zero; leaving the loop, rather than allocating in it, keeps the
 // loop's values in registers.
 
@@ -228,10 +274,10 @@ func (b *Buffer) storeLanes(addrs, vals []uint32, elem int) bool {
 	if elem != 4 {
 		return false
 	}
-	pages, n, mask, vals := b.pages, b.size, b.mask, vals[:len(addrs)]
+	own, n, mask, vals := b.own, b.size, b.mask, vals[:len(addrs)]
 	for i, a := range addrs {
 		o := wrapOff(a, 4, n, mask)
-		p := pages[o>>pageShift]
+		p := own[o>>pageShift]
 		if p == nil {
 			return b.storeEach(addrs[i:], vals[i:], 4)
 		}
@@ -253,13 +299,13 @@ func (b *Buffer) storeEach(addrs, vals []uint32, elem int) bool {
 // the low 32 bits of its previous value. Each lane reads its address and
 // addend before writing old[i], so old may alias either.
 func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
-	pages, n, mask := b.pages, b.size, b.mask
+	own, n, mask := b.own, b.size, b.mask
 	old, vals = old[:len(addrs)], vals[:len(addrs)]
 	switch elem {
 	case 4:
 		for i, a := range addrs {
 			o := wrapOff(a, 4, n, mask)
-			p := pages[o>>pageShift]
+			p := own[o>>pageShift]
 			if p == nil {
 				return b.addEach(old[i:], addrs[i:], vals[i:], 4)
 			}
@@ -272,7 +318,7 @@ func (b *Buffer) addLanes(old, addrs, vals []uint32, elem int) bool {
 	case 8:
 		for i, a := range addrs {
 			o := wrapOff(a, 8, n, mask)
-			p := pages[o>>pageShift]
+			p := own[o>>pageShift]
 			if p == nil {
 				return b.addEach(old[i:], addrs[i:], vals[i:], 8)
 			}
@@ -349,9 +395,9 @@ func (b *Buffer) writeAt(p []byte, o int) {
 // put writes src at byte o; the range lies within one page. An all-zero
 // src leaves an unallocated page unallocated.
 func (b *Buffer) put(o int, src []byte) {
-	p := b.pages[o>>pageShift]
+	p := b.own[o>>pageShift]
 	if p == nil {
-		if bytes.Equal(src, zeroPage[:len(src)]) {
+		if b.pages[o>>pageShift] == nil && bytes.Equal(src, zeroPage[:len(src)]) {
 			return
 		}
 		p = b.alloc(o)
@@ -359,11 +405,17 @@ func (b *Buffer) put(o int, src []byte) {
 	copy(p[o&pageMask:], src)
 }
 
-// zero clears n bytes at byte o; the range lies within one page.
+// zero clears n bytes at byte o; the range lies within one page. A
+// shared page is copied first: its bytes there may be non-zero.
 func (b *Buffer) zero(o, n int) {
-	if p := b.pages[o>>pageShift]; p != nil {
-		clear(p[o&pageMask:][:n])
+	p := b.own[o>>pageShift]
+	if p == nil {
+		if b.pages[o>>pageShift] == nil {
+			return
+		}
+		p = b.alloc(o)
 	}
+	clear(p[o&pageMask:][:n])
 }
 
 // CopyFrom copies n bytes from src at srcOff into the buffer at dstOff,
@@ -404,7 +456,8 @@ func (b *Buffer) CopyFrom(src *Buffer, srcOff, dstOff, n int) error {
 // Pages calls f with each allocated page in offset order: its byte
 // offset and its bytes, the last page cut at the surface's size. Pages
 // never allocated are all zero and skipped; an allocated page may be all
-// zero too. f must not modify or retain page.
+// zero too. A shared page is passed as the array Share was given. f must
+// not modify or retain page.
 func (b *Buffer) Pages(f func(off int, page []byte)) {
 	for i, p := range b.pages {
 		if p != nil {
@@ -414,8 +467,11 @@ func (b *Buffer) Pages(f func(off int, page []byte)) {
 	}
 }
 
-// Clear zeroes the surface by dropping every page.
-func (b *Buffer) Clear() { clear(b.pages) }
+// Clear zeroes the surface by dropping every page, shared ones included.
+func (b *Buffer) Clear() {
+	clear(b.pages)
+	b.own = b.pages
+}
 
 // WriteU32 writes host data as little-endian 32-bit words starting at a
 // byte offset, for test and workload setup.

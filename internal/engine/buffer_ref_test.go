@@ -309,6 +309,9 @@ type pagedFuzz struct {
 	rng   *rand.Rand
 	pairs [2]*bufferPair
 	op    int
+	// shared holds every array given to Share, and saved a copy of each
+	// taken when it was made: the buffers must never write one.
+	shared, saved []*[PageSize]byte
 }
 
 func (f *pagedFuzz) fail(format string, args ...any) {
@@ -409,11 +412,63 @@ func panicOf(f func()) (v any) {
 	return nil
 }
 
+// share puts an array, read-only, at a random page of the pair that the
+// paged side has not allocated, and writes the same bytes into the flat
+// side. The array is a new one with random bytes, non-zero inside the
+// surface, or a third of the time one shared before, so one array can
+// sit in several pages of both pairs at once.
+func (f *pagedFuzz) share(p *bufferPair) {
+	var free []int
+	for i, pg := range p.paged.pages {
+		if pg == nil {
+			free = append(free, i)
+		}
+	}
+	if len(free) == 0 {
+		return
+	}
+	off := PageSize * free[f.rng.Intn(len(free))]
+	n := min(PageSize, p.flat.Size()-off)
+	var page, want *[PageSize]byte
+	if k := len(f.shared); k > 0 && f.rng.Intn(3) == 0 {
+		i := f.rng.Intn(k)
+		page, want = f.shared[i], f.saved[i]
+	} else {
+		page = new([PageSize]byte)
+		copy(page[:], f.hostBytes(PageSize))
+		page[f.rng.Intn(n)] = byte(1 + f.rng.Intn(255))
+		want = new([PageSize]byte)
+		*want = *page
+		f.shared, f.saved = append(f.shared, page), append(f.saved, want)
+	}
+	if err := p.paged.Share(off, page); err != nil {
+		f.fail("Share(%d): %v", off, err)
+	}
+	copy(p.flat.Bytes()[off:], want[:n])
+	// The page is allocated now, though a reused array may read zero
+	// inside a smaller surface.
+	p.written[off/PageSize] = true
+}
+
+// checkShared fails if any shared array differs from its saved copy.
+func (f *pagedFuzz) checkShared() {
+	f.t.Helper()
+	for i, page := range f.shared {
+		if *page != *f.saved[i] {
+			f.fail("shared array %d was written", i)
+		}
+	}
+}
+
 // step runs one random operation on both sides of a pair and compares
 // what each returns.
 func (f *pagedFuzz) step() {
 	p := f.pairs[f.rng.Intn(2)]
 	size := p.flat.Size()
+	if f.rng.Intn(25) == 0 {
+		f.share(p)
+		return
+	}
 	switch r := f.rng.Intn(100); {
 	case r < 10:
 		a, elem := f.addr(size), f.elem()
@@ -626,7 +681,11 @@ func (f *pagedFuzz) check(p *bufferPair) {
 // page-edge addresses, host ranges across pages, overlapping self-copies
 // and Clear, on surfaces of one partial page up to sixteen pages, must
 // read the same values and leave the same bytes, and a page may be
-// allocated only once something non-zero was written into it. The paged
+// allocated only once something non-zero was written into it. Shared
+// pages join the sequences (the flat side writes their bytes), and no
+// write may reach a shared array, one shared at several pages of both
+// surfaces included: a zero store or a zeroing copy into a shared page
+// must copy it as any other write does. The paged
 // lane loops take 4-byte elements and 8-byte adds; for the other sizes
 // the flat lane loops take, the paged surface's per-lane accessors
 // (LoadElem, storeEach, addEach) must give the flat lane loop's result.
@@ -656,10 +715,15 @@ func TestPagedBufferMatchesFlat(t *testing.T) {
 				if f.op%50 == 0 {
 					f.check(f.pairs[0])
 					f.check(f.pairs[1])
+					f.checkShared()
 				}
 			}
 			f.check(f.pairs[0])
 			f.check(f.pairs[1])
+			f.checkShared()
+			if len(f.shared) == 0 {
+				t.Fatalf("size %d, seed %d: no page was shared", size, seed)
+			}
 		}
 	}
 

@@ -147,6 +147,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "persist job status: %v", err)
 		return
 	}
+	// The response describes the job as admitted: once it is on the
+	// queue, a worker may start it before the response is written.
+	view := j.View()
 	if err := s.queue.push(j); err != nil {
 		abort()
 		mJobsShed.Inc()
@@ -162,7 +165,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	mJobsAdmitted.Inc()
 	s.cfg.Logf("gtpind: job %s: admitted (%s, tenant %q, queue depth %d)",
 		j.ID, spec.Kind, tenant, s.queue.depth())
-	writeJSON(w, http.StatusCreated, j.View())
+	writeJSON(w, http.StatusCreated, view)
 }
 
 // freshID picks the next free job-NNNN identifier, free both in the

@@ -215,6 +215,30 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
+// TestSubmitRespondsQueued: a 201 describes the job as it was admitted,
+// queued, even when an idle worker starts it, or finishes it, before the
+// handler writes the response. Four idle workers take jobs whose runner
+// returns at once.
+func TestSubmitRespondsQueued(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	s := newTestServer(t, Config{JobWorkers: 4})
+	s.runPool = blockingRunner(release)
+	const jobs = 64
+	for i := range jobs {
+		resp := postJob(t, s, fmt.Sprintf(`{"id":"q%d","kind":"subsets","apps":["cb-gaussian-buffer"]}`, i), "")
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit q%d: got %s, want 201", i, resp.Status)
+		}
+		if v := decodeView(t, resp); v.State != StateQueued {
+			t.Errorf("submit q%d: the 201 reads %s, want queued", i, v.State)
+		}
+	}
+	for i := range jobs {
+		waitTerminal(t, mustJob(t, s, fmt.Sprintf("q%d", i)))
+	}
+}
+
 // TestQueueFullSheds429 pins the backpressure contract: a full queue
 // sheds with 429 + Retry-After and rolls the admission back so the same
 // ID can be resubmitted once there is room.

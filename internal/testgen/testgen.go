@@ -205,12 +205,13 @@ func Kernel(rng *rand.Rand, name string, cfg Config) *kernel.Kernel {
 		a.SetPred(isa.PredNoneMode)
 	}
 	if cfg.Timers {
-		// Fold a timestamp read into the stored result. MsgTimer writes
-		// channel 0 only, so the temp is zeroed first.
+		// Fold a timestamp read into the value the last store below
+		// writes, so it reaches memory. MsgTimer writes channel 0 only,
+		// so the temp is zeroed first.
 		rt := a.Temp()
 		a.MovI(rt, 0)
 		a.Timer(rt)
-		a.Add(regs[5], asm.R(regs[5]), asm.R(rt))
+		a.Add(regs[1], asm.R(regs[1]), asm.R(rt))
 	}
 
 	// Result store, sometimes atomic.
