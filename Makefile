@@ -208,8 +208,11 @@ bench-baseline:
 # in either order, and all eight capturing one recording at once before
 # the memo holds it), never stores a timer-reading recording, and leaves
 # returned snippets unchanged when they replay under all eight designs,
-# several at once over shared image pages, that a corrupted snippet
-# fails replay (SnippetDivergence, after a clean replay too), and that
+# several at once over shared image pages, that the clock seed is 0 and
+# read by no replay when no kernel reads the timer, and is the clock a
+# fast-forwarding Run reaches when one does (SnippetClockSeed), that a
+# corrupted snippet fails replay (SnippetDivergence, after a clean
+# replay too), and that
 # a kernel's and a recording's stored fingerprints equal fresh ones,
 # concurrent first calls included; the
 # jit line runs the same checks on a binary's stored decoded kernel
@@ -228,7 +231,7 @@ bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup|DetsimGate' ./internal/gtpin ./internal/jit ./internal/memo ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -count=10 -run 'Detach|TraceBufPool' ./internal/gtpin
 	$(GO) test -race -count=10 -run Snapshot ./internal/cl
-	$(GO) test -race -count=10 -run 'CaptureStops|CaptureMemo|Fingerprint|SnippetDivergence' ./internal/detsim ./internal/kernel ./internal/cofluent
+	$(GO) test -race -count=10 -run 'CaptureStops|CaptureMemo|SnippetClockSeed|Fingerprint|SnippetDivergence' ./internal/detsim ./internal/kernel ./internal/cofluent
 	$(GO) test -race -count=10 -run 'StoredKernel' ./internal/jit
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch|Oracle|PagedBuffer|Share' ./internal/engine
 	$(GO) test -race ./internal/cachesim

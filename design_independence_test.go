@@ -13,16 +13,18 @@ import (
 	"gtpin/internal/selection"
 )
 
-// TestSnippetsDesignIndependent: of everything a snippet holds, only
-// StartCycles depends on the design it was captured under. Kernels,
-// memory images, host events, post-digests and StartDispatches come from
-// functional execution, which no design parameter changes unless a timer
-// value a kernel read reaches memory. For every roster application's
-// Kernel/BB windows at tiny scale (warmup 2), capturing under each of
-// the eight candidate designs of the benchmark's design sweep yields
-// snippets whose encodings are equal once StartCycles is zeroed, so one
-// capture per application can serve every design. Each design captures
-// with the capture memo emptied, so each walks the recording itself.
+// TestSnippetsDesignIndependent: nothing a snippet holds depends on the
+// design it was captured under. Kernels, memory images, host events,
+// post-digests and StartDispatches come from functional execution, which
+// no design parameter changes unless a timer value a kernel read reaches
+// memory, and StartCycles, which only timer reads use, is 0 when no
+// kernel of the recording reads the timer, as none in the roster does.
+// For every roster application's Kernel/BB windows at tiny scale
+// (warmup 2), capturing under each of the eight candidate designs of the
+// benchmark's design sweep yields snippets whose whole encodings are
+// equal, so one capture per application serves every design. Each design
+// captures with the capture memo emptied, so each walks the recording
+// itself.
 func TestSnippetsDesignIndependent(t *testing.T) {
 	f := getFixture(t)
 	designs := sweepDesigns()
@@ -31,13 +33,7 @@ func TestSnippetsDesignIndependent(t *testing.T) {
 		var want [][]byte // per window, the encoding captured under designs[0]
 		for di, d := range designs {
 			detsim.ResetCompileCache()
-			for i, sn := range capture(t, d, f.results[spec.Name].Recording, ranges) {
-				cp := *sn
-				cp.StartCycles = 0
-				data, err := cp.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i, data := range encode(t, capture(t, d, f.results[spec.Name].Recording, ranges)) {
 				if di == 0 {
 					want = append(want, data)
 				} else if !bytes.Equal(data, want[i]) {
@@ -51,10 +47,10 @@ func TestSnippetsDesignIndependent(t *testing.T) {
 
 // TestSharedCaptureMatchesFresh: Capture shares one capture per
 // application across designs, and what it returns equals a fresh capture
-// on the caller's own design, byte for byte, clock seeds included. For
-// every roster application's Kernel/BB windows at tiny scale (warmup 2),
-// the memo is filled by the eight designs of the benchmark's design
-// sweep in forward order and then, emptied, in reverse, and each
+// on the caller's own design, byte for byte, whole encodings compared.
+// For every roster application's Kernel/BB windows at tiny scale
+// (warmup 2), the memo is filled by the eight designs of the benchmark's
+// design sweep in forward order and then, emptied, in reverse, and each
 // design's snippets are held to those it captures with the memo empty.
 func TestSharedCaptureMatchesFresh(t *testing.T) {
 	f := getFixture(t)

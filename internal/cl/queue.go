@@ -188,10 +188,13 @@ func (q *Queue) WaitForEvents(events ...*Event) error {
 	return nil
 }
 
-// EnqueueWriteBuffer copies host data into a buffer. Writes are not
-// synchronization points in the paper's taxonomy; the transfer is applied
-// immediately (before any pending kernel reads it, matching a blocking
-// write issued before dependent enqueues).
+// EnqueueWriteBuffer copies host data into a buffer. The queue is in
+// order, so the kernels enqueued ahead of the write run first and see
+// the buffer as it was, as detsim's replay of the recording runs them:
+// the write drains the queue, returning a pending kernel's failure as
+// EnqueueReadBuffer does, and then applies the transfer. Writes are
+// still not synchronization points in the paper's taxonomy: interval
+// boundaries come from the call stream, which the drain leaves as it is.
 func (q *Queue) EnqueueWriteBuffer(b *Buffer, off int, data []byte) error {
 	if off < 0 || off+len(data) > b.Size() {
 		return fmt.Errorf("cl: write buffer %d: range [%d,%d) out of bounds (size %d)", b.ID, off, off+len(data), b.Size())
@@ -199,6 +202,9 @@ func (q *Queue) EnqueueWriteBuffer(b *Buffer, off int, data []byte) error {
 	payload := make([]byte, len(data))
 	copy(payload, data)
 	q.ctx.emit(&APICall{Name: CallEnqueueWriteBuffer, Buffer: b.ID, Offset: off, Size: len(data), Payload: payload})
+	if err := q.drain(); err != nil {
+		return err
+	}
 	_, err := b.buf.WriteAt(data, int64(off))
 	return err
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"gtpin/internal/cl"
 	"gtpin/internal/cofluent"
@@ -21,18 +20,12 @@ import (
 	"gtpin/internal/obs"
 )
 
-// capture is what one functional capture pass yields for every design:
-// the snippets with StartCycles left zero, and the work of each dispatch
-// before the last window opens, from which a design's clock seeds
-// follow (device.Config.Clock).
+// capture is what one functional capture pass yields: the snippets, in
+// range order, and what the metrics count of them.
 type capture struct {
 	snips []*Snippet
-	// work holds each dispatch's statistics with the memory stall taken
-	// out of ComputeCycles, in dispatch order; a snippet's
-	// StartDispatches indexes its window's first dispatch.
-	work []device.ExecStats
-	// lens is each snippet's encodedLen with StartCycles zero.
-	lens []int
+	// encoded is the snippets' total encoded length.
+	encoded uint64
 	// bytes counts the memory-image pages with their sums, kernel code
 	// and write payloads the snippets hold, each interned copy once.
 	bytes int64
@@ -62,28 +55,29 @@ func CaptureCacheStats() (hits, misses uint64, entries int, bytes int64) {
 //
 // The capture pass executes invocations on a fresh fast-forward device
 // configured like Run's (same watchdog budget, same timer hook), so the
-// clock seeds of each window's start equal the values a real
-// fast-forwarding replay reaches. It stops after the last window's last
-// invocation: every image and digest is sealed by then, and host events
-// after a window's last launch are ignored, so nothing later can change
-// a snippet. The recording past that point is neither executed nor
-// validated; Run, which walks all of it, still fails on a fault there.
+// dispatch count, and for a timer-reading recording the clock, at each
+// window's start equal the values a real fast-forwarding replay reaches.
+// It stops after the last window's last invocation: every image and
+// digest is sealed by then, and host events after a window's last launch
+// are ignored, so nothing later can change a snippet. The recording past
+// that point is neither executed nor validated; Run, which walks all of
+// it, still fails on a fault there.
 //
-// One capture serves every design. Of a snippet, only StartCycles
-// depends on the simulator's configuration: kernels, memory images,
+// One capture serves every design. A snippet's kernels, memory images,
 // events, digests and StartDispatches come from functional execution,
-// which no design parameter changes unless a kernel reads the timer. So
-// Capture keeps each capture in a process-wide memo
-// (detsim_capture_cache), keyed by the recording's content, the ranges
-// and the watchdog budget, with the work of every dispatch before the
-// last window, and gives each window the clock seed that work reaches
-// under this simulator's timing model (device.Config.Clock, the step its
-// device takes). A recording with a kernel that reads the timer is
-// captured on every call and never stored.
+// which no design parameter changes unless a kernel reads the timer, and
+// StartCycles seeds only timer reads. So a recording whose kernels read
+// no timer captures with StartCycles 0, and its snippets are the same
+// under every design: Capture keeps each such capture in a process-wide
+// memo (detsim_capture_cache), keyed by the recording's content, the
+// ranges and the watchdog budget, and returns the memo's snippets. A
+// recording with a kernel that reads the timer is captured on every
+// call, under the caller's design, and never stored; its windows take
+// StartCycles from the capture device's clock.
 //
 // The returned snippets may share their contents with the memo and
 // every other caller, so they are read-only: to edit one, decode a copy
-// of its encoding (DecodeSnippet).
+// of its encoding (DecodeSnippet). The slice is the caller's own.
 func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet, error) {
 	for _, r := range ranges {
 		if err := validateRanges([]Range{r}); err != nil {
@@ -96,7 +90,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 	var c *capture
 	var err error
 	if recordingReadsTimer(rec) {
-		c, err = s.capturePass(rec, ranges)
+		c, err = s.capturePass(rec, ranges, true)
 	} else {
 		var key string
 		if key, err = captureKey(rec, ranges, s.cfg.WatchdogInstrs); err != nil {
@@ -105,7 +99,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 		var mine *capture
 		var hit bool
 		c, hit, err = captures.Do(key, func() (*capture, error) {
-			c, err := s.capturePass(rec, ranges)
+			c, err := s.capturePass(rec, ranges, false)
 			mine = c
 			return c, err
 		})
@@ -116,27 +110,14 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 	if err != nil {
 		return nil, err
 	}
-
-	clock := s.cfg.Device.Clock(c.work)
-	out := make([]*Snippet, len(c.snips))
-	copies := make([]Snippet, len(c.snips))
-	var total uint64
-	var digits [20]byte
-	for i, sn := range c.snips {
-		copies[i] = *sn
-		copies[i].StartCycles = clock[sn.StartDispatches]
-		out[i] = &copies[i]
-		// The encoding writes StartCycles as a decimal number, and
-		// lens[i] counts the one digit of a zero.
-		total += uint64(c.lens[i] - 1 + len(strconv.AppendUint(digits[:0], copies[i].StartCycles, 10)))
-	}
-	mSnippetsCaptured.Add(uint64(len(out)))
-	mSnippetBytes.Add(total)
-	return out, nil
+	mSnippetsCaptured.Add(uint64(len(c.snips)))
+	mSnippetBytes.Add(c.encoded)
+	return slices.Clone(c.snips), nil
 }
 
 // recordingReadsTimer reports whether a kernel of any of the recording's
-// programs reads the timer, so that its captures depend on the design.
+// programs reads the timer, so that its captures depend on the design
+// and carry clock seeds.
 func recordingReadsTimer(rec *cofluent.Recording) bool {
 	for _, p := range rec.Programs {
 		for _, k := range p.Kernels {
@@ -250,9 +231,9 @@ func (w *capWindow) reference(id int, b *device.Buffer, touch bool, in *interner
 var errCaptured = errors.New("detsim: every window captured")
 
 // capturePass runs the functional capture pass over validated,
-// non-empty ranges: snippets without their clock seeds, and the work
-// that yields them.
-func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*capture, error) {
+// non-empty ranges. With clock set, each window's StartCycles is the
+// device clock when the window opens; otherwise it stays 0.
+func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range, clock bool) (*capture, error) {
 	windows := make([]*capWindow, len(ranges))
 	for i, r := range ranges {
 		windows[i] = &capWindow{
@@ -283,7 +264,6 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 			cur.Observe(keys, write)
 		}
 	})
-	var work []device.ExecStats
 
 	// Per-walk memo of timer scans.
 	timers := make(map[*kernel.Kernel]bool)
@@ -295,6 +275,9 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 				if !w.open {
 					w.open = true
 					w.sn.StartDispatches = dev.Dispatches()
+					if clock {
+						w.sn.StartCycles = dev.Timestamp()
+					}
 				}
 				out = append(out, w)
 			}
@@ -382,7 +365,7 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 				})
 			}
 			cur = engine.NewTouchSet(len(l.Surfaces))
-			st, derr := dev.Run(device.Dispatch{
+			_, derr := dev.Run(device.Dispatch{
 				Binary: l.Bin, Args: l.Args, Surfaces: l.Surfaces, GlobalWorkSize: l.GWS,
 			})
 			ts := cur
@@ -390,7 +373,6 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 			if derr != nil {
 				return fmt.Errorf("detsim: capture invocation %d (%s): %w", l.Invocation, l.Kernel.Name, derr)
 			}
-			work = append(work, s.cfg.Device.Work(st))
 			for _, w := range open {
 				for si, id := range l.SurfIDs {
 					if ts.Touched(si) {
@@ -412,20 +394,19 @@ func (s *Simulator) capturePass(rec *cofluent.Recording, ranges []Range) (*captu
 		return nil, err
 	}
 
-	c := &capture{snips: make([]*Snippet, len(windows)), lens: make([]int, len(windows))}
-	var last uint64 // the latest window start: the work the clock seeds need
+	c := &capture{snips: make([]*Snippet, len(windows))}
 	for i, w := range windows {
 		if !w.done {
 			return nil, fmt.Errorf("detsim: range [%d, %d) extends past the recording's invocations: %w",
 				w.r.From, w.r.To, faults.ErrBadConfig)
 		}
 		c.snips[i] = w.sn
-		if c.lens[i], err = w.sn.encodedLen(); err != nil {
+		n, err := w.sn.encodedLen()
+		if err != nil {
 			return nil, err
 		}
-		last = max(last, w.sn.StartDispatches)
+		c.encoded += uint64(n)
 	}
-	c.work = slices.Clone(work[:last])
 	c.bytes = heldBytes(c.snips)
 	return c, nil
 }

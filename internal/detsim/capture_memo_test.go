@@ -3,7 +3,9 @@ package detsim_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -27,7 +29,7 @@ type design struct {
 // sweepDesigns are the candidate machines of the benchmark's design
 // sweep: the HD 4000 baseline, EU count, clock, the next generation and
 // L3 capacity. Each changes the timing model, so each gives a window
-// another clock seed.
+// another device clock.
 func sweepDesigns() []design {
 	with := func(name string, f func(*detsim.Config)) design {
 		c := detsim.DefaultConfig()
@@ -94,21 +96,23 @@ func freshCaptures(t *testing.T, designs []design, timer func(uint64) uint32, re
 	return fresh
 }
 
-// TestCaptureMemoSharedMatchesFresh: with the memo filled by the first
-// design to capture, every design's captures encode exactly as a fresh
-// capture under that design does, clock seeds included, whichever design
-// filled it; the memo then holds one capture, computed once.
+// TestCaptureMemoSharedMatchesFresh: the recording reads no timer, so
+// fresh captures under the eight designs encode byte for byte alike, and
+// with the memo filled by the first design to capture, every design's
+// captures encode exactly as a fresh capture under that design does,
+// whichever design filled it; the memo then holds one capture, computed
+// once.
 func TestCaptureMemoSharedMatchesFresh(t *testing.T) {
 	rec, n, _ := record(t, 8811, 16)
 	ranges := append(snippetRanges(n), detsim.Range{From: n / 2, To: n/2 + 2, Warmup: 3})
 	designs := sweepDesigns()
 	fresh := freshCaptures(t, designs, nil, rec, ranges)
-	seeds := map[string]bool{}
-	for i := range designs {
-		seeds[string(fresh[i][1])] = true
-	}
-	if len(seeds) < 2 {
-		t.Fatal("every design captured the same middle window: the designs do not move the clock seed")
+	for i := 1; i < len(designs); i++ {
+		for w := range ranges {
+			if !bytes.Equal(fresh[i][w], fresh[0][w]) {
+				t.Fatalf("window %d: the fresh capture under %s differs from the one under %s", w, designs[i].name, designs[0].name)
+			}
+		}
 	}
 
 	orders := map[string][]int{"forward": {0, 1, 2, 3, 4, 5, 6, 7}, "reverse": {7, 6, 5, 4, 3, 2, 1, 0}}
@@ -416,5 +420,115 @@ func TestCaptureMemoKeyedByContent(t *testing.T) {
 	captureEncoded(t, cfg, nil, rec, ranges)
 	if hits, misses, _, _ := detsim.CaptureCacheStats(); hits != 0 || misses != 3 {
 		t.Errorf("memo: %d hits, %d misses; want 0, 3", hits, misses)
+	}
+}
+
+// TestSnippetClockSeedUnreadWithoutTimer: a recording whose kernels read
+// no timer captures every window with StartCycles 0, and no replay reads
+// the seed: a decoded copy of each snippet, with the seed set to other
+// values, replays to the same report and leaves the same surfaces.
+func TestSnippetClockSeedUnreadWithoutTimer(t *testing.T) {
+	rec, n, _ := record(t, 8816, 16)
+	ranges := append(snippetRanges(n), detsim.Range{From: n / 2, To: n/2 + 2, Warmup: 3})
+	sim, err := detsim.New(detsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snips, err := sim.Capture(rec, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(sn *detsim.Snippet) (*detsim.Report, map[int][]byte) {
+		t.Helper()
+		rep, err := sim.RunSnippet(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, memory(sim)
+	}
+	for i, sn := range snips {
+		if sn.StartCycles != 0 {
+			t.Errorf("window %d: StartCycles %d, want 0 for a recording that reads no timer", i, sn.StartCycles)
+		}
+		wantRep, wantMem := run(sn)
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{1, 1000, 1 << 40, math.MaxUint64} {
+			cp, err := detsim.DecodeSnippet(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.StartCycles = seed
+			rep, mem := run(cp)
+			if !reflect.DeepEqual(rep, wantRep) {
+				t.Errorf("window %d with seed %d: the report differs from the captured snippet's", i, seed)
+			}
+			if !reflect.DeepEqual(mem, wantMem) {
+				t.Errorf("window %d with seed %d: the surfaces differ from the captured snippet's", i, seed)
+			}
+		}
+	}
+}
+
+// TestSnippetClockSeedIsSerialClock: a window of a timer-reading
+// recording carries the clock a fast-forwarding Run reaches at its
+// start. The window's warmup launch is stampKernel, which stores the
+// device clock, and its detailed launch is the recording's last. Under
+// each of the eight sweep designs, the snippet captured without a timer
+// hook replays to the output surface Run leaves, and the same snippet
+// with its seed moved by 1000 cycles leaves another.
+func TestSnippetClockSeedIsSerialClock(t *testing.T) {
+	rng := rand.New(rand.NewSource(8817))
+	cfg := testgen.DefaultConfig()
+	gen := testgen.Program(rng, "seeded", cfg)
+	sched := testgen.Driver(rng, gen, 8, cfg)
+	last := sched[len(sched)-1]
+	sched = append(sched[:len(sched)-1], testgen.DriverStep{Kernel: "stamp", GWS: 16, Iters: 1}, last)
+	p := asm.MustProgram("seeded", append(slices.Clone(gen.Kernels), stampKernel())...)
+	rec, n := recordSchedule(t, p, sched, nil, 1<<12, nil)
+	r := detsim.Range{From: n - 1, To: n, Warmup: 1}
+
+	for _, d := range sweepDesigns() {
+		serial, err := detsim.New(d.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serial.Run(rec, []detsim.Range{r}); err != nil {
+			t.Fatal(err)
+		}
+		want := surfaceBytes(serial.Buffer(1))
+
+		sim, err := detsim.New(d.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snips, err := sim.Capture(rec, []detsim.Range{r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunSnippet(snips[0]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
+			t.Errorf("%s: the snippet's replay leaves another output surface than Run", d.name)
+		}
+
+		data, err := snips[0].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, err := detsim.DecodeSnippet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved.StartCycles += 1000
+		if _, err := sim.RunSnippet(moved); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(surfaceBytes(sim.Buffer(1)), want) {
+			t.Errorf("%s: a seed moved by 1000 cycles leaves Run's output surface: the window does not read its seed", d.name)
+		}
 	}
 }

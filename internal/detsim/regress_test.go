@@ -94,9 +94,10 @@ func TestRunRejectsBadRanges(t *testing.T) {
 }
 
 // TestCorruptRecordingRejected: host data movement with out-of-range
-// offsets must surface as faults.ErrBadRecording — the copy-buffer path
-// used to panic slicing dst.Bytes()[Offset2:Offset2+Size], and the
-// write path silently truncated.
+// offsets, and a buffer larger than a surface can be, must surface as
+// faults.ErrBadRecording — the copy-buffer path used to panic slicing
+// dst.Bytes()[Offset2:Offset2+Size], the write path silently truncated,
+// and a 1<<33-byte buffer allocated a 16 MiB page table.
 func TestCorruptRecordingRejected(t *testing.T) {
 	rec, _, _ := record(t, 503, 3)
 	corrupt := func(c cl.APICall) *cofluent.Recording {
@@ -129,6 +130,9 @@ func TestCorruptRecordingRejected(t *testing.T) {
 		{"write offset overflow", cl.APICall{Name: cl.CallEnqueueWriteBuffer, Buffer: 1, Offset: 1 << 30, Payload: []byte{1, 2, 3}}},
 		{"write negative offset", cl.APICall{Name: cl.CallEnqueueWriteBuffer, Buffer: 1, Offset: -4, Payload: []byte{1}}},
 		{"write payload past end", cl.APICall{Name: cl.CallEnqueueWriteBuffer, Buffer: 1, Offset: (1 << 12) - 2, Payload: []byte{1, 2, 3, 4}}},
+		// More bytes than the 32-bit offsets of a send reach: refused
+		// before its page table is allocated.
+		{"create past the size bound", cl.APICall{Name: cl.CallCreateBuffer, Buffer: 2, Size: 1 << 33}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

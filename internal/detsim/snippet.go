@@ -10,14 +10,15 @@
 // work size), a memory image of the surfaces the window actually
 // touches (trimmed via the engine's Touch observer, and carried as the
 // surfaces' non-zero 4 KiB pages), the host events
-// that interleave with the window's launches, and the device-clock seed
-// at the window's start. RunSnippet then replays one snippet in
-// isolation — cache warmup first, then the detailed range — producing
-// bit-identical detailed results to a full fast-forwarding Run of the
-// same range, without executing any of the prefix. That makes subset
-// simulation embarrassingly parallel over intervals (cmd/subsets). Only
-// the clock seed depends on the design, so one capture of a recording
-// serves every design (capture.go).
+// that interleave with the window's launches, and the device's dispatch
+// count at the window's start (with its clock, when the recording reads
+// the timer). RunSnippet then replays one snippet in isolation — cache
+// warmup first, then the detailed range — producing bit-identical
+// detailed results to a full fast-forwarding Run of the same range,
+// without executing any of the prefix. That makes subset simulation
+// embarrassingly parallel over intervals (cmd/subsets). Unless a kernel
+// reads the timer, nothing in a snippet depends on the design, so one
+// capture of a recording serves every design (capture.go).
 //
 // Snippets are digest-verified twice over: the runstate store seals the
 // serialized bytes, and the snippet itself records a SHA-256 digest of
@@ -76,10 +77,12 @@ type Snippet struct {
 	App     string `json:"app"`
 	Range   Range  `json:"range"`
 
-	// StartCycles and StartDispatches seed the replay device's clock
-	// with the values the fast-forwarded prefix would have produced, so
-	// MsgTimer reads and the thermal-drift phase of warmup invocations
-	// match a full replay exactly.
+	// StartCycles and StartDispatches seed the replay device's
+	// timestamp counter and dispatch count with the values the
+	// fast-forwarded prefix would have produced, so MsgTimer reads and
+	// the thermal-drift phase of warmup invocations match a full replay
+	// exactly. Only MsgTimer reads StartCycles, and Capture leaves it 0
+	// when no kernel of the recording reads the timer.
 	StartCycles     uint64 `json:"start_cycles"`
 	StartDispatches uint64 `json:"start_dispatches"`
 
@@ -242,12 +245,13 @@ func DecodeSnippet(data []byte) (*Snippet, error) {
 }
 
 // validate checks referential integrity — every event points at a
-// kernel and buffers the snippet defines before use — and that every
-// memory image is a list of in-bounds pages in strictly ascending order.
+// kernel and buffers the snippet defines before use — that every
+// surface's size is one engine.NewBuffer accepts, and that every memory
+// image is a list of in-bounds pages in strictly ascending order.
 func (sn *Snippet) validate() error {
 	have := make(map[int]bool, len(sn.Buffers))
 	for _, b := range sn.Buffers {
-		if b.Size <= 0 {
+		if b.Size <= 0 || uint64(b.Size) > engine.MaxBufferSize {
 			return fmt.Errorf("detsim: snippet buffer %d has size %d: %w", b.ID, b.Size, faults.ErrBadRecording)
 		}
 		next := 0 // the lowest offset the next page may have
@@ -267,7 +271,7 @@ func (sn *Snippet) validate() error {
 	for i, ev := range sn.Events {
 		switch ev.Kind {
 		case evCreate:
-			if ev.Size <= 0 {
+			if ev.Size <= 0 || uint64(ev.Size) > engine.MaxBufferSize {
 				return fmt.Errorf("detsim: snippet event %d: create with size %d: %w", i, ev.Size, faults.ErrBadRecording)
 			}
 			have[ev.Buffer] = true

@@ -537,7 +537,9 @@ func TestSnippetDivergenceDetected(t *testing.T) {
 }
 
 // TestSnippetRejectsMalformed: structural validation refuses snippets
-// whose events reference undefined objects or whose version is foreign.
+// whose events reference undefined objects, whose version is foreign,
+// whose memory images are malformed or whose buffers declare more bytes
+// than a surface may hold.
 func TestSnippetRejectsMalformed(t *testing.T) {
 	if _, err := detsim.DecodeSnippet([]byte("{")); !errors.Is(err, faults.ErrBadRecording) {
 		t.Errorf("truncated JSON: got %v", err)
@@ -578,31 +580,39 @@ func TestSnippetRejectsMalformed(t *testing.T) {
 		t.Errorf("version-2 snippet replayed: got %v", err)
 	}
 
-	// Page lists of a 3·4096+8-byte surface. The valid one decodes and
-	// replays; each malformed one must be refused by both DecodeSnippet
-	// and RunSnippet before anything runs.
+	// Page lists of a 3·4096+8-byte surface, and surfaces beside it
+	// declaring 1<<33 bytes, more than the 32-bit offsets of a send reach
+	// (engine.MaxBufferSize). The valid one decodes and replays; each
+	// malformed one must be refused by both DecodeSnippet and RunSnippet
+	// before anything runs or is allocated.
 	const size = 3*pageSize + 8
 	page := func(off, n int) detsim.SnippetPage {
 		return detsim.SnippetPage{Offset: off, Bytes: bytes.Repeat([]byte{0x5A}, n)}
 	}
+	valid := []detsim.SnippetPage{page(0, pageSize), page(2*pageSize, pageSize), page(3*pageSize, 8)}
 	pages := []struct {
-		name  string
-		image []detsim.SnippetPage
+		name   string
+		image  []detsim.SnippetPage
+		extra  []detsim.SnippetBuffer // buffers besides ID 0
+		events []detsim.SnippetEvent
 	}{
-		{"valid", []detsim.SnippetPage{page(0, pageSize), page(2*pageSize, pageSize), page(3*pageSize, 8)}},
-		{"misaligned", []detsim.SnippetPage{page(8, pageSize)}},
-		{"negative", []detsim.SnippetPage{page(-pageSize, pageSize)}},
-		{"past-end", []detsim.SnippetPage{page(0, pageSize), page(4*pageSize, pageSize)}},
-		{"short", []detsim.SnippetPage{page(pageSize, pageSize-1)}},
-		{"long", []detsim.SnippetPage{page(3*pageSize, 9)}},
-		{"repeated", []detsim.SnippetPage{page(pageSize, pageSize), page(pageSize, pageSize)}},
-		{"decreasing", []detsim.SnippetPage{page(2*pageSize, pageSize), page(pageSize, pageSize)}},
+		{name: "valid", image: valid},
+		{name: "misaligned", image: []detsim.SnippetPage{page(8, pageSize)}},
+		{name: "negative", image: []detsim.SnippetPage{page(-pageSize, pageSize)}},
+		{name: "past-end", image: []detsim.SnippetPage{page(0, pageSize), page(4*pageSize, pageSize)}},
+		{name: "short", image: []detsim.SnippetPage{page(pageSize, pageSize-1)}},
+		{name: "long", image: []detsim.SnippetPage{page(3*pageSize, 9)}},
+		{name: "repeated", image: []detsim.SnippetPage{page(pageSize, pageSize), page(pageSize, pageSize)}},
+		{name: "decreasing", image: []detsim.SnippetPage{page(2*pageSize, pageSize), page(pageSize, pageSize)}},
+		{name: "huge buffer", image: valid, extra: []detsim.SnippetBuffer{{ID: 1, Size: 1 << 33}}},
+		{name: "huge create", image: valid, events: []detsim.SnippetEvent{{Kind: "create", Buffer: 1, Size: 1 << 33}}},
 	}
 	for _, pc := range pages {
 		sn := &detsim.Snippet{
 			Version: detsim.SnippetVersion,
 			Range:   detsim.Range{From: 0, To: 1},
-			Buffers: []detsim.SnippetBuffer{{ID: 0, Size: size, Image: pc.image}},
+			Buffers: append([]detsim.SnippetBuffer{{ID: 0, Size: size, Image: pc.image}}, pc.extra...),
+			Events:  pc.events,
 		}
 		data, err := sn.Encode()
 		if err != nil {
@@ -616,15 +626,15 @@ func TestSnippetRejectsMalformed(t *testing.T) {
 		_, runErr := sim.RunSnippet(sn)
 		if pc.name == "valid" {
 			if decErr != nil || runErr != nil {
-				t.Errorf("valid page list: decode %v, replay %v", decErr, runErr)
+				t.Errorf("valid snippet: decode %v, replay %v", decErr, runErr)
 			}
 			continue
 		}
 		if !errors.Is(decErr, faults.ErrBadRecording) {
-			t.Errorf("%s page list: DecodeSnippet got %v", pc.name, decErr)
+			t.Errorf("%s: DecodeSnippet got %v", pc.name, decErr)
 		}
 		if !errors.Is(runErr, faults.ErrBadRecording) {
-			t.Errorf("%s page list: RunSnippet got %v", pc.name, runErr)
+			t.Errorf("%s: RunSnippet got %v", pc.name, runErr)
 		}
 	}
 }

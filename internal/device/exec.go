@@ -31,7 +31,6 @@ type ExecStats struct {
 	BytesRead     uint64  // bytes read from surfaces
 	BytesWritten  uint64  // bytes written to surfaces
 	ComputeCycles uint64  // summed per-thread execution cycles
-	MemSends      uint64  // sends charged Config.MemStallCycles in ComputeCycles
 	TimeNs        float64 // modelled wall-clock time of the dispatch
 
 	// Resilience bookkeeping, filled by the cl layer's resilient drain.
@@ -175,7 +174,6 @@ func (st *ExecStats) fill(es *engine.Stats) {
 	st.BytesRead = es.BytesRead
 	st.BytesWritten = es.BytesWritten
 	st.ComputeCycles = es.Cycles
-	st.MemSends = es.MemSends
 }
 
 // Run executes one dispatch to completion and returns its statistics.
@@ -250,10 +248,9 @@ func (d *Device) Run(disp Dispatch) (ExecStats, error) {
 		return st, fmt.Errorf("device: kernel %s: %w", k.Name, faults.ErrCorruptResult)
 	}
 	st.Groups = groups
-	var step uint64
-	st.TimeNs, step = d.cfg.clockStep(&st, d.dispatches, d.jitter)
+	st.TimeNs = d.jitter.Perturb(d.cfg.dispatchTimeNs(&st) * d.cfg.thermalDrift(d.dispatches))
 	d.dispatches++
-	d.cycles += step
+	d.cycles += uint64(st.TimeNs * d.cfg.freqGHz())
 	d.observeDispatch(k, &st)
 	return st, nil
 }

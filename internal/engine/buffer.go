@@ -62,12 +62,22 @@ type Buffer struct {
 	mask int
 }
 
-// NewBuffer creates a zeroed surface of the given size in bytes. It
-// allocates only the page table. The size is rounded up to a multiple
-// of 8 so 64-bit accesses at any wrapped offset stay in bounds.
+// MaxBufferSize is the largest surface NewBuffer creates: send messages
+// address a surface with 32-bit offsets, so no byte beyond it could be
+// reached, and the page table of a larger claim would cost memory for
+// nothing.
+const MaxBufferSize = 1 << 32
+
+// NewBuffer creates a zeroed surface of the given size in bytes, at most
+// MaxBufferSize. It allocates only the page table. The size is rounded
+// up to a multiple of 8 so 64-bit accesses at any wrapped offset stay in
+// bounds.
 func NewBuffer(size int) (*Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("buffer size must be positive, got %d", size)
+	}
+	if uint64(size) > MaxBufferSize {
+		return nil, fmt.Errorf("buffer size %d exceeds the %d-byte limit", size, uint64(MaxBufferSize))
 	}
 	size = (size + 7) &^ 7
 	b := &Buffer{size: size}

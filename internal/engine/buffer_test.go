@@ -135,3 +135,26 @@ func TestBufferShareConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestNewBufferSizeBound: NewBuffer creates a surface of MaxBufferSize
+// bytes, whose last byte a 32-bit offset still reaches, and refuses
+// anything larger, checked before the size is rounded and before a page
+// table is allocated.
+func TestNewBufferSizeBound(t *testing.T) {
+	b, err := NewBuffer(MaxBufferSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt([]byte{0xA5}, MaxBufferSize-1); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1)
+	if _, err := b.ReadAt(got, MaxBufferSize-1); err != nil || got[0] != 0xA5 {
+		t.Fatalf("the last byte reads %#x (%v), want 0xa5", got[0], err)
+	}
+	for _, size := range []int{MaxBufferSize + 1, 1 << 33} {
+		if _, err := NewBuffer(size); err == nil {
+			t.Errorf("NewBuffer(%d) made a surface larger than %d bytes", size, MaxBufferSize)
+		}
+	}
+}

@@ -82,7 +82,6 @@ func (e *Env) RunGroup(k *kernel.Kernel, args []uint32, surfs []*Buffer, group, 
 	blk := 0
 	groupInstrs := uint64(0)
 	groupCycles := uint64(0)
-	groupMemSends := uint64(0)
 
 	for {
 		if blk >= len(pk.blocks) {
@@ -125,12 +124,10 @@ func (e *Env) RunGroup(k *kernel.Kernel, args []uint32, surfs []*Buffer, group, 
 					// both the timing model and intra-thread timer reads
 					// observe memory stall time.
 					groupCycles += e.MemStallCycles
-					groupMemSends++
 				}
 			case ClassEnd:
 				st.Instrs += groupInstrs
 				st.Cycles += groupCycles
-				st.MemSends += groupMemSends
 				e.Watchdog.commit(groupInstrs)
 				return nil
 			default: // ClassControl
